@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .aci import (AciState, GuaranteeReport, aci_init, aci_update,
                   check_guarantee, confinement_interval, deviation_bound,
                   gamma_for_bound)
-from .core import (CLASSIFICATION, REGRESSION, CoinFlipPredictor, Example,
+from .core import (CLASSIFICATION, REGRESSION, CoinFlipPredictor,
                    ExampleBuffer, PredictionSet, RandomSetPredictor,
                    SetPredictor, boundary_set, coin_flip_predict, derive_rng,
                    random_set_predict)
@@ -32,9 +32,8 @@ from .metrics import (RunSummary, StepRecord, aggregate_trials,
 from .nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
                           knn_threshold_predict, knn_vote_shares,
                           ols_interval_predict)
-from .numerics import (NumericError, empirical_quantile,
-                       hat_diag_and_residuals, isotonic_monotonize,
-                       ridge_solve, student_t_quantile)
+from .numerics import (NumericError, empirical_quantile, isotonic_monotonize,
+                       student_t_quantile)
 from .data import (Dataset, SplitPlan, StreamSpec, load_usps, load_wine,
                    make_stream, split_train_calibration, standardize_features)
 from .harness import (ConfigError, ExperimentConfig, RunResult, SweepResult,

@@ -121,24 +121,6 @@ class PredictionSet:
         raise ValueError(f"cannot compare {self.kind} set with {other.kind} set")
 
 
-@dataclass(frozen=True)
-class Example:
-    """A single observation: feature vector plus label."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("feature vector contains non-finite values")
-        if not math.isfinite(self.y):
-            raise ValueError(f"label {self.y!r} is not finite")
-        object.__setattr__(self, "x", x)
-
-
 def boundary_set(eps: float, task: str) -> PredictionSet | None:
     """The forced output at boundary significance levels, else None.
 
@@ -181,10 +163,6 @@ class SetPredictor(ABC):
         if not math.isfinite(float(y)):
             raise ValueError(f"label {y!r} is not finite")
         self._observe(x, y)
-
-    @property
-    @abstractmethod
-    def history_size(self) -> int: ...
 
     @abstractmethod
     def _predict(self, x: np.ndarray, eps: float) -> PredictionSet: ...
@@ -248,6 +226,49 @@ class ExampleBuffer:
         self._n += 1
 
 
+class KnnHistoryPredictor(SetPredictor):
+    """Online k-NN classifier plumbing: neighbour count, declared label
+    space and an integer-labelled history.  Subclasses supply ``_predict``."""
+
+    task = CLASSIFICATION
+
+    def __init__(self, k: int, label_space):
+        super().__init__()
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.k = int(k)
+        self.label_space = [int(c) for c in label_space]
+        if not self.label_space:
+            raise ValueError("label space is empty")
+        self._hist = ExampleBuffer(label_dtype=int)
+
+    def _observe(self, x, y):
+        self._hist.append(x, self._check_label(y))
+
+    def _check_label(self, y) -> int:
+        y = int(y)
+        if y not in self.label_space:
+            raise ValueError(f"label {y} outside the declared label space")
+        return y
+
+
+class RidgeHistoryPredictor(SetPredictor):
+    """Online regression plumbing: ridge coefficient ``a`` >= 0 and a
+    real-labelled history.  Subclasses supply ``_predict``."""
+
+    task = REGRESSION
+
+    def __init__(self, a: float = 0.0):
+        super().__init__()
+        if a < 0.0:
+            raise ValueError(f"ridge coefficient must be >= 0, got {a}")
+        self.a = float(a)
+        self._hist = ExampleBuffer()
+
+    def _observe(self, x, y):
+        self._hist.append(x, float(y))
+
+
 def derive_rng(seed: int, *labels) -> np.random.Generator:
     """Independent generator for a (seed, purpose...) pair.
 
@@ -300,17 +321,12 @@ class CoinFlipPredictor(SetPredictor):
         super().__init__()
         self.task = task
         self._rng = rng
-        self._n = 0
-
-    @property
-    def history_size(self) -> int:
-        return self._n
 
     def _predict(self, x, eps):
         return coin_flip_predict(eps, self._rng, self.task)
 
     def _observe(self, x, y):
-        self._n += 1
+        pass
 
 
 class RandomSetPredictor(SetPredictor):
@@ -322,14 +338,9 @@ class RandomSetPredictor(SetPredictor):
         super().__init__()
         self._labels = [int(c) for c in label_space]
         self._rng = rng
-        self._n = 0
-
-    @property
-    def history_size(self) -> int:
-        return self._n
 
     def _predict(self, x, eps):
         return random_set_predict(eps, self._labels, self._rng)
 
     def _observe(self, x, y):
-        self._n += 1
+        pass

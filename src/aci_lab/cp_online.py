@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .core import (CLASSIFICATION, REGRESSION, ExampleBuffer, PredictionSet,
-                   SetPredictor)
+from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
+                   PredictionSet, RidgeHistoryPredictor, boundary_set)
 from .numerics import RidgeSystem, ceil_index, floor_index
 
 
@@ -52,19 +52,7 @@ def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     x = np.asarray(x, dtype=float)
     d = np.sqrt(np.sum((bag_X - x) ** 2, axis=1))
-    same = np.sort(d[bag_y == y])[:k]
-    diff = np.sort(d[bag_y != y])[:k]
-    if same.size == 0:
-        return math.inf
-    if diff.size == 0:
-        return 0.0
-    same_mean = float(np.mean(same))
-    diff_mean = float(np.mean(diff))
-    if same_mean == 0.0:
-        return 0.0
-    if diff_mean == 0.0:
-        return math.inf
-    return same_mean / diff_mean
+    return _score_from_distances(d, bag_y == y, k)
 
 
 def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:
@@ -81,7 +69,7 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     n_hist = hist_X.shape[0]
     if n_hist == 0:
         raise ValueError("history is empty")
-    forced = _boundary(eps, CLASSIFICATION)
+    forced = boundary_set(eps, CLASSIFICATION)
     if forced is not None:
         return forced
 
@@ -92,17 +80,29 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     # distances within the history; the candidate only ever adds one
     # distance to one of the two sides, merged virtually per label.
     same_rows, diff_rows = _neighbor_rows(hh, hist_y, k)
+    return _conformal_label_set(same_rows, diff_rows, hx, hist_y, label_space, k, eps)
+
+
+def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -> PredictionSet:
+    """Labels whose candidate completion has p-value above eps.
+
+    ``same_rows``/``diff_rows`` hold each history point's k smallest
+    same-label/different-label distances within the history (ascending,
+    +inf padded) and ``d`` the candidate's distances to the history.  The
+    p-value counts the candidate itself: (#{alpha_i >= alpha_n} + 1) / (n + 1).
+    """
     same_stats = _row_stats(same_rows)
     diff_stats = _row_stats(diff_rows)
-
+    n_bag = d.shape[0] + 1
     kept = []
     for lab in label_space:
         is_same = hist_y == lab
-        s_mean = _merged_mean(*same_stats, hx, is_same, k)
-        f_mean = _merged_mean(*diff_stats, hx, ~is_same, k)
+        s_mean = _merged_mean(*same_stats, d, is_same, k)
+        f_mean = _merged_mean(*diff_stats, d, ~is_same, k)
         alphas = _ratio(s_mean, f_mean)
-        alpha_n = _score_from_distances(hx, is_same, k)
-        if p_value(np.append(alphas, alpha_n), alpha_n) > eps:
+        alpha_n = _score_from_distances(d, is_same, k)
+        n_ge = int(np.count_nonzero(alphas >= alpha_n)) + 1
+        if n_ge / n_bag > eps:
             kept.append(lab)
     return PredictionSet.label_set(kept)
 
@@ -151,14 +151,6 @@ def _neighbor_rows(hh: np.ndarray, y: np.ndarray, k: int):
             _k_smallest_rows(np.where(diff, hh, np.inf), k))
 
 
-def _boundary(eps: float, task: str):
-    if eps <= 0.0:
-        return PredictionSet.all_labels() if task == CLASSIFICATION else PredictionSet.full_interval()
-    if eps >= 1.0:
-        return PredictionSet.empty()
-    return None
-
-
 def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
     """Conformalised ridge regression: the full-CP interval in one sweep.
 
@@ -181,7 +173,7 @@ def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
         raise ValueError("history is empty")
     if hist_y.shape != (n_hist,):
         raise ValueError("history labels do not match history rows")
-    forced = _boundary(eps, REGRESSION)
+    forced = boundary_set(eps, REGRESSION)
     if forced is not None:
         return forced
 
@@ -212,7 +204,7 @@ def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
     return PredictionSet.interval(lower, upper)
 
 
-class KnnConformalClassifier(SetPredictor):
+class KnnConformalClassifier(KnnHistoryPredictor):
     """Online full-CP k-NN classifier.
 
     Every prediction rescores the whole augmented bag through
@@ -221,33 +213,9 @@ class KnnConformalClassifier(SetPredictor):
     incremental caches when that bill matters.
     """
 
-    task = CLASSIFICATION
-
-    def __init__(self, k: int, label_space):
-        super().__init__()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
-        self.label_space = [int(c) for c in label_space]
-        if not self.label_space:
-            raise ValueError("label space is empty")
-        self._hist = ExampleBuffer(label_dtype=int)
-
-    @property
-    def history_size(self) -> int:
-        return len(self._hist)
-
     def _predict(self, x, eps):
-        if len(self._hist) == 0:
-            raise ValueError("history is empty")
         return knn_cp_predict(self._hist.X, self._hist.y, x, eps,
                               self.k, self.label_space)
-
-    def _observe(self, x, y):
-        y = int(y)
-        if y not in self.label_space:
-            raise ValueError(f"label {y} outside the declared label space")
-        self._hist.append(x, y)
 
 
 class CachedKnnConformalClassifier(KnnConformalClassifier):
@@ -268,32 +236,13 @@ class CachedKnnConformalClassifier(KnnConformalClassifier):
         self._diff = np.empty((8, self.k))
 
     def _predict(self, x, eps):
-        n_hist = len(self._hist)
-        if n_hist == 0:
-            raise ValueError("history is empty")
-        X = self._hist.X
-        labels = self._hist.y
-        d = np.sqrt(np.sum((X - x) ** 2, axis=1))
-
-        same_stats = _row_stats(self._same[:n_hist])
-        diff_stats = _row_stats(self._diff[:n_hist])
-
-        kept = []
-        for lab in self.label_space:
-            is_same = labels == lab
-            s_mean = _merged_mean(*same_stats, d, is_same, self.k)
-            f_mean = _merged_mean(*diff_stats, d, ~is_same, self.k)
-            alphas = _ratio(s_mean, f_mean)
-            alpha_n = _score_from_distances(d, is_same, self.k)
-            n_ge = int(np.count_nonzero(alphas >= alpha_n)) + 1
-            if n_ge / (n_hist + 1) > eps:
-                kept.append(lab)
-        return PredictionSet.label_set(kept)
+        d = np.sqrt(np.sum((self._hist.X - x) ** 2, axis=1))
+        n_hist = d.shape[0]
+        return _conformal_label_set(self._same[:n_hist], self._diff[:n_hist], d,
+                                    self._hist.y, self.label_space, self.k, eps)
 
     def _observe(self, x, y):
-        y = int(y)
-        if y not in self.label_space:
-            raise ValueError(f"label {y} outside the declared label space")
+        y = self._check_label(y)
         n_hist = len(self._hist)
         if n_hist:
             d = np.sqrt(np.sum((self._hist.X - x) ** 2, axis=1))
@@ -370,24 +319,8 @@ def _merge_rows(rows: np.ndarray, d: np.ndarray, applies: np.ndarray) -> None:
         rows[upd] = np.sort(rows[upd], axis=1)
 
 
-class CrrPredictor(SetPredictor):
+class CrrPredictor(RidgeHistoryPredictor):
     """Online conformalised ridge regression (recomputed each step)."""
-
-    task = REGRESSION
-
-    def __init__(self, a: float = 0.0):
-        super().__init__()
-        if a < 0.0:
-            raise ValueError(f"ridge coefficient must be >= 0, got {a}")
-        self.a = float(a)
-        self._hist = ExampleBuffer()
-
-    @property
-    def history_size(self) -> int:
-        return len(self._hist)
 
     def _predict(self, x, eps):
         return crr_predict(self._hist.X, self._hist.y, x, eps, self.a)
-
-    def _observe(self, x, y):
-        self._hist.append(x, float(y))

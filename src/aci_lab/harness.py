@@ -17,13 +17,13 @@ import numpy as np
 
 from . import __version__
 from .aci import aci_init, aci_update, gamma_for_bound
-from .core import (CLASSIFICATION, REGRESSION, PredictionSet, SetPredictor,
-                   CoinFlipPredictor, RandomSetPredictor, derive_rng)
+from .core import (CLASSIFICATION, REGRESSION, SetPredictor, CoinFlipPredictor,
+                   RandomSetPredictor, boundary_set, derive_rng)
 from .cp_online import CrrPredictor, KnnConformalClassifier
 from .data import (Dataset, StreamSpec, load_usps, load_wine, make_stream,
                    split_train_calibration, standardize_features)
 from .inductive import (KnnClassScorer, KnnQuantileScorer, _icp_set_from_scores,
-                        calibration_residuals, calibration_scores,
+                        _labels_above, calibration_residuals, calibration_scores,
                         icp_regress_predict, inccp_regress_predict)
 from .metrics import (EPS_CLAMP_HI, EPS_CLAMP_LO, RunSummary, StepRecord,
                       classification_record, regression_record, summarize_run,
@@ -311,12 +311,7 @@ def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             raise ConfigError("usps runs need train_path and test_path")
         train, test = load_usps(cfg.train_path, cfg.test_path)
     else:
-        if cfg.dataset == "wine":
-            if not (cfg.white_path and cfg.red_path):
-                raise ConfigError("wine runs need white_path and red_path")
-            ds = load_wine(cfg.white_path, cfg.red_path, cfg.order)
-        else:
-            ds = resolve_online_dataset(replace(cfg, subsample=None, standardize=False))
+        ds = resolve_online_dataset(replace(cfg, subsample=None, standardize=False))
         n_test = max(1, int(round(cfg.test_fraction * len(ds))))
         if n_test >= len(ds):
             raise ConfigError("test_fraction leaves no training data")
@@ -342,7 +337,9 @@ def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
     """Fitted prediction rule (x-index, eps) -> PredictionSet for the test
-    stream.  Scores that do not depend on eps are precomputed in batch."""
+    stream.  Scores that do not depend on eps are precomputed in batch.
+    The class rules go through ``boundary_set`` first; a PredictionSet is
+    always truthy, so ``or`` falls through only inside (0, 1)."""
     pid = cfg.predictor
     k = cfg.resolve_k()
     if pid in ("icp-class", "icp-reg"):
@@ -353,8 +350,8 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
             scorer = KnnClassScorer(k).fit(proper_X, proper_y, train.label_space)
             cal_sorted = np.sort(calibration_scores(scorer, cal_X, cal_y))
             score_rows = np.atleast_2d(scorer.class_scores(test.X))
-            return lambda i, eps, _rows=score_rows: _icp_class_set(
-                _rows[i], train.label_space, cal_sorted, eps)
+            return lambda i, eps: boundary_set(eps, CLASSIFICATION) or _icp_set_from_scores(
+                score_rows[i], train.label_space, cal_sorted, eps)
         scorer = KnnQuantileScorer(k).fit(proper_X, proper_y)
         cal_res = np.sort(calibration_residuals(scorer, cal_X, cal_y))
         points = np.array([scorer.point(x) for x in test.X])
@@ -362,31 +359,13 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
     if pid == "inccp-class":
         scorer = KnnClassScorer(k).fit(train.X, train.y, train.label_space)
         score_rows = np.atleast_2d(scorer.class_scores(test.X))
-        return lambda i, eps, _rows=score_rows: _inccp_class_set(
-            _rows[i], train.label_space, eps)
+        return lambda i, eps: boundary_set(eps, CLASSIFICATION) or _labels_above(
+            score_rows[i], train.label_space, eps)
     if pid == "inccp-reg":
         scorer = KnnQuantileScorer(k).fit(train.X, train.y)
         return lambda i, eps: inccp_regress_predict(scorer, test.X[i], eps)
     raise ConfigError(f"{pid!r} is not an offline predictor id "
                       f"(choose from {OFFLINE_PREDICTORS})")
-
-
-def _icp_class_set(score_row, label_space, cal_sorted, eps) -> PredictionSet:
-    if eps <= 0.0:
-        return PredictionSet.all_labels()
-    if eps >= 1.0:
-        return PredictionSet.empty()
-    return _icp_set_from_scores(np.asarray(score_row, dtype=float),
-                                label_space, cal_sorted, eps)
-
-
-def _inccp_class_set(score_row, label_space, eps) -> PredictionSet:
-    if eps <= 0.0:
-        return PredictionSet.all_labels()
-    if eps >= 1.0:
-        return PredictionSet.empty()
-    return PredictionSet.label_set(
-        lab for lab, s in zip(label_space, score_row) if s > eps)
 
 
 def run_offline(cfg: ExperimentConfig) -> RunResult:

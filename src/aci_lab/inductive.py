@@ -12,8 +12,6 @@ scorer's own outputs.  Both honour the extended boundary contract and
 produce sets nested in eps.
 """
 
-import math
-
 import numpy as np
 
 from .core import CLASSIFICATION, PredictionSet, boundary_set
@@ -175,8 +173,14 @@ def inccp_classify_predict(scorer, x, eps: float) -> PredictionSet:
     if forced is not None:
         return forced
     scores = np.asarray(scorer.class_scores(x), dtype=float)
+    return _labels_above(scores, scorer.label_space, eps)
+
+
+def _labels_above(scores, label_space, eps: float) -> PredictionSet:
+    """The labels whose score strictly exceeds eps (scores in label-space
+    order); nested in eps by construction."""
     return PredictionSet.label_set(
-        lab for lab, s in zip(scorer.label_space, scores) if s > eps)
+        lab for lab, s in zip(label_space, scores) if s > eps)
 
 
 def inccp_regress_predict(scorer, x, eps: float) -> PredictionSet:

@@ -199,22 +199,6 @@ def aggregate_trials(values) -> tuple[float, float]:
     return mean, half
 
 
-def aggregate_summaries(summaries, fields=("mean_err", "oe", "mean_winkler_finite",
-                                           "mean_width_finite", "frac_inf")) -> dict:
-    """Per-field (mean, half-width) over runs; fields missing everywhere
-    are dropped, fields missing somewhere raise."""
-    summaries = list(summaries)
-    out = {}
-    for name in fields:
-        vals = [getattr(s, name) for s in summaries]
-        if all(v is None for v in vals):
-            continue
-        if any(v is None for v in vals):
-            raise ValueError(f"field {name} is missing in some summaries")
-        out[name] = aggregate_trials(vals)
-    return out
-
-
 def lag1_autocorrelation(errs) -> float:
     """Lag-1 sample autocorrelation of a 0/1 sequence.  Under independent
     errors it concentrates near 0 at scale 1/sqrt(n); a constant sequence

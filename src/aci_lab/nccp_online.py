@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
-from .core import (CLASSIFICATION, REGRESSION, ExampleBuffer, PredictionSet,
-                   SetPredictor)
+from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
+                   PredictionSet, RidgeHistoryPredictor, boundary_set)
+from .inductive import _labels_above
 from .numerics import NumericError, RidgeSystem, student_t_quantile
 
 
@@ -48,13 +49,11 @@ def knn_threshold_predict(hist_X, hist_y, x, eps: float, k: int, label_space) ->
     Vote shares over one x sum to 1, so the set never holds more than
     floor(1/eps) labels; it may well be empty at large eps.
     """
-    if eps <= 0.0:
-        return PredictionSet.all_labels()
-    if eps >= 1.0:
-        return PredictionSet.empty()
+    forced = boundary_set(eps, CLASSIFICATION)
+    if forced is not None:
+        return forced
     shares = knn_vote_shares(hist_X, hist_y, x, k, label_space)
-    labels = [int(c) for c in label_space]
-    return PredictionSet.label_set(c for c, s in zip(labels, shares) if s > eps)
+    return _labels_above(shares, label_space, eps)
 
 
 def ols_interval_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
@@ -74,10 +73,9 @@ def ols_interval_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> Predi
         raise ValueError("history is empty")
     if hist_y.shape != (m,):
         raise ValueError("history labels do not match history rows")
-    if eps <= 0.0:
-        return PredictionSet.full_interval()
-    if eps >= 1.0:
-        return PredictionSet.empty()
+    forced = boundary_set(eps, REGRESSION)
+    if forced is not None:
+        return forced
     dof = m - p
     if dof < 1:
         return PredictionSet.full_interval()
@@ -97,54 +95,16 @@ def ols_interval_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> Predi
     return PredictionSet.interval(yhat - half, yhat + half)
 
 
-class KnnThresholdClassifier(SetPredictor):
+class KnnThresholdClassifier(KnnHistoryPredictor):
     """Online vote-share thresholding over the full history."""
-
-    task = CLASSIFICATION
-
-    def __init__(self, k: int, label_space):
-        super().__init__()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
-        self.label_space = [int(c) for c in label_space]
-        if not self.label_space:
-            raise ValueError("label space is empty")
-        self._hist = ExampleBuffer(label_dtype=int)
-
-    @property
-    def history_size(self) -> int:
-        return len(self._hist)
 
     def _predict(self, x, eps):
         return knn_threshold_predict(self._hist.X, self._hist.y,
                                      x, eps, self.k, self.label_space)
 
-    def _observe(self, x, y):
-        y = int(y)
-        if y not in self.label_space:
-            raise ValueError(f"label {y} outside the declared label space")
-        self._hist.append(x, y)
 
-
-class OlsIntervalPredictor(SetPredictor):
+class OlsIntervalPredictor(RidgeHistoryPredictor):
     """Online classical regression intervals (refit each step)."""
-
-    task = REGRESSION
-
-    def __init__(self, a: float = 0.0):
-        super().__init__()
-        if a < 0.0:
-            raise ValueError(f"ridge coefficient must be >= 0, got {a}")
-        self.a = float(a)
-        self._hist = ExampleBuffer()
-
-    @property
-    def history_size(self) -> int:
-        return len(self._hist)
 
     def _predict(self, x, eps):
         return ols_interval_predict(self._hist.X, self._hist.y, x, eps, self.a)
-
-    def _observe(self, x, y):
-        self._hist.append(x, float(y))

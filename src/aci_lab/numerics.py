@@ -36,8 +36,6 @@ class RidgeSystem:
             raise ValueError("design matrix contains non-finite values")
         if a < 0.0:
             raise ValueError(f"ridge coefficient must be >= 0, got {a}")
-        self.X = X
-        self.a = float(a)
         p = X.shape[1]
         M = X.T @ X + a * np.eye(p)
         try:
@@ -52,60 +50,10 @@ class RidgeSystem:
                        or (float(d.max()) / float(d.min())) ** 2 > 1e12):
             raise NumericError("normal matrix is numerically singular",
                                cond=float(np.linalg.cond(M)))
-        self._M = M
-
-    @property
-    def cond(self) -> float:
-        return float(np.linalg.cond(self._M))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (X'X + a*I) w = b."""
         return cho_solve(self._factor, np.asarray(b, dtype=float))
-
-
-def ridge_solve(X: np.ndarray, y: np.ndarray, a: float) -> np.ndarray:
-    """Coefficients w = (X'X + a*I)^{-1} X'y.
-
-    The backward residual ||(X'X + a*I) w - X'y||_inf must come out below
-    1e-8 * max(1, ||X'y||_inf), else the system is reported as numerically
-    unusable rather than silently returning garbage.
-    """
-    y = np.asarray(y, dtype=float)
-    system = RidgeSystem(X, a)
-    if y.shape != (system.X.shape[0],):
-        raise ValueError(f"target vector shape {y.shape} does not match "
-                         f"{system.X.shape[0]} rows")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("target vector contains non-finite values")
-    rhs = system.X.T @ y
-    w = system.solve(rhs)
-    resid = np.max(np.abs((system.X.T @ (system.X @ w)) + system.a * w - rhs)) \
-        if rhs.size else 0.0
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
-    if not resid <= tol:
-        raise NumericError(
-            f"ridge solve residual {resid:.3g} exceeds tolerance {tol:.3g}",
-            cond=system.cond)
-    return w
-
-
-def hat_diag_and_residuals(X: np.ndarray, y: np.ndarray, a: float):
-    """Residuals (I - H) y for H = X (X'X + a*I)^{-1} X', plus their sum of
-    squares.  H is never materialised; one p-dimensional solve suffices."""
-    w = ridge_solve(X, y, a)
-    y = np.asarray(y, dtype=float)
-    residuals = y - np.asarray(X, dtype=float) @ w
-    rss = float(residuals @ residuals)
-    return residuals, rss
-
-
-def _t_cdf(t: float, dof: int) -> float:
-    """Student-t CDF through the regularised incomplete beta."""
-    if t == 0.0:
-        return 0.5
-    x = dof / (dof + t * t)
-    tail = 0.5 * betainc(dof / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
 
 
 def student_t_quantile(p: float, dof: int) -> float:

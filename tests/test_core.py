@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from aci_lab import harness
 from aci_lab.core import (CLASSIFICATION, REGRESSION, CoinFlipPredictor,
-                          Example, PredictionSet, RandomSetPredictor,
+                          PredictionSet, RandomSetPredictor,
                           boundary_set, coin_flip_predict, derive_rng,
                           random_set_predict)
+from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
+                               KnnConformalClassifier, crr_predict,
+                               knn_cp_predict)
+from aci_lab.inductive import (KnnClassScorer, KnnQuantileScorer,
+                               icp_classify_predict, icp_regress_predict,
+                               inccp_classify_predict, inccp_regress_predict)
+from aci_lab.nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
+                                 knn_threshold_predict, ols_interval_predict)
 
 
 def test_label_set_membership():
@@ -55,15 +64,6 @@ def test_issubset():
     assert inner.issubset(outer) and not outer.issubset(inner)
 
 
-def test_example_validation():
-    with pytest.raises(ValueError):
-        Example(x=np.array([[1.0]]), y=0.0)
-    with pytest.raises(ValueError):
-        Example(x=np.array([math.nan]), y=0.0)
-    with pytest.raises(ValueError):
-        Example(x=np.array([1.0]), y=math.inf)
-
-
 def test_boundary_contract():
     assert boundary_set(0.0, CLASSIFICATION).kind == "all"
     assert boundary_set(-0.3, CLASSIFICATION).kind == "all"
@@ -72,6 +72,80 @@ def test_boundary_contract():
     full = boundary_set(-0.01, REGRESSION)
     assert full.kind == "interval" and full.is_infinite
     assert boundary_set(0.5, CLASSIFICATION) is None
+
+
+ONE_SHOT_ROUTES = ("knn_cp_predict", "crr_predict", "knn_threshold_predict",
+                   "ols_interval_predict", "icp_classify_predict",
+                   "icp_regress_predict", "inccp_classify_predict",
+                   "inccp_regress_predict")
+ONLINE_ROUTES = ("KnnConformalClassifier", "CachedKnnConformalClassifier",
+                 "KnnThresholdClassifier", "CrrPredictor", "OlsIntervalPredictor",
+                 "CoinFlipPredictor", "RandomSetPredictor")
+
+
+@pytest.fixture(scope="module")
+def boundary_routes():
+    """route name -> (task, eps -> PredictionSet), each on a small fitted
+    history, so that only the boundary contract decides the output."""
+    rng = derive_rng(0, "boundary-routes")
+    X = rng.normal(size=(12, 2))
+    y_cls = np.arange(12) % 3
+    y_reg = rng.normal(size=12)
+    x = rng.normal(size=2)
+    labels = [0, 1, 2]
+    class_scorer = KnnClassScorer(3).fit(X, y_cls, labels)
+    reg_scorer = KnnQuantileScorer(3).fit(X, y_reg)
+    cal = np.linspace(0.0, 1.0, 7)
+    routes = {
+        "knn_cp_predict": (CLASSIFICATION,
+                           lambda eps: knn_cp_predict(X, y_cls, x, eps, 1, labels)),
+        "crr_predict": (REGRESSION, lambda eps: crr_predict(X, y_reg, x, eps)),
+        "knn_threshold_predict": (CLASSIFICATION, lambda eps: knn_threshold_predict(
+            X, y_cls, x, eps, 3, labels)),
+        "ols_interval_predict": (REGRESSION,
+                                 lambda eps: ols_interval_predict(X, y_reg, x, eps)),
+        "icp_classify_predict": (CLASSIFICATION, lambda eps: icp_classify_predict(
+            class_scorer, cal, x, eps)),
+        "icp_regress_predict": (REGRESSION, lambda eps: icp_regress_predict(0.5, cal, eps)),
+        "inccp_classify_predict": (CLASSIFICATION,
+                                   lambda eps: inccp_classify_predict(class_scorer, x, eps)),
+        "inccp_regress_predict": (REGRESSION,
+                                  lambda eps: inccp_regress_predict(reg_scorer, x, eps)),
+    }
+    online = {
+        "KnnConformalClassifier": (KnnConformalClassifier(1, labels), y_cls),
+        "CachedKnnConformalClassifier": (CachedKnnConformalClassifier(1, labels), y_cls),
+        "KnnThresholdClassifier": (KnnThresholdClassifier(3, labels), y_cls),
+        "CrrPredictor": (CrrPredictor(), y_reg),
+        "OlsIntervalPredictor": (OlsIntervalPredictor(), y_reg),
+        "CoinFlipPredictor": (CoinFlipPredictor(derive_rng(0, "coin"), task=REGRESSION),
+                              y_reg),
+        "RandomSetPredictor": (RandomSetPredictor(labels, derive_rng(0, "rs")), y_cls),
+    }
+    for name, (pred, y) in online.items():
+        for xi, yi in zip(X, y):
+            pred.observe(xi, yi)
+        routes[name] = (pred.task, lambda eps, pred=pred: pred.predict(x, eps))
+    for pid in harness.OFFLINE_PREDICTORS:
+        dataset = "synth-class" if pid.endswith("class") else "synth-reg"
+        cfg = harness.build_config({"dataset": dataset, "predictor": pid,
+                                    "n": 80, "p": 3, "seed": 0})
+        train, test = harness.resolve_offline_datasets(cfg)
+        rule = harness._offline_rule(cfg, train, test)
+        routes[pid] = (harness._PREDICTOR_TASK[pid], lambda eps, rule=rule: rule(0, eps))
+    return routes
+
+
+def _set_key(ps):
+    return ps.kind, ps.labels, str(ps.lower), str(ps.upper)
+
+
+@pytest.mark.parametrize("eps", [-0.5, 0.0, 1.0, 1.5])
+@pytest.mark.parametrize("route", ONE_SHOT_ROUTES + ONLINE_ROUTES
+                         + harness.OFFLINE_PREDICTORS)
+def test_every_route_returns_the_boundary_set(boundary_routes, route, eps):
+    task, predict = boundary_routes[route]
+    assert _set_key(predict(eps)) == _set_key(boundary_set(eps, task))
 
 
 def test_coin_flip_boundary_and_frequency():

@@ -1,9 +1,12 @@
+import importlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from aci_lab import cp_online, harness, nccp_online
 from aci_lab.aci import confinement_interval
 from aci_lab.cli import main
 from aci_lab.harness import (ConfigError, ExperimentConfig, build_config,
@@ -246,3 +249,20 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     rc = main(["online", "--config", str(cfg), "--seed", "4"])
     assert rc == 0
     assert "crr" in capsys.readouterr().out
+
+
+def test_benchmark_probes_bind_to_package_names(monkeypatch):
+    """perfbench patches package names by (module, name); entering its
+    probes reads every one, so a rename fails here, not only under
+    ``perfbench/run.py --trace 1``."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    probes = importlib.import_module("probes")
+    names = lambda: (harness._aci_loop, harness.aci_update, cp_online.RidgeSystem,
+                     nccp_online.student_t_quantile)
+    before = names()
+    with probes.Tracer().probes():
+        assert harness._aci_loop is not before[0]
+    with probes.StepClock(None).probes():
+        assert harness.aci_update is not before[1]
+    assert names() == before

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aci_lab.core import PredictionSet, derive_rng
-from aci_lab.metrics import (aggregate_summaries, aggregate_trials, clamp_eps,
+from aci_lab.metrics import (aggregate_trials, clamp_eps,
                              classification_record, lag1_autocorrelation,
                              observed_excess, regression_record,
                              summarize_run, winkler_score, winkler_score_set)
@@ -153,15 +153,6 @@ def test_aggregate_trials_known_pair():
         aggregate_trials([1.0])
     with pytest.raises(ValueError):
         aggregate_trials([1.0, math.inf])
-
-
-def test_aggregate_summaries_drops_all_none_fields():
-    recs = [classification_record(i, 0.2, PredictionSet.label_set([0]), 0, 3)
-            for i in range(10)]
-    runs = [summarize_run(recs, 0.2, 0.2, 0.05) for _ in range(3)]
-    agg = aggregate_summaries(runs)
-    assert "oe" in agg and "mean_winkler_finite" not in agg
-    assert agg["mean_err"][0] == 0.0
 
 
 def test_lag1_autocorrelation():

@@ -4,66 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aci_lab.core import derive_rng
-from aci_lab.numerics import (NumericError, ceil_index, empirical_quantile,
-                              floor_index, hat_diag_and_residuals,
-                              isotonic_monotonize, ridge_solve,
-                              student_t_quantile)
+from aci_lab.numerics import (ceil_index, empirical_quantile, floor_index,
+                              isotonic_monotonize, student_t_quantile)
 from oracles import t_cdf_by_integration
-
-
-# ---------------------------------------------------------------- ridge
-
-def test_ridge_solve_1x1_closed_form():
-    # X = (1, 2)', y = (1, 1), a = 1: w = (X'X + 1)^-1 X'y = 3/6
-    X = np.array([[1.0], [2.0]])
-    y = np.array([1.0, 1.0])
-    w = ridge_solve(X, y, 1.0)
-    assert w == pytest.approx([0.5])
-
-
-def test_ridge_solve_matches_direct_inverse():
-    rng = derive_rng(0, "ridge")
-    for _ in range(50):
-        n = int(rng.integers(3, 40))
-        p = int(rng.integers(1, min(n, 6)))
-        X = rng.normal(size=(n, p))
-        y = rng.normal(size=n)
-        a = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
-        w = ridge_solve(X, y, a)
-        expected = np.linalg.solve(X.T @ X + a * np.eye(p), X.T @ y)
-        assert np.allclose(w, expected, atol=1e-10)
-
-
-def test_ridge_solve_singular_raises():
-    # two identical columns, no regularisation
-    X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    y = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(NumericError):
-        ridge_solve(X, y, 0.0)
-
-
-def test_hat_residuals_closed_form():
-    # X = (1,2,3)', y = (1,2,4): w = 17/14, residuals y - Xw, rss = 5/14
-    X = np.array([[1.0], [2.0], [3.0]])
-    y = np.array([1.0, 2.0, 4.0])
-    resid, rss = hat_diag_and_residuals(X, y, 0.0)
-    assert resid == pytest.approx([-3 / 14, -6 / 14, 5 / 14])
-    assert rss == pytest.approx(5 / 14)
-
-
-def test_hat_residuals_match_materialised_hat():
-    rng = derive_rng(1, "hat")
-    for _ in range(20):
-        n = int(rng.integers(5, 30))
-        p = int(rng.integers(1, 4))
-        X = rng.normal(size=(n, p))
-        y = rng.normal(size=n)
-        a = float(rng.choice([0.0, 0.5]))
-        H = X @ np.linalg.solve(X.T @ X + a * np.eye(p), X.T)
-        resid, rss = hat_diag_and_residuals(X, y, a)
-        assert np.allclose(resid, (np.eye(n) - H) @ y, atol=1e-9)
-        assert rss == pytest.approx(float(resid @ resid))
 
 
 # ------------------------------------------------------------ student t
