@@ -17,7 +17,6 @@ Choosing gamma = max(eps_1, 1-eps_1) / (delta * N - 1) makes the bound
 equal a requested delta.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 

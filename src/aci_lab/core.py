@@ -22,6 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy, dger
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -253,8 +254,9 @@ class KnnHistoryPredictor(SetPredictor):
 
 
 class RidgeHistoryPredictor(SetPredictor):
-    """Online regression plumbing: ridge coefficient ``a`` >= 0 and a
-    real-labelled history.  Subclasses supply ``_predict``."""
+    """Online regression plumbing: ridge coefficient ``a`` >= 0, a real-labelled
+    history and its normal equations ``_gram`` = X'X and ``_xty`` = X'y, kept
+    up to date by ``observe``.  Subclasses supply ``_predict``."""
 
     task = REGRESSION
 
@@ -264,9 +266,17 @@ class RidgeHistoryPredictor(SetPredictor):
             raise ValueError(f"ridge coefficient must be >= 0, got {a}")
         self.a = float(a)
         self._hist = ExampleBuffer()
+        self._gram = self._xty = None
 
     def _observe(self, x, y):
-        self._hist.append(x, float(y))
+        y = float(y)
+        self._hist.append(x, y)
+        if self._gram is None:
+            self._gram = np.zeros((x.shape[0], x.shape[0]), order="F")
+            self._xty = np.zeros(x.shape[0])
+        # G += xx' and X'y += y*x in place: BLAS beats numpy's outer product.
+        self._gram = dger(1.0, x, x, a=self._gram, overwrite_a=1)
+        self._xty = daxpy(x, self._xty, a=y)
 
 
 def derive_rng(seed: int, *labels) -> np.random.Generator:

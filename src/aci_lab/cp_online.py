@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
                    PredictionSet, RidgeHistoryPredictor, boundary_set)
-from .numerics import RidgeSystem, ceil_index, floor_index
+from .numerics import NumericError, RidgeSystem, ceil_index, floor_index
 
 
 def p_value(scores, candidate_score: float) -> float:
@@ -177,30 +177,35 @@ def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
     if forced is not None:
         return forced
 
-    x = np.asarray(x, dtype=float)
-    X = np.vstack([hist_X, x[None, :]])
+    return _crr_interval(hist_X, hist_y, hist_X.T @ hist_X, hist_X.T @ hist_y,
+                         np.asarray(x, dtype=float), eps, a)
+
+
+def _crr_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
+    """:func:`crr_predict` from the history's X'X (``gram``) and X'y (``xty``);
+    the O(n*p) pass over the history that remains is inherent to full CP."""
+    n_hist = hist_X.shape[0]
     n = n_hist + 1
-    system = RidgeSystem(X, a)
-
-    v = np.concatenate([hist_y, [0.0]])
-    A = v - X @ system.solve(X.T @ v)
-    e_n = np.zeros(n)
-    e_n[-1] = 1.0
-    B = e_n - X @ system.solve(X[-1])
-
-    a_i, b_i = A[:-1], B[:-1]
-    a_n, b_n = A[-1], B[-1]
-
-    good = b_n > b_i
-    crit = np.empty(n_hist)
-    crit[good] = (a_i[good] - a_n) / (b_n - b_i[good])
-    lower_list = np.sort(np.where(good, crit, -math.inf))
-    upper_list = np.sort(np.where(good, crit, math.inf))
-
-    jl = floor_index(0.5 * eps * n)
+    system = RidgeSystem(gram + x[:, None] * x, a)
+    # Columns w = M^{-1}X'v and h = M^{-1}x, so A = v - Xw and B = e_n - Xh;
+    # in C order the product over the history is one fast pass.
+    wh = np.ascontiguousarray(system.solve(np.array([xty, x]).T))
+    fit = hist_X @ wh
+    xw, xh = x @ wh
+    a_diff = hist_y - fit[:, 0] + xw    # a_i - a_n
+    b_diff = fit[:, 1] + (1.0 - xh)     # b_n - b_i
+    # b_n <= b_i puts -inf in the lower list and +inf in the upper one.
+    good = b_diff > 0.0
+    crit = a_diff[good] / b_diff[good]
+    jl = floor_index(0.5 * eps * n) - (n_hist - crit.shape[0])
     ju = ceil_index((1.0 - 0.5 * eps) * n)
-    lower = lower_list[jl - 1] if jl >= 1 else -math.inf
-    upper = upper_list[ju - 1] if ju <= n_hist else math.inf
+    lower, upper = -math.inf, math.inf
+    if jl >= 1:
+        crit.partition(jl - 1)
+        lower = crit[jl - 1]
+    if ju <= crit.shape[0]:
+        crit.partition(ju - 1)
+        upper = crit[ju - 1]
     return PredictionSet.interval(lower, upper)
 
 
@@ -320,7 +325,13 @@ def _merge_rows(rows: np.ndarray, d: np.ndarray, applies: np.ndarray) -> None:
 
 
 class CrrPredictor(RidgeHistoryPredictor):
-    """Online conformalised ridge regression (recomputed each step)."""
+    """Online conformalised ridge regression over the maintained normal
+    equations.  A singular system (a = 0 and too few examples, say) gives
+    the whole line, where the one-shot :func:`crr_predict` raises."""
 
     def _predict(self, x, eps):
-        return crr_predict(self._hist.X, self._hist.y, x, eps, self.a)
+        try:
+            return _crr_interval(self._hist.X, self._hist.y, self._gram, self._xty,
+                                 x, eps, self.a)
+        except NumericError:
+            return PredictionSet.full_interval()

@@ -76,15 +76,22 @@ def ols_interval_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> Predi
     forced = boundary_set(eps, REGRESSION)
     if forced is not None:
         return forced
+    return _ols_interval(hist_X, hist_y, hist_X.T @ hist_X, hist_X.T @ hist_y,
+                         np.asarray(x, dtype=float), eps, a)
+
+
+def _ols_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
+    """:func:`ols_interval_predict` from the history's X'X (``gram``) and X'y
+    (``xty``).  rss takes a residual pass: y'y - w'X'y cancels on exact fits."""
+    m, p = hist_X.shape
     dof = m - p
     if dof < 1:
         return PredictionSet.full_interval()
     try:
-        system = RidgeSystem(hist_X, a)
-        w = system.solve(hist_X.T @ hist_y)
+        system = RidgeSystem(gram, a)
+        w = system.solve(xty)
     except NumericError:
         return PredictionSet.full_interval()
-    x = np.asarray(x, dtype=float)
     yhat = float(x @ w)
     residuals = hist_y - hist_X @ w
     rss = float(residuals @ residuals)
@@ -104,7 +111,9 @@ class KnnThresholdClassifier(KnnHistoryPredictor):
 
 
 class OlsIntervalPredictor(RidgeHistoryPredictor):
-    """Online classical regression intervals (refit each step)."""
+    """Online classical regression intervals over the maintained normal
+    equations."""
 
     def _predict(self, x, eps):
-        return ols_interval_predict(self._hist.X, self._hist.y, x, eps, self.a)
+        return _ols_interval(self._hist.X, self._hist.y, self._gram, self._xty,
+                             x, eps, self.a)

@@ -1,16 +1,16 @@
 """Small numeric kernels shared by the predictors.
 
 Ridge/least-squares systems are solved through one SPD factorisation
-path; Student-t quantiles are inverted from the regularised incomplete
-beta; empirical quantiles use the ceiling (worst-case) convention
-throughout the package.
+path over a Gram matrix the caller may keep up to date; Student-t
+quantiles come from scipy's ``stdtrit``; empirical quantiles use the
+ceiling (worst-case) convention throughout the package.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import betainc
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.special import stdtrit
 
 
 class NumericError(RuntimeError):
@@ -26,64 +26,50 @@ class NumericError(RuntimeError):
 
 
 class RidgeSystem:
-    """Cholesky factorisation of X'X + a*I, reused for several solves."""
+    """Cholesky factorisation of G + a*I for a Gram matrix G = X'X, reused
+    for several solves.  LAPACK is called directly, so G and every
+    right-hand side are checked for non-finite values here."""
 
-    def __init__(self, X: np.ndarray, a: float):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("design matrix contains non-finite values")
+    def __init__(self, G: np.ndarray, a: float):
+        G = np.asarray(G, dtype=float)
+        if G.ndim != 2 or G.shape[0] != G.shape[1]:
+            raise ValueError(f"Gram matrix must be square, got shape {G.shape}")
+        if not np.isfinite(G).all():
+            raise ValueError("Gram matrix contains non-finite values")
         if a < 0.0:
             raise ValueError(f"ridge coefficient must be >= 0, got {a}")
-        p = X.shape[1]
-        M = X.T @ X + a * np.eye(p)
-        try:
-            self._factor = cho_factor(M)
-        except np.linalg.LinAlgError as exc:
+        M = G.copy()
+        M.flat[::M.shape[0] + 1] += a
+        self._factor, info = dpotrf(M, lower=0, clean=0)
+        if info > 0:
             raise NumericError("normal matrix is not positive definite",
-                               cond=float(np.linalg.cond(M))) from exc
+                               cond=float(np.linalg.cond(M)))
         # An exactly singular M can still factor with a ~1e-15 pivot from
         # rounding; the squared pivot ratio is a free lower bound on cond.
-        d = np.abs(np.diag(self._factor[0]))
-        if d.size and (not np.all(d > 0.0)
-                       or (float(d.max()) / float(d.min())) ** 2 > 1e12):
+        # The p pivots are few enough that plain floats beat numpy here.
+        d = [abs(v) for v in self._factor.diagonal().tolist()]
+        if d and (min(d) <= 0.0 or (max(d) / min(d)) ** 2 > 1e12):
             raise NumericError("normal matrix is numerically singular",
                                cond=float(np.linalg.cond(M)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (X'X + a*I) w = b."""
-        return cho_solve(self._factor, np.asarray(b, dtype=float))
+        """Solve (G + a*I) w = b."""
+        b = np.asarray(b, dtype=float)
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side contains non-finite values")
+        return dpotrs(self._factor, b, lower=0)[0]
 
 
 def student_t_quantile(p: float, dof: int) -> float:
-    """Inverse Student-t CDF by bisection on the incomplete-beta form.
+    """Inverse Student-t CDF (``scipy.special.stdtrit``).
 
-    Accurate to |CDF(result) - p| <= 1e-10.  dof must be a positive
-    integer; p strictly inside (0, 1).
+    dof must be a positive integer; p strictly inside (0, 1).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability {p} outside (0, 1)")
     if int(dof) != dof or dof < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {dof!r}")
-    dof = int(dof)
-    if p == 0.5:
-        return 0.0
-    # Invert on the tail: solve betainc(dof/2, 1/2, x) = 2*min(p, 1-p)
-    # for x in (0, 1), then map back through t = sqrt(dof*(1-x)/x).
-    tail2 = 2.0 * min(p, 1.0 - p)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if betainc(dof / 2.0, 0.5, mid) < tail2:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    t = math.sqrt(dof * (1.0 - x) / x) if x > 0.0 else math.inf
-    return t if p > 0.5 else -t
+    return float(stdtrit(int(dof), p))
 
 
 def empirical_quantile(values, q: float) -> float:

@@ -241,15 +241,40 @@ def test_crr_singular_design_raises():
 
 
 def test_crr_predictor_class_matches_function():
-    rng = derive_rng(5, "crr-class")
-    pred = CrrPredictor(a=0.5)
-    X = rng.normal(size=(25, 2))
-    y = rng.normal(size=25)
-    for i in range(5):
-        pred.observe(X[i], y[i])
-    for i in range(5, 25):
-        got = pred.predict(X[i], 0.2)
-        want = crr_predict(X[:i], y[:i], X[i], 0.2, 0.5)
-        assert got.lower == pytest.approx(want.lower)
-        assert got.upper == pytest.approx(want.upper)
-        pred.observe(X[i], y[i])
+    # The class keeps X'X and X'y across observe; the function forms them
+    # from the history.  Cases: ridge a, stream length n, p features around
+    # a common offset (a large one makes the accumulation order matter) and
+    # the first predicted step (a history shorter than p: the whole line).
+    for a in (0.0, 0.5):
+        for n, p, offset, start in ((25, 2, 0.0, 5), (400, 6, 50.0, 2)):
+            rng = derive_rng(5, "crr-class", a, n)
+            pred = CrrPredictor(a=a)
+            X = offset + rng.normal(size=(n, p))
+            y = X @ rng.normal(size=p) + rng.normal(size=n)
+            for i in range(start):
+                pred.observe(X[i], y[i])
+            for i in range(start, n):
+                got = pred.predict(X[i], 0.2)
+                if i < p:
+                    assert (got.lower, got.upper) == (-math.inf, math.inf)
+                else:
+                    want = crr_predict(X[:i], y[:i], X[i], 0.2, a)
+                    assert got.lower == pytest.approx(want.lower, rel=1e-9)
+                    assert got.upper == pytest.approx(want.upper, rel=1e-9)
+                pred.observe(X[i], y[i])
+
+
+def test_crr_predictor_degrades_to_full_line_on_singular_system():
+    # a = 0 and a history shorter than p: the one-shot function raises,
+    # the online class gives the whole line.
+    rng = derive_rng(6, "crr-singular")
+    X = rng.normal(size=(3, 5))
+    y = rng.normal(size=3)
+    x = rng.normal(size=5)
+    with pytest.raises(NumericError):
+        crr_predict(X, y, x, 0.5)
+    pred = CrrPredictor()
+    for xi, yi in zip(X, y):
+        pred.observe(xi, yi)
+    got = pred.predict(x, 0.5)
+    assert (got.lower, got.upper) == (-math.inf, math.inf)

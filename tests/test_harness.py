@@ -242,6 +242,19 @@ def test_cli_rejects_bad_invocations(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_crr_with_short_warmup_starts_with_full_lines(tmp_path, capsys):
+    # warmup 3 < p = 8 with a = 0: the first CRR systems are singular, and
+    # the online predictor gives the whole line instead of failing.
+    rc = main(["online", "--dataset", "synth-reg", "--predictor", "crr",
+               "--warmup", "3", "--n", "300", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "bound_satisfied=True" in capsys.readouterr().out
+    records = parse_trace(str(tmp_path / "crr-0.trace.csv"))
+    # history + candidate < p rows: steps 0..3 (history 3..6)
+    assert all(r.is_infinite and r.err == 0 and r.set_size_or_width == math.inf
+               for r in records[:4])
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("dataset = synth-reg\npredictor = crr\nn = 260\n"

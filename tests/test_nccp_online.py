@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aci_lab.core import derive_rng
+from aci_lab.cp_online import crr_predict
 from aci_lab.nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
                                  knn_threshold_predict, knn_vote_shares,
                                  ols_interval_predict)
@@ -138,15 +139,37 @@ def test_threshold_classifier_class_matches_function():
 
 
 def test_ols_predictor_class_matches_function():
-    rng = derive_rng(6, "ols-class")
-    pred = OlsIntervalPredictor()
-    X = rng.normal(size=(20, 2))
-    y = rng.normal(size=20)
-    for i in range(4):
-        pred.observe(X[i], y[i])
-    for i in range(4, 20):
-        got = pred.predict(X[i], 0.2)
-        want = ols_interval_predict(X[:i], y[:i], X[i], 0.2)
-        assert got.lower == pytest.approx(want.lower)
-        assert got.upper == pytest.approx(want.upper)
-        pred.observe(X[i], y[i])
+    # As for CRR: maintained normal equations against a fresh fit, long
+    # streams, a large feature offset, and a start with history shorter
+    # than p.
+    for a in (0.0, 0.5):
+        for n, p, offset, start in ((20, 2, 0.0, 4), (400, 6, 50.0, 2)):
+            rng = derive_rng(6, "ols-class", a, n)
+            pred = OlsIntervalPredictor(a=a)
+            X = offset + rng.normal(size=(n, p))
+            y = X @ rng.normal(size=p) + rng.normal(size=n)
+            for i in range(start):
+                pred.observe(X[i], y[i])
+            for i in range(start, n):
+                got = pred.predict(X[i], 0.2)
+                if i < p:
+                    assert (got.lower, got.upper) == (-math.inf, math.inf)
+                want = ols_interval_predict(X[:i], y[:i], X[i], 0.2, a)
+                assert got.lower == pytest.approx(want.lower, rel=1e-9)
+                assert got.upper == pytest.approx(want.upper, rel=1e-9)
+                pred.observe(X[i], y[i])
+
+
+@pytest.mark.parametrize("predict", [crr_predict, ols_interval_predict])
+@pytest.mark.parametrize("bad", ["nan in hist_X", "inf in x"])
+def test_ridge_routes_reject_non_finite_input(predict, bad):
+    rng = derive_rng(7, "ridge-non-finite")
+    X = rng.normal(size=(12, 2))
+    y = rng.normal(size=12)
+    x = rng.normal(size=2)
+    if bad == "nan in hist_X":
+        X[3, 1] = math.nan
+    else:
+        x[0] = math.inf
+    with pytest.raises(ValueError, match="non-finite|infs or NaNs"):
+        predict(X, y, x, 0.2)
