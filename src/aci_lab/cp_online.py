@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
                    PredictionSet, RidgeHistoryPredictor, boundary_set)
-from .numerics import NumericError, RidgeSystem, ceil_index, floor_index
+from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_index,
+                       k_smallest, sq_distances)
 
 
 def p_value(scores, candidate_score: float) -> float:
@@ -50,8 +51,7 @@ def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
         raise ValueError("bag must be a non-empty 2-D array")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    x = np.asarray(x, dtype=float)
-    d = np.sqrt(np.sum((bag_X - x) ** 2, axis=1))
+    d = distances(bag_X, np.asarray(x, dtype=float))
     return _score_from_distances(d, bag_y == y, k)
 
 
@@ -73,12 +73,13 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     if forced is not None:
         return forced
 
-    x = np.asarray(x, dtype=float)
-    hh = _pairwise(hist_X)
-    hx = np.sqrt(np.sum((hist_X - x) ** 2, axis=1))
+    hx = distances(hist_X, np.asarray(x, dtype=float))
+    hh = sq_distances(hist_X, hist_X)
+    np.maximum(hh, 0.0, out=hh)
+    np.sqrt(hh, out=hh)
     # Per history point, the k nearest same-label / different-label
     # distances within the history; the candidate only ever adds one
-    # distance to one of the two sides, merged virtually per label.
+    # distance to one of the two sides.
     same_rows, diff_rows = _neighbor_rows(hh, hist_y, k)
     return _conformal_label_set(same_rows, diff_rows, hx, hist_y, label_space, k, eps)
 
@@ -86,20 +87,22 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
 def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -> PredictionSet:
     """Labels whose candidate completion has p-value above eps.
 
-    ``same_rows``/``diff_rows`` hold each history point's k smallest
-    same-label/different-label distances within the history (ascending,
-    +inf padded) and ``d`` the candidate's distances to the history.  The
+    ``same_rows``/``diff_rows`` hold each history point's smallest (up to
+    k) same-label/different-label distances within the history, ascending,
+    +inf where there are fewer, and ``d`` the candidate's distances to the
+    history.  The candidate adds d[i] to one side of row i, depending on
+    its label, so both merges are made once and selected per label.  The
     p-value counts the candidate itself: (#{alpha_i >= alpha_n} + 1) / (n + 1).
     """
-    same_stats = _row_stats(same_rows)
-    diff_stats = _row_stats(diff_rows)
+    same, diff = _finite_mean(same_rows), _finite_mean(diff_rows)
+    same_with = _finite_mean(k_smallest(np.hstack([same_rows, d[:, None]]), k))
+    diff_with = _finite_mean(k_smallest(np.hstack([diff_rows, d[:, None]]), k))
     n_bag = d.shape[0] + 1
     kept = []
     for lab in label_space:
         is_same = hist_y == lab
-        s_mean = _merged_mean(*same_stats, d, is_same, k)
-        f_mean = _merged_mean(*diff_stats, d, ~is_same, k)
-        alphas = _ratio(s_mean, f_mean)
+        alphas = _ratio(np.where(is_same, same_with, same),
+                        np.where(is_same, diff, diff_with))
         alpha_n = _score_from_distances(d, is_same, k)
         n_ge = int(np.count_nonzero(alphas >= alpha_n)) + 1
         if n_ge / n_bag > eps:
@@ -123,32 +126,14 @@ def _score_from_distances(d, same_mask, k: int) -> float:
     return same_mean / diff_mean
 
 
-def _pairwise(X: np.ndarray) -> np.ndarray:
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
-
-
-def _k_smallest_rows(values: np.ndarray, k: int) -> np.ndarray:
-    """Ascending k smallest per row, +inf padded to width k."""
-    if k < values.shape[1]:
-        values = np.partition(values, k, axis=1)[:, :k]
-    values = np.sort(values, axis=1)
-    if values.shape[1] < k:
-        pad = np.full((values.shape[0], k - values.shape[1]), np.inf)
-        values = np.concatenate([values, pad], axis=1)
-    return values
-
-
 def _neighbor_rows(hh: np.ndarray, y: np.ndarray, k: int):
     """Per row of a pairwise distance matrix, the k smallest distances to
     same-label and to different-label points (self excluded)."""
     same = y[None, :] == y[:, None]
+    diff = ~same
     np.fill_diagonal(same, False)
-    diff = y[None, :] != y[:, None]
-    return (_k_smallest_rows(np.where(same, hh, np.inf), k),
-            _k_smallest_rows(np.where(diff, hh, np.inf), k))
+    return (k_smallest(np.where(same, hh, np.inf), k),
+            k_smallest(np.where(diff, hh, np.inf), k))
 
 
 def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
@@ -214,8 +199,8 @@ class KnnConformalClassifier(KnnHistoryPredictor):
 
     Every prediction rescores the whole augmented bag through
     :func:`knn_cp_predict`, paying its O(n^2) distance bill per step.
-    :class:`CachedKnnConformalClassifier` gives identical outputs from
-    incremental caches when that bill matters.
+    :class:`CachedKnnConformalClassifier` gives the same outputs from
+    incremental caches when that bill matters, up to distance ties.
     """
 
     def _predict(self, x, eps):
@@ -230,18 +215,21 @@ class CachedKnnConformalClassifier(KnnConformalClassifier):
     distances (within the history) are cached as examples arrive, so
     scoring a candidate completion only has to merge the candidate's
     distance into each row: O(n*k) per step instead of O(n^2).
-    Predictions agree exactly with :class:`KnnConformalClassifier`.
+    Predictions agree exactly with rescoring the bag from direct
+    distances, ties included.  :class:`KnnConformalClassifier` takes its
+    within-history distances from the Gram expansion, whose rounding can
+    split exact distance ties, so on tie-heavy data the two may differ.
     """
 
     def __init__(self, k: int, label_space):
         super().__init__(k, label_space)
-        # (n, k) ascending, padded with +inf where fewer than k exist;
-        # row count tracks the history, capacity doubles on demand.
-        self._same = np.empty((8, self.k))
-        self._diff = np.empty((8, self.k))
+        # (n, k) ascending, +inf where fewer than k exist; row count
+        # tracks the history, capacity doubles on demand.
+        self._same = np.full((8, self.k), np.inf)
+        self._diff = np.full((8, self.k), np.inf)
 
     def _predict(self, x, eps):
-        d = np.sqrt(np.sum((self._hist.X - x) ** 2, axis=1))
+        d = distances(self._hist.X, x)
         n_hist = d.shape[0]
         return _conformal_label_set(self._same[:n_hist], self._diff[:n_hist], d,
                                     self._hist.y, self.label_space, self.k, eps)
@@ -249,67 +237,35 @@ class CachedKnnConformalClassifier(KnnConformalClassifier):
     def _observe(self, x, y):
         y = self._check_label(y)
         n_hist = len(self._hist)
+        if n_hist == self._same.shape[0]:
+            self._same = np.concatenate([self._same, np.full_like(self._same, np.inf)])
+            self._diff = np.concatenate([self._diff, np.full_like(self._diff, np.inf)])
         if n_hist:
-            d = np.sqrt(np.sum((self._hist.X - x) ** 2, axis=1))
+            d = distances(self._hist.X, x)
             is_same = self._hist.y == y
             _merge_rows(self._same[:n_hist], d, is_same)
             _merge_rows(self._diff[:n_hist], d, ~is_same)
-            own_same = np.sort(d[is_same])[:self.k]
-            own_diff = np.sort(d[~is_same])[:self.k]
-        else:
-            own_same = np.empty(0)
-            own_diff = np.empty(0)
-        if n_hist == self._same.shape[0]:
-            self._same = np.concatenate([self._same, np.empty_like(self._same)])
-            self._diff = np.concatenate([self._diff, np.empty_like(self._diff)])
-        self._same[n_hist] = _pad_row(own_same, self.k)
-        self._diff[n_hist] = _pad_row(own_diff, self.k)
+            own = k_smallest(np.where([is_same, ~is_same], d, np.inf), self.k)
+            self._same[n_hist, :own.shape[1]], self._diff[n_hist, :own.shape[1]] = own
         self._hist.append(x, y)
 
 
-def _pad_row(vals: np.ndarray, k: int) -> np.ndarray:
-    row = np.full(k, np.inf)
-    row[:vals.shape[0]] = vals
-    return row
-
-
-def _row_stats(rows: np.ndarray):
+def _finite_mean(rows: np.ndarray) -> np.ndarray:
+    """Row means over the finite entries; NaN where a row has none."""
     finite = np.isfinite(rows)
-    sums = np.where(finite, rows, 0.0).sum(axis=1)
-    cnts = finite.sum(axis=1)
-    maxes = np.where(finite, rows, -np.inf).max(axis=1, initial=-np.inf)
-    return sums, cnts, maxes
-
-
-def _merged_mean(sums, cnts, maxes, d, applies, k):
-    """Mean of the k smallest cached distances after (virtually) adding the
-    candidate's distance d[i] to the rows where ``applies``."""
-    full = cnts >= k
-    add = applies & ~full
-    swap = applies & full & (d < maxes)
-    new_sum = np.where(add, sums + d, np.where(swap, sums - maxes + d, sums))
-    new_cnt = np.where(add, cnts + 1, cnts)
     with np.errstate(invalid="ignore"):
-        mean = new_sum / new_cnt
-    return np.where(new_cnt == 0, np.nan, mean)
+        return np.where(finite, rows, 0.0).sum(axis=1) / finite.sum(axis=1)
 
 
 def _ratio(same_mean, diff_mean):
     """Strangeness ratio with the missing-side conventions, vectorised.
     NaN means the side had no members at all."""
-    out = np.empty_like(same_mean)
-    no_same = np.isnan(same_mean)
-    no_diff = ~no_same & np.isnan(diff_mean)
-    rest = ~no_same & ~no_diff
-    out[no_same] = np.inf
-    out[no_diff] = 0.0
-    s, f = same_mean[rest], diff_mean[rest]
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = s / f
-    r = np.where(s == 0.0, 0.0, r)
-    r = np.where((f == 0.0) & (s > 0.0), np.inf, r)
-    out[rest] = r
-    return out
+        r = same_mean / diff_mean
+    r = np.where(diff_mean == 0.0, np.inf, r)
+    r = np.where(same_mean == 0.0, 0.0, r)
+    r = np.where(np.isnan(diff_mean), 0.0, r)
+    return np.where(np.isnan(same_mean), np.inf, r)
 
 
 def _merge_rows(rows: np.ndarray, d: np.ndarray, applies: np.ndarray) -> None:

@@ -22,9 +22,9 @@ from .core import (CLASSIFICATION, REGRESSION, SetPredictor, CoinFlipPredictor,
 from .cp_online import CrrPredictor, KnnConformalClassifier
 from .data import (Dataset, StreamSpec, load_usps, load_wine, make_stream,
                    split_train_calibration, standardize_features)
-from .inductive import (KnnClassScorer, KnnQuantileScorer, _icp_set_from_scores,
-                        _labels_above, calibration_residuals, calibration_scores,
-                        icp_regress_predict, inccp_regress_predict)
+from .inductive import (KnnClassScorer, KnnQuantileScorer, _checked_sorted, _icp_interval,
+                        _icp_set_from_scores, _labels_above, calibration_residuals,
+                        calibration_scores, inccp_regress_predict)
 from .metrics import (EPS_CLAMP_HI, EPS_CLAMP_LO, RunSummary, StepRecord,
                       classification_record, regression_record, summarize_run,
                       aggregate_trials)
@@ -337,9 +337,11 @@ def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
     """Fitted prediction rule (x-index, eps) -> PredictionSet for the test
-    stream.  Scores that do not depend on eps are precomputed in batch.
-    The class rules go through ``boundary_set`` first; a PredictionSet is
-    always truthy, so ``or`` falls through only inside (0, 1)."""
+    stream.  Scores that do not depend on eps are precomputed in batch,
+    and the calibration scores are checked and sorted once.  The rules
+    with precomputed scores go through ``boundary_set`` first; a
+    PredictionSet is always truthy, so ``or`` falls through only inside
+    (0, 1)."""
     pid = cfg.predictor
     k = cfg.resolve_k()
     if pid in ("icp-class", "icp-reg"):
@@ -348,14 +350,15 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
         cal_X, cal_y = train.X[plan.calibration_idx], train.y[plan.calibration_idx]
         if pid == "icp-class":
             scorer = KnnClassScorer(k).fit(proper_X, proper_y, train.label_space)
-            cal_sorted = np.sort(calibration_scores(scorer, cal_X, cal_y))
+            cal_sorted = _checked_sorted(calibration_scores(scorer, cal_X, cal_y))
             score_rows = np.atleast_2d(scorer.class_scores(test.X))
             return lambda i, eps: boundary_set(eps, CLASSIFICATION) or _icp_set_from_scores(
                 score_rows[i], train.label_space, cal_sorted, eps)
         scorer = KnnQuantileScorer(k).fit(proper_X, proper_y)
-        cal_res = np.sort(calibration_residuals(scorer, cal_X, cal_y))
+        cal_res = _checked_sorted(calibration_residuals(scorer, cal_X, cal_y))
         points = np.array([scorer.point(x) for x in test.X])
-        return lambda i, eps: icp_regress_predict(points[i], cal_res, eps)
+        return lambda i, eps: boundary_set(eps, REGRESSION) or _icp_interval(
+            points[i], cal_res, eps)
     if pid == "inccp-class":
         scorer = KnnClassScorer(k).fit(train.X, train.y, train.label_space)
         score_rows = np.atleast_2d(scorer.class_scores(test.X))

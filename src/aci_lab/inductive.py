@@ -14,11 +14,42 @@ produce sets nested in eps.
 
 import numpy as np
 
-from .core import CLASSIFICATION, PredictionSet, boundary_set
-from .numerics import ceil_index, empirical_quantile, isotonic_monotonize
+from .core import CLASSIFICATION, REGRESSION, PredictionSet, boundary_set
+from .numerics import (ceil_index, distances, empirical_quantile, isotonic_monotonize,
+                       k_nearest, sq_distances, vote_shares)
 
 
-class KnnClassScorer:
+class _KnnScorer:
+    """Shared k-NN scorer plumbing: the neighbour count, the fit checks and
+    the fitted training set."""
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.k = int(k)
+        self._X = None
+        self._y = None
+
+    def _fit(self, X, y) -> None:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise ValueError("training set must be a non-empty 2-D array")
+        if y.shape != (X.shape[0],):
+            raise ValueError("labels do not match training rows")
+        if self.k > X.shape[0]:
+            raise ValueError(f"k={self.k} exceeds training size {X.shape[0]}")
+        if not np.isfinite(X).all():
+            raise ValueError("training features contain non-finite values")
+        self._X = X
+        self._y = y
+
+    def _fitted(self) -> np.ndarray:
+        if self._X is None:
+            raise ValueError("scorer is not fitted")
+        return self._X
+
+
+class KnnClassScorer(_KnnScorer):
     """k-NN class-probability scorer: vote shares over the fitted set.
 
     ``class_scores`` accepts one feature vector or a matrix of them and
@@ -27,24 +58,11 @@ class KnnClassScorer:
     """
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
-        self._X = None
-        self._y = None
+        super().__init__(k)
         self.label_space: list[int] = []
 
     def fit(self, X, y, label_space=None) -> "KnnClassScorer":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError("training set must be a non-empty 2-D array")
-        if y.shape != (X.shape[0],):
-            raise ValueError("labels do not match training rows")
-        if self.k > X.shape[0]:
-            raise ValueError(f"k={self.k} exceeds training size {X.shape[0]}")
-        self._X = X
-        self._y = y.astype(int)
+        self._fit(X, np.asarray(y).astype(int))
         if label_space is None:
             self.label_space = sorted(int(c) for c in np.unique(self._y))
         else:
@@ -52,21 +70,18 @@ class KnnClassScorer:
         return self
 
     def class_scores(self, x) -> np.ndarray:
-        if self._X is None:
-            raise ValueError("scorer is not fitted")
+        X = self._fitted()
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x = np.atleast_2d(x)
-        d2 = (np.sum(x * x, axis=1)[:, None] + np.sum(self._X * self._X, axis=1)[None, :]
-              - 2.0 * x @ self._X.T)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
-        votes = self._y[nearest]
-        shares = np.stack([(votes == lab).sum(axis=1) / self.k
-                           for lab in self.label_space], axis=1)
+        if not np.isfinite(x).all():
+            raise ValueError("query features contain non-finite values")
+        votes = self._y[k_nearest(sq_distances(x, X), self.k)]
+        shares = vote_shares(votes, self.label_space)
         return shares[0] if single else shares
 
 
-class KnnQuantileScorer:
+class KnnQuantileScorer(_KnnScorer):
     """k-NN regression scorer: point estimate and label quantiles from the
     k nearest training labels.  Its quantile function is a step function
     of the sorted neighbour labels, hence monotone in q by construction.
@@ -74,33 +89,13 @@ class KnnQuantileScorer:
 
     monotone_quantiles = True
 
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
-        self._X = None
-        self._y = None
-
     def fit(self, X, y) -> "KnnQuantileScorer":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError("training set must be a non-empty 2-D array")
-        if y.shape != (X.shape[0],):
-            raise ValueError("labels do not match training rows")
-        if self.k > X.shape[0]:
-            raise ValueError(f"k={self.k} exceeds training size {X.shape[0]}")
-        self._X = X
-        self._y = y
+        self._fit(X, np.asarray(y, dtype=float))
         return self
 
     def _neighbour_labels(self, x) -> np.ndarray:
-        if self._X is None:
-            raise ValueError("scorer is not fitted")
-        x = np.asarray(x, dtype=float)
-        d = np.sqrt(np.sum((self._X - x) ** 2, axis=1))
-        nearest = np.argsort(d, kind="stable")[:self.k]
-        return self._y[nearest]
+        d = distances(self._fitted(), np.asarray(x, dtype=float))
+        return self._y[k_nearest(d, self.k)]
 
     def point(self, x) -> float:
         return float(np.mean(self._neighbour_labels(x)))
@@ -155,10 +150,13 @@ def icp_regress_predict(point_pred: float, cal_residuals, eps: float) -> Predict
     """Split-conformal regression: symmetric interval at the calibration
     residual order statistic ceil((1 - eps)(n_cal + 1)); past the largest
     residual the interval is unbounded."""
-    forced = boundary_set(eps, "regression")
+    forced = boundary_set(eps, REGRESSION)
     if forced is not None:
         return forced
-    cal_sorted = _checked_sorted(cal_residuals)
+    return _icp_interval(point_pred, _checked_sorted(cal_residuals), eps)
+
+
+def _icp_interval(point_pred, cal_sorted, eps) -> PredictionSet:
     n_cal = cal_sorted.shape[0]
     idx = ceil_index((1.0 - eps) * (n_cal + 1))
     if idx > n_cal:
@@ -186,7 +184,7 @@ def _labels_above(scores, label_space, eps: float) -> PredictionSet:
 def inccp_regress_predict(scorer, x, eps: float) -> PredictionSet:
     """Non-conformal inductive regression: central interval between the
     scorer's eps/2 and 1 - eps/2 conditional quantiles."""
-    forced = boundary_set(eps, "regression")
+    forced = boundary_set(eps, REGRESSION)
     if forced is not None:
         return forced
     lo, hi = monotone_quantile_pair(scorer, x, eps)

@@ -19,7 +19,8 @@ import numpy as np
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
                    PredictionSet, RidgeHistoryPredictor, boundary_set)
 from .inductive import _labels_above
-from .numerics import NumericError, RidgeSystem, student_t_quantile
+from .numerics import (NumericError, RidgeSystem, distances, k_nearest, student_t_quantile,
+                       vote_shares)
 
 
 def knn_vote_shares(hist_X, hist_y, x, k: int, label_space) -> np.ndarray:
@@ -29,18 +30,12 @@ def knn_vote_shares(hist_X, hist_y, x, k: int, label_space) -> np.ndarray:
     A history shorter than k votes with everything it has.
     """
     hist_X = np.asarray(hist_X, dtype=float)
-    hist_y = np.asarray(hist_y)
-    n = hist_X.shape[0]
-    if n == 0:
+    if hist_X.shape[0] == 0:
         raise ValueError("history is empty")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    x = np.asarray(x, dtype=float)
-    d = np.sqrt(np.sum((hist_X - x) ** 2, axis=1))
-    kk = min(k, n)
-    nearest = np.argsort(d, kind="stable")[:kk]
-    votes = hist_y[nearest]
-    return np.array([np.count_nonzero(votes == lab) / kk for lab in label_space])
+    d = distances(hist_X, np.asarray(x, dtype=float))
+    return vote_shares(np.asarray(hist_y)[k_nearest(d, k)], label_space)
 
 
 def knn_threshold_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:

@@ -3,7 +3,9 @@
 Ridge/least-squares systems are solved through one SPD factorisation
 path over a Gram matrix the caller may keep up to date; Student-t
 quantiles come from scipy's ``stdtrit``; empirical quantiles use the
-ceiling (worst-case) convention throughout the package.
+ceiling (worst-case) convention throughout the package.  Every k-NN
+route finds neighbours through the same four kernels: ``distances`` or
+``sq_distances``, ``k_smallest`` or ``k_nearest``, and ``vote_shares``.
 """
 
 import math
@@ -89,6 +91,46 @@ def empirical_quantile(values, q: float) -> float:
     idx = ceil_index(q * m)
     idx = min(max(idx, 1), m)
     return float(arr[idx - 1])
+
+
+def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distance from ``x`` to every row of ``A``.
+
+    A non-finite row or x always gives a non-finite distance, so one
+    reduction over the n outputs turns bad features into a ValueError.
+    """
+    d = np.sqrt(np.sum((A - x) ** 2, axis=1))
+    if not np.isfinite(d.sum()):
+        raise ValueError("features contain non-finite values")
+    return d
+
+
+def sq_distances(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of Q and of A by the
+    Gram expansion: one matrix product, but rounding may leave exact
+    duplicates slightly apart or slightly negative."""
+    return (np.sum(Q * Q, axis=1)[:, None] + np.sum(A * A, axis=1)[None, :]
+            - 2.0 * (Q @ A.T))
+
+
+def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """The min(k, n) smallest values along the last axis, ascending."""
+    if k < values.shape[-1]:
+        values = np.partition(values, k - 1, axis=-1)[..., :k]
+    return np.sort(values, axis=-1)
+
+
+def k_nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the min(k, n) smallest distances along the last axis,
+    nearest first; of equal distances the earlier index wins."""
+    return np.argsort(d, axis=-1, kind="stable")[..., :k]
+
+
+def vote_shares(votes: np.ndarray, label_space) -> np.ndarray:
+    """Share of each label (label-space order) among the votes along the
+    last axis."""
+    hits = votes[..., None] == np.asarray(label_space)
+    return hits.sum(axis=-2) / votes.shape[-1]
 
 
 def ceil_index(t: float) -> int:

@@ -135,6 +135,28 @@ def test_knn_cp_matches_bruteforce_rescoring():
             f"trial {trial}"
 
 
+@pytest.mark.parametrize("scale", [0.1, 0.3])
+def test_cached_class_matches_bruteforce_on_grid_ties(scale):
+    # integer grids scaled by 0.1 or 0.3: many tied distances that only
+    # agree if every route computes them, and their means, the same way
+    rng = derive_rng(11, "knn-grid-ties", scale)
+    misses = []
+    for case in range(400):
+        n = int(rng.integers(1, 31))
+        p = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 6))
+        X = rng.integers(0, 4, size=(n + 1, p)) * scale
+        y = rng.integers(0, 3, size=n)
+        eps = float(rng.uniform(0.02, 0.9))
+        pred = CachedKnnConformalClassifier(k=k, label_space=[0, 1, 2])
+        for i in range(n):
+            pred.observe(X[i], int(y[i]))
+        got = pred.predict(X[n], eps)
+        if set(got.labels) != _ref_knn_cp(X[:n], y, X[n], eps, k, [0, 1, 2]):
+            misses.append(case)
+    assert misses == []
+
+
 @pytest.mark.parametrize("cls", [KnnConformalClassifier,
                                  CachedKnnConformalClassifier])
 def test_online_class_agrees_with_direct_function(cls):

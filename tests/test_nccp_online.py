@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from aci_lab.core import derive_rng
-from aci_lab.cp_online import crr_predict
+from aci_lab.cp_online import crr_predict, knn_cp_predict, knn_nonconformity
+from aci_lab.inductive import KnnClassScorer, KnnQuantileScorer
 from aci_lab.nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
                                  knn_threshold_predict, knn_vote_shares,
                                  ols_interval_predict)
@@ -173,3 +174,29 @@ def test_ridge_routes_reject_non_finite_input(predict, bad):
         x[0] = math.inf
     with pytest.raises(ValueError, match="non-finite|infs or NaNs"):
         predict(X, y, x, 0.2)
+
+
+# Every one-shot k-NN route and both scorers, from history (X, y) and query x.
+_KNN_ROUTES = {
+    "knn_nonconformity": lambda X, y, x: knn_nonconformity(X, y, x, 1, 3),
+    "knn_cp_predict": lambda X, y, x: knn_cp_predict(X, y, x, 0.2, 3, [0, 1]),
+    "knn_vote_shares": lambda X, y, x: knn_vote_shares(X, y, x, 3, [0, 1]),
+    "knn_threshold_predict": lambda X, y, x: knn_threshold_predict(X, y, x, 0.2, 3, [0, 1]),
+    "KnnClassScorer": lambda X, y, x: KnnClassScorer(3).fit(X, y).class_scores(x),
+    "KnnQuantileScorer": lambda X, y, x: KnnQuantileScorer(3).fit(X, y).point(x),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_KNN_ROUTES))
+@pytest.mark.parametrize("bad", ["nan in hist_X", "inf in x"])
+def test_knn_routes_reject_non_finite_input(route, bad):
+    rng = derive_rng(7, "knn-non-finite")
+    X = rng.normal(size=(12, 2))
+    y = rng.integers(0, 2, size=12)
+    x = rng.normal(size=2)
+    if bad == "nan in hist_X":
+        X[3, 1] = math.nan
+    else:
+        x[0] = math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        _KNN_ROUTES[route](X, y, x)

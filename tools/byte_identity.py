@@ -1,0 +1,130 @@
+"""Check that two source trees give byte-identical CLI outputs.
+
+    python tools/byte_identity.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are ``src/`` directories (each holding the
+``aci_lab`` package), for instance one from a clone of the parent commit
+and one from the working tree.  The same fixed list of ``aci-lab``
+invocations runs under each, from one working directory and with the
+same relative ``--out`` paths, so file names and the paths the CLI
+prints agree.  Every output file (traces, summaries, manifests, sweep
+tables), every command's stdout and the list of exit codes are then
+compared byte for byte.  Exits 0 when all are equal, 1 on any
+difference.  Only the standard library and the CLI are used.
+"""
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ONLINE = ("--warmup", "50", "--seed", "7", "--n", "800")
+BOUNDARY = ("--warmup", "50", "--seed", "3", "--n", "400", "--gamma", "0.6")
+SWEEP = ("--seeds", "0,1,2", "--cal-fractions", "0.2,0.3,0.4")
+
+
+def commands():
+    """(name, argv) pairs; a name is also the run's ``--out`` directory."""
+    cmds = []
+    for pid, ds in (("crr", "synth-reg"), ("ols-nccp", "synth-reg"),
+                    ("knn-cp", "synth-class"), ("knn-nccp", "synth-class"),
+                    ("random-set", "synth-class"), ("coin-flip", "synth-class"),
+                    ("coin-flip", "synth-reg")):
+        cmds.append((f"online-{pid}-{ds}",
+                     ["online", "--dataset", ds, "--predictor", pid, *ONLINE]))
+    for pid, ds in (("crr", "synth-reg"), ("ols-nccp", "synth-reg"),
+                    ("knn-cp", "synth-class"), ("knn-nccp", "synth-class")):
+        cmds.append((f"boundary-{pid}",
+                     ["online", "--dataset", ds, "--predictor", pid, *BOUNDARY]))
+    for pid, ds in (("icp-class", "synth-class"), ("inccp-class", "synth-class"),
+                    ("icp-reg", "synth-reg"), ("inccp-reg", "synth-reg")):
+        cmds.append((f"offline-{pid}", ["offline", "--dataset", ds, "--predictor", pid]))
+        cmds.append((f"offline-{pid}-gamma",
+                     ["offline", "--dataset", ds, "--predictor", pid, "--gamma", "0.6"]))
+    for pid, ds in (("icp-class", "synth-class"), ("icp-reg", "synth-reg")):
+        cmds.append((f"sweep-{pid}",
+                     ["sweep", "--dataset", ds, "--predictor", pid, *SWEEP]))
+    cmds.append(("lemma-stress", ["lemma-stress"]))
+    for pid in ("crr", "ols-nccp"):
+        cmds.append((f"ridge-a-{pid}", ["online", "--dataset", "synth-reg", "--predictor",
+                                        pid, "--ridge-a", "1.0", *ONLINE]))
+        cmds.append((f"warmup3-{pid}", ["online", "--dataset", "synth-reg", "--predictor",
+                                        pid, "--warmup", "3", "--n", "300"]))
+    cmds.append(("knn-cp-k3", ["online", "--dataset", "synth-class", "--predictor",
+                               "knn-cp", "--k", "3", *ONLINE]))
+    return cmds
+
+
+def run_side(src, work, dest):
+    """Run every command under ``src`` from ``work`` and move the outputs to
+    ``dest``; returns a line per command that failed to run."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = os.path.join(work, "out")
+    os.makedirs(out)
+    codes, failed = [], []
+    for name, argv in commands():
+        if argv[0] != "lemma-stress":
+            argv = [*argv, "--out", os.path.join("out", name)]
+        proc = subprocess.run([sys.executable, "-m", "aci_lab.cli", *argv], cwd=work,
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with open(os.path.join(out, f"{name}.stdout"), "wb") as fh:
+            fh.write(proc.stdout)
+        codes.append(f"{name} {proc.returncode}\n")
+        if proc.returncode not in (0, 1):
+            failed.append(f"{src}: {name} exited {proc.returncode}: "
+                          + proc.stderr.decode(errors="replace").strip())
+    with open(os.path.join(out, "exit_codes.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(codes)
+    shutil.move(out, dest)
+    return failed
+
+
+def tree_files(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, files in os.walk(root) for f in files)
+
+
+def compare(a, b):
+    """Differences between two output trees, as printable lines."""
+    fa, fb = tree_files(a), tree_files(b)
+    problems = [f"only in parent: {f}" for f in sorted(set(fa) - set(fb))]
+    problems += [f"only in change: {f}" for f in sorted(set(fb) - set(fa))]
+    problems += [f"differs: {f}" for f in sorted(set(fa) & set(fb))
+                 if not filecmp.cmp(os.path.join(a, f), os.path.join(b, f), shallow=False)]
+    return len(set(fa) & set(fb)), problems
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src", help="src/ directory of the parent tree")
+    ap.add_argument("change_src", help="src/ directory of the changed tree")
+    ap.add_argument("--work", help="empty or absent directory to keep the outputs in "
+                                   "(default: a temporary directory, removed afterwards)")
+    args = ap.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not os.path.isdir(os.path.join(src, "aci_lab")):
+            ap.error(f"{src} holds no aci_lab package")
+    work = args.work or tempfile.mkdtemp(prefix="byte-identity-")
+    os.makedirs(work, exist_ok=True)
+    try:
+        run_dir = os.path.join(work, "run")
+        os.makedirs(run_dir)
+        failed = run_side(args.parent_src, run_dir, os.path.join(work, "parent"))
+        failed += run_side(args.change_src, run_dir, os.path.join(work, "change"))
+        n_common, problems = compare(os.path.join(work, "parent"), os.path.join(work, "change"))
+        problems += failed
+    finally:
+        if not args.work:
+            shutil.rmtree(work, ignore_errors=True)
+    for line in problems:
+        print(line)
+    print(f"{n_common - sum(p.startswith('differs') for p in problems)} of {n_common} "
+          f"common files equal, {len(problems)} problem(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
