@@ -23,8 +23,7 @@ from .cp_online import (CachedKnnConformalClassifier, CrrPredictor,
 from .inductive import (KnnClassScorer, KnnQuantileScorer,
                         calibration_residuals, calibration_scores,
                         icp_classify_predict, icp_regress_predict,
-                        inccp_classify_predict, inccp_regress_predict,
-                        monotone_quantile_pair)
+                        inccp_classify_predict, inccp_regress_predict)
 from .metrics import (RunSummary, StepRecord, aggregate_trials,
                       classification_record, lag1_autocorrelation,
                       observed_excess, regression_record, summarize_run,
@@ -32,8 +31,7 @@ from .metrics import (RunSummary, StepRecord, aggregate_trials,
 from .nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
                           knn_threshold_predict, knn_vote_shares,
                           ols_interval_predict)
-from .numerics import (NumericError, empirical_quantile, isotonic_monotonize,
-                       student_t_quantile)
+from .numerics import NumericError, empirical_quantile, student_t_quantile
 from .data import (Dataset, SplitPlan, StreamSpec, load_usps, load_wine,
                    make_stream, split_train_calibration, standardize_features)
 from .harness import (ConfigError, ExperimentConfig, RunResult, SweepResult,

@@ -49,6 +49,8 @@ def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
     bag_y = np.asarray(bag_y)
     if bag_X.ndim != 2 or bag_X.shape[0] == 0:
         raise ValueError("bag must be a non-empty 2-D array")
+    if bag_y.shape != (bag_X.shape[0],):
+        raise ValueError("history labels do not match history rows")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     d = distances(bag_X, np.asarray(x, dtype=float))
@@ -69,6 +71,8 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     n_hist = hist_X.shape[0]
     if n_hist == 0:
         raise ValueError("history is empty")
+    if hist_y.shape != (n_hist,):
+        raise ValueError("history labels do not match history rows")
     forced = boundary_set(eps, CLASSIFICATION)
     if forced is not None:
         return forced

@@ -219,6 +219,8 @@ def make_stream(spec: StreamSpec) -> Dataset:
         raise ValueError("stream needs n >= 2 and p >= 1")
     if not 0.0 <= spec.changepoint_frac <= 1.0:
         raise ValueError("changepoint_frac outside [0, 1]")
+    if not all(map(math.isfinite, (spec.drift, spec.noise_scale, spec.class_sep))):
+        raise ValueError("drift, noise_scale and class_sep must be finite")
     if spec.kind == "changepoint-regression":
         return _changepoint_regression(spec)
     if spec.kind == "cluster-classification":

@@ -23,8 +23,8 @@ from .cp_online import CrrPredictor, KnnConformalClassifier
 from .data import (Dataset, StreamSpec, load_usps, load_wine, make_stream,
                    split_train_calibration, standardize_features)
 from .inductive import (KnnClassScorer, KnnQuantileScorer, _checked_sorted, _icp_interval,
-                        _icp_set_from_scores, _labels_above, calibration_residuals,
-                        calibration_scores, inccp_regress_predict)
+                        _icp_set_from_scores, _labels_above, _quantile_interval,
+                        calibration_residuals, calibration_scores)
 from .metrics import (EPS_CLAMP_HI, EPS_CLAMP_LO, RunSummary, StepRecord,
                       classification_record, regression_record, summarize_run,
                       aggregate_trials)
@@ -253,6 +253,9 @@ class RunResult:
 
 
 def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
+    # eps1 defaults to eps, so a bad eps would otherwise be reported as eps1.
+    if not 0.0 <= cfg.eps <= 1.0:
+        raise ConfigError(f"eps {cfg.eps} outside [0, 1]")
     if cfg.gamma is not None:
         if cfg.gamma <= 0.0:
             raise ConfigError(f"gamma must be positive, got {cfg.gamma}")
@@ -337,11 +340,11 @@ def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
     """Fitted prediction rule (x-index, eps) -> PredictionSet for the test
-    stream.  Scores that do not depend on eps are precomputed in batch,
-    and the calibration scores are checked and sorted once.  The rules
-    with precomputed scores go through ``boundary_set`` first; a
-    PredictionSet is always truthy, so ``or`` falls through only inside
-    (0, 1)."""
+    stream.  Every rule precomputes its per-row values at fit time (class
+    scores, points or neighbour labels) and checks and sorts its
+    calibration scores once, so no step searches.  Each step goes through
+    ``boundary_set`` first; a PredictionSet is always truthy, so ``or``
+    falls through only inside (0, 1)."""
     pid = cfg.predictor
     k = cfg.resolve_k()
     if pid in ("icp-class", "icp-reg"):
@@ -356,7 +359,7 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
                 score_rows[i], train.label_space, cal_sorted, eps)
         scorer = KnnQuantileScorer(k).fit(proper_X, proper_y)
         cal_res = _checked_sorted(calibration_residuals(scorer, cal_X, cal_y))
-        points = np.array([scorer.point(x) for x in test.X])
+        points = scorer.neighbour_labels(test.X).mean(axis=1)
         return lambda i, eps: boundary_set(eps, REGRESSION) or _icp_interval(
             points[i], cal_res, eps)
     if pid == "inccp-class":
@@ -365,8 +368,9 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
         return lambda i, eps: boundary_set(eps, CLASSIFICATION) or _labels_above(
             score_rows[i], train.label_space, eps)
     if pid == "inccp-reg":
-        scorer = KnnQuantileScorer(k).fit(train.X, train.y)
-        return lambda i, eps: inccp_regress_predict(scorer, test.X[i], eps)
+        labels = KnnQuantileScorer(k).fit(train.X, train.y).neighbour_labels(test.X)
+        return lambda i, eps: boundary_set(eps, REGRESSION) or _quantile_interval(
+            labels[i], eps)
     raise ConfigError(f"{pid!r} is not an offline predictor id "
                       f"(choose from {OFFLINE_PREDICTORS})")
 

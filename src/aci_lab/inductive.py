@@ -15,8 +15,8 @@ produce sets nested in eps.
 import numpy as np
 
 from .core import CLASSIFICATION, REGRESSION, PredictionSet, boundary_set
-from .numerics import (ceil_index, distances, empirical_quantile, isotonic_monotonize,
-                       k_nearest, sq_distances, vote_shares)
+from .numerics import (ceil_index, distances, empirical_quantile, k_nearest,
+                       sq_distances, vote_shares)
 
 
 class _KnnScorer:
@@ -87,21 +87,27 @@ class KnnQuantileScorer(_KnnScorer):
     of the sorted neighbour labels, hence monotone in q by construction.
     """
 
-    monotone_quantiles = True
-
     def fit(self, X, y) -> "KnnQuantileScorer":
         self._fit(X, np.asarray(y, dtype=float))
         return self
 
-    def _neighbour_labels(self, x) -> np.ndarray:
-        d = distances(self._fitted(), np.asarray(x, dtype=float))
-        return self._y[k_nearest(d, self.k)]
+    def neighbour_labels(self, x) -> np.ndarray:
+        """The k nearest training labels, nearest first: a (k,) array for
+        one feature vector, an (m, k) table for a matrix of them.  Every
+        row is its own direct search, so a table row equals the single
+        query's answer, ties included (the earlier training index wins).
+        """
+        X = self._fitted()
+        x = np.asarray(x, dtype=float)
+        rows = [k_nearest(distances(X, row), self.k) for row in np.atleast_2d(x)]
+        labels = self._y[np.array(rows, dtype=np.intp).reshape(-1, self.k)]
+        return labels[0] if x.ndim == 1 else labels
 
     def point(self, x) -> float:
-        return float(np.mean(self._neighbour_labels(x)))
+        return float(np.mean(self.neighbour_labels(x)))
 
     def quantile(self, x, q: float) -> float:
-        return empirical_quantile(self._neighbour_labels(x), q)
+        return empirical_quantile(self.neighbour_labels(x), q)
 
 
 def calibration_scores(scorer, X_cal, y_cal) -> np.ndarray:
@@ -118,12 +124,13 @@ def calibration_scores(scorer, X_cal, y_cal) -> np.ndarray:
 
 
 def calibration_residuals(scorer, X_cal, y_cal) -> np.ndarray:
-    """Absolute point-prediction residuals on the calibration examples."""
+    """Absolute point-prediction residuals on the calibration examples,
+    the point being the mean of each row's neighbour labels."""
     X_cal = np.asarray(X_cal, dtype=float)
     y_cal = np.asarray(y_cal, dtype=float)
     if X_cal.ndim != 2 or X_cal.shape[0] == 0:
         raise ValueError("calibration set must be a non-empty 2-D array")
-    return np.array([abs(y - scorer.point(x)) for x, y in zip(X_cal, y_cal)])
+    return np.abs(y_cal - scorer.neighbour_labels(X_cal).mean(axis=1))
 
 
 def icp_classify_predict(scorer, cal_scores, x, eps: float) -> PredictionSet:
@@ -183,34 +190,26 @@ def _labels_above(scores, label_space, eps: float) -> PredictionSet:
 
 def inccp_regress_predict(scorer, x, eps: float) -> PredictionSet:
     """Non-conformal inductive regression: central interval between the
-    scorer's eps/2 and 1 - eps/2 conditional quantiles."""
+    scorer's eps/2 and 1 - eps/2 conditional quantiles.
+
+    Only a ``KnnQuantileScorer`` is accepted: its quantiles are order
+    statistics of one neighbour row, so the intervals nest in eps, which
+    is what makes the rule a confidence predictor.
+    """
+    if not isinstance(scorer, KnnQuantileScorer):
+        raise ValueError(f"inccp_regress_predict needs a KnnQuantileScorer, "
+                         f"got {type(scorer).__name__}")
     forced = boundary_set(eps, REGRESSION)
     if forced is not None:
         return forced
-    lo, hi = monotone_quantile_pair(scorer, x, eps)
-    return PredictionSet.interval(lo, hi)
+    return _quantile_interval(scorer.neighbour_labels(x), eps)
 
 
-def monotone_quantile_pair(scorer, x, eps: float) -> tuple[float, float]:
-    """Endpoints (quantile(eps/2), quantile(1 - eps/2)), repaired to be
-    monotone when the scorer does not promise monotone quantiles.
-
-    A scorer with crossing quantile curves would break nestedness of the
-    resulting intervals, so unless it declares ``monotone_quantiles``,
-    its quantile function is evaluated on a fixed grid and projected onto
-    the nearest non-decreasing function (least squares) first.
-    """
-    if getattr(scorer, "monotone_quantiles", False):
-        return scorer.quantile(x, 0.5 * eps), scorer.quantile(x, 1.0 - 0.5 * eps)
-    grid = _QUANTILE_GRID
-    vals = np.array([scorer.quantile(x, q) for q in grid])
-    fixed = isotonic_monotonize(grid, vals)
-    lo = float(np.interp(0.5 * eps, grid, fixed))
-    hi = float(np.interp(1.0 - 0.5 * eps, grid, fixed))
-    return lo, hi
-
-
-_QUANTILE_GRID = np.linspace(0.005, 0.995, 199)
+def _quantile_interval(labels, eps: float) -> PredictionSet:
+    """Interval between the eps/2 and 1 - eps/2 empirical quantiles of one
+    row of neighbour labels."""
+    return PredictionSet.interval(empirical_quantile(labels, 0.5 * eps),
+                                  empirical_quantile(labels, 1.0 - 0.5 * eps))
 
 
 def _checked_sorted(values) -> np.ndarray:

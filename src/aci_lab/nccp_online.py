@@ -30,12 +30,15 @@ def knn_vote_shares(hist_X, hist_y, x, k: int, label_space) -> np.ndarray:
     A history shorter than k votes with everything it has.
     """
     hist_X = np.asarray(hist_X, dtype=float)
+    hist_y = np.asarray(hist_y)
     if hist_X.shape[0] == 0:
         raise ValueError("history is empty")
+    if hist_y.shape != (hist_X.shape[0],):
+        raise ValueError("history labels do not match history rows")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     d = distances(hist_X, np.asarray(x, dtype=float))
-    return vote_shares(np.asarray(hist_y)[k_nearest(d, k)], label_space)
+    return vote_shares(hist_y[k_nearest(d, k)], label_space)
 
 
 def knn_threshold_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:

@@ -4,8 +4,10 @@ Ridge/least-squares systems are solved through one SPD factorisation
 path over a Gram matrix the caller may keep up to date; Student-t
 quantiles come from scipy's ``stdtrit``; empirical quantiles use the
 ceiling (worst-case) convention throughout the package.  Every k-NN
-route finds neighbours through the same four kernels: ``distances`` or
-``sq_distances``, ``k_smallest`` or ``k_nearest``, and ``vote_shares``.
+route finds neighbours through the same kernels: the direct
+``distances`` (one query row at a time) or the Gram-expansion
+``sq_distances`` (whole matrices), ``k_smallest`` values or
+``k_nearest`` indices, and ``vote_shares``.
 """
 
 import math
@@ -141,39 +143,3 @@ def ceil_index(t: float) -> int:
 def floor_index(t: float) -> int:
     """floor(t) robust to float noise just below an integer."""
     return int(math.floor(t + 1e-9))
-
-
-def isotonic_monotonize(levels, values) -> np.ndarray:
-    """Least-squares non-decreasing fit by pool-adjacent-violators.
-
-    ``levels`` must be strictly increasing and is used only to validate
-    the pairing; the unweighted fit depends on ``values`` alone.
-    """
-    levels = np.asarray(levels, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if levels.shape != values.shape or levels.ndim != 1:
-        raise ValueError("levels and values must be matching 1-D arrays")
-    if levels.shape[0] == 0:
-        raise ValueError("empty input")
-    if np.any(np.diff(levels) <= 0.0):
-        raise ValueError("levels must be strictly increasing")
-    if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(values))):
-        raise ValueError("non-finite input")
-
-    # Stack of blocks (mean, weight); merge backwards while out of order.
-    means: list[float] = []
-    weights: list[int] = []
-    for v in values:
-        mean, w = float(v), 1
-        while means and means[-1] > mean:
-            prev_mean, prev_w = means.pop(), weights.pop()
-            mean = (mean * w + prev_mean * prev_w) / (w + prev_w)
-            w += prev_w
-        means.append(mean)
-        weights.append(w)
-    out = np.empty_like(values)
-    pos = 0
-    for mean, w in zip(means, weights):
-        out[pos:pos + w] = mean
-        pos += w
-    return out

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -232,14 +233,59 @@ def test_cli_online_and_report(tmp_path, capsys):
     assert "satisfied=True" in capsys.readouterr().out
 
 
-def test_cli_rejects_bad_invocations(tmp_path, capsys):
-    rc = main(["online", "--dataset", "synth-reg", "--predictor", "icp-reg",
-               "--n", "260", "--warmup", "40"])
+_SHORT = ("--n", "200", "--warmup", "20")
+_BAD_INVOCATIONS = {
+    "reg-predictor-online": ["online", "--dataset", "synth-reg", "--predictor", "icp-reg",
+                             "--n", "260", "--warmup", "40"],
+    "crr-offline": ["offline", "--dataset", "synth-class", "--predictor", "crr"],
+    "k0": ["online", "--dataset", "synth-class", "--predictor", "knn-nccp", "--k", "0",
+           *_SHORT],
+    "one-class": ["online", "--dataset", "synth-class", "--predictor", "knn-nccp",
+                  "--n-classes", "1", *_SHORT],
+    "p0": ["online", "--dataset", "synth-reg", "--predictor", "crr", "--p", "0", *_SHORT],
+    "warmup0": ["online", "--dataset", "synth-reg", "--predictor", "crr",
+                "--n", "200", "--warmup", "0"],
+    "eps-above-1": ["online", "--dataset", "synth-reg", "--predictor", "crr",
+                    "--eps", "1.5", *_SHORT],
+    "eps-nan-offline": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
+                        "--eps", "nan", "--n", "300"],
+    "delta0": ["online", "--dataset", "synth-reg", "--predictor", "crr", "--delta", "0",
+               *_SHORT],
+    "negative-gamma": ["online", "--dataset", "synth-reg", "--predictor", "crr",
+                       "--gamma", "-0.1", *_SHORT],
+    "negative-ridge-a": ["online", "--dataset", "synth-reg", "--predictor", "crr",
+                         "--ridge-a", "-1", *_SHORT],
+    "cal-fraction0": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
+                      "--cal-fraction", "0", "--n", "300"],
+    "cal-fraction1": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
+                      "--cal-fraction", "1", "--n", "300"],
+    "k-above-training-size": ["offline", "--dataset", "synth-reg", "--predictor",
+                              "inccp-reg", "--k", "500", "--n", "300"],
+    "missing-data-file": ["online", "--dataset", "wine", "--predictor", "crr",
+                          "--white-path", "{tmp}/missing.csv", "--red-path",
+                          "{tmp}/missing.csv"],
+    "malformed-data-file": ["online", "--dataset", "usps", "--predictor", "knn-nccp",
+                            "--train-path", "{tmp}/bad.dat", "--test-path",
+                            "{tmp}/bad.dat"],
+    "bad-seeds": ["sweep", "--dataset", "synth-reg", "--predictor", "icp-reg",
+                  "--seeds", "0,x"],
+    "infinite-drift": ["online", "--dataset", "synth-reg", "--predictor", "crr",
+                       "--drift", "inf", *_SHORT],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INVOCATIONS))
+def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
+    (tmp_path / "bad.dat").write_text("1 2 3\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in _BAD_INVOCATIONS[case]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
-    rc = main(["offline", "--dataset", "synth-class", "--predictor", "crr"])
-    assert rc == 2
-    capsys.readouterr()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    if case.startswith("eps-"):
+        assert "eps " in err[0] and "eps1" not in err[0]
 
 
 def test_cli_crr_with_short_warmup_starts_with_full_lines(tmp_path, capsys):

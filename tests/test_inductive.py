@@ -7,8 +7,7 @@ from aci_lab.core import derive_rng
 from aci_lab.inductive import (KnnClassScorer, KnnQuantileScorer,
                                calibration_residuals, calibration_scores,
                                icp_classify_predict, icp_regress_predict,
-                               inccp_classify_predict, inccp_regress_predict,
-                               monotone_quantile_pair)
+                               inccp_classify_predict, inccp_regress_predict)
 
 
 def _small_scorer():
@@ -29,6 +28,20 @@ def test_class_scores_batch_matches_single():
     batch = scorer.class_scores(X_test)
     for i in range(7):
         assert batch[i] == pytest.approx(scorer.class_scores(X_test[i]))
+
+
+def test_neighbour_labels_batch_matches_single():
+    # integer-grid features make many distances tie exactly; both forms
+    # must let the earlier training index win
+    rng = derive_rng(0, "grid")
+    X, y = rng.integers(0, 3, size=(40, 2)).astype(float), rng.normal(size=40)
+    scorer = KnnQuantileScorer(k=5).fit(X, y)
+    X_test = rng.integers(0, 3, size=(9, 2)).astype(float)
+    table = scorer.neighbour_labels(X_test)
+    assert table.shape == (9, 5)
+    for i in range(9):
+        assert np.array_equal(table[i], scorer.neighbour_labels(X_test[i]))
+        assert table[i].mean() == scorer.point(X_test[i])
 
 
 def _random_train(n, p, n_classes=3, seed=1):
@@ -138,31 +151,13 @@ def test_inccp_regress_nested_in_eps():
         last = ps
 
 
-def test_crossing_quantile_scorer_is_repaired():
-    # a deliberately broken scorer whose raw quantile curve decreases;
-    # the repair projects it onto a monotone curve, so the interval
-    # stays a genuine interval and nests across eps
+def test_inccp_regress_refuses_other_scorers():
+    # only the k-NN quantile scorer's intervals are known to nest in eps
     class Crossing:
         def quantile(self, x, q):
-            return math.sin(8.0 * q)  # wildly non-monotone
-    lo, hi = monotone_quantile_pair(Crossing(), None, 0.2)
-    assert lo <= hi
-    last = None
-    for eps in (0.05, 0.2, 0.5, 0.9):
-        lo, hi = monotone_quantile_pair(Crossing(), None, eps)
-        assert lo <= hi
-        if last is not None:
-            assert last[0] <= lo and hi <= last[1]
-        last = (lo, hi)
-
-
-def test_monotone_scorer_skips_repair():
-    # the declared-monotone path must evaluate the scorer exactly
-    X = np.arange(10, dtype=float).reshape(-1, 1)
-    y = np.arange(1.0, 11.0)
-    scorer = KnnQuantileScorer(k=10).fit(X, y)
-    lo, hi = monotone_quantile_pair(scorer, np.array([5.0]), 0.2)
-    assert (lo, hi) == (1.0, 9.0)
+            return math.sin(8.0 * q)
+    with pytest.raises(ValueError, match="KnnQuantileScorer"):
+        inccp_regress_predict(Crossing(), np.zeros(1), 0.2)
 
 
 def test_calibration_scores_are_true_label_complements():

@@ -200,3 +200,14 @@ def test_knn_routes_reject_non_finite_input(route, bad):
         x[0] = math.inf
     with pytest.raises(ValueError, match="non-finite"):
         _KNN_ROUTES[route](X, y, x)
+
+
+@pytest.mark.parametrize("route", ["knn_cp_predict", "knn_nonconformity",
+                                   "knn_threshold_predict", "knn_vote_shares"])
+@pytest.mark.parametrize("n_labels", [4, 16])
+def test_knn_routes_reject_mismatched_history_labels(route, n_labels):
+    rng = derive_rng(8, "knn-labels")
+    X = rng.normal(size=(12, 2))
+    y = rng.integers(0, 2, size=n_labels)
+    with pytest.raises(ValueError, match="history labels do not match history rows"):
+        _KNN_ROUTES[route](X, y, rng.normal(size=2))
