@@ -19,7 +19,7 @@ import numpy as np
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
                    PredictionSet, RidgeHistoryPredictor, boundary_set)
 from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_index,
-                       k_smallest, sq_distances)
+                       k_smallest)
 
 
 def p_value(scores, candidate_score: float) -> float:
@@ -62,8 +62,8 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     p-value above eps.
 
     Runs one candidate completion per label.  Distances are computed once
-    (all pairs within the history, plus the candidate row) and shared
-    across candidates, so a call costs O(n^2) distance evaluations
+    (all pairs within the history, directly, plus the candidate row) and
+    shared across candidates, so a call costs O(n^2) distance evaluations
     however many labels there are.
     """
     hist_X = np.asarray(hist_X, dtype=float)
@@ -78,14 +78,22 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
         return forced
 
     hx = distances(hist_X, np.asarray(x, dtype=float))
-    hh = sq_distances(hist_X, hist_X)
-    np.maximum(hh, 0.0, out=hh)
-    np.sqrt(hh, out=hh)
+    hh = np.empty((n_hist, n_hist))
+    _fill_distances(hh, hist_X, 0)
     # Per history point, the k nearest same-label / different-label
     # distances within the history; the candidate only ever adds one
     # distance to one of the two sides.
     same_rows, diff_rows = _neighbor_rows(hh, hist_y, k)
     return _conformal_label_set(same_rows, diff_rows, hx, hist_y, label_space, k, eps)
+
+
+def _fill_distances(hh: np.ndarray, X: np.ndarray, start: int) -> None:
+    """Fill rows and columns ``start``..n-1 of the pairwise distance matrix
+    ``hh`` over the n rows of X: one direct ``distances`` row per point,
+    mirrored into its column, and +inf on the diagonal."""
+    for j in range(start, X.shape[0]):
+        hh[j, :j] = hh[:j, j] = distances(X[:j], X[j])
+        hh[j, j] = np.inf
 
 
 def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -> PredictionSet:
@@ -131,13 +139,11 @@ def _score_from_distances(d, same_mask, k: int) -> float:
 
 
 def _neighbor_rows(hh: np.ndarray, y: np.ndarray, k: int):
-    """Per row of a pairwise distance matrix, the k smallest distances to
-    same-label and to different-label points (self excluded)."""
+    """Per row of a pairwise distance matrix with +inf on its diagonal, the
+    k smallest distances to same-label and to different-label points."""
     same = y[None, :] == y[:, None]
-    diff = ~same
-    np.fill_diagonal(same, False)
     return (k_smallest(np.where(same, hh, np.inf), k),
-            k_smallest(np.where(diff, hh, np.inf), k))
+            k_smallest(np.where(same, np.inf, hh), k))
 
 
 def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
@@ -201,18 +207,39 @@ def _crr_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
 class KnnConformalClassifier(KnnHistoryPredictor):
     """Online full-CP k-NN classifier.
 
-    Every prediction rescores the whole augmented bag through
-    :func:`knn_cp_predict`, paying its O(n^2) distance bill per step.
-    :class:`CachedKnnConformalClassifier` gives the same outputs from
-    incremental caches when that bill matters, up to distance ties.
+    Every prediction rescores the whole augmented bag as
+    :func:`knn_cp_predict` does, paying its O(n^2) neighbour selection per
+    step.  The within-history distance matrix is kept across steps:
+    ``observe`` only appends, and the next ``predict`` fills the rows and
+    columns of the examples that arrived since, one direct ``distances``
+    row each.  :class:`CachedKnnConformalClassifier` gives the same
+    outputs from incremental caches when the O(n^2) bill matters.
     """
 
+    def __init__(self, k: int, label_space):
+        super().__init__(k, label_space)
+        # Rows and columns [0, _filled) hold direct distances within the
+        # history; capacity doubles on demand.
+        self._dist = np.empty((0, 0))
+        self._filled = 0
+
     def _predict(self, x, eps):
-        return knn_cp_predict(self._hist.X, self._hist.y, x, eps,
-                              self.k, self.label_space)
+        X, y = self._hist.X, self._hist.y
+        n_hist = X.shape[0]
+        if n_hist > self._dist.shape[0]:
+            cap = max(8, 1 << (n_hist - 1).bit_length())
+            grown = np.empty((cap, cap))
+            done = self._filled
+            grown[:done, :done] = self._dist[:done, :done]
+            self._dist = grown
+        _fill_distances(self._dist, X, self._filled)
+        self._filled = n_hist
+        same_rows, diff_rows = _neighbor_rows(self._dist[:n_hist, :n_hist], y, self.k)
+        return _conformal_label_set(same_rows, diff_rows, distances(X, x), y,
+                                    self.label_space, self.k, eps)
 
 
-class CachedKnnConformalClassifier(KnnConformalClassifier):
+class CachedKnnConformalClassifier(KnnHistoryPredictor):
     """Full-CP k-NN classifier with incremental neighbour caches.
 
     Per history point the k smallest same-label and different-label
@@ -220,9 +247,7 @@ class CachedKnnConformalClassifier(KnnConformalClassifier):
     scoring a candidate completion only has to merge the candidate's
     distance into each row: O(n*k) per step instead of O(n^2).
     Predictions agree exactly with rescoring the bag from direct
-    distances, ties included.  :class:`KnnConformalClassifier` takes its
-    within-history distances from the Gram expansion, whose rounding can
-    split exact distance ties, so on tie-heavy data the two may differ.
+    distances, ties included.
     """
 
     def __init__(self, k: int, label_space):

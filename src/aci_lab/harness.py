@@ -179,8 +179,17 @@ def _coerce(key: str, text: str):
     return float(text)
 
 
+def _check_order(cfg: ExperimentConfig) -> None:
+    """``order`` names a wine file order, and only wine runs may move it."""
+    if cfg.order not in ("white-then-red", "red-then-white"):
+        raise ConfigError(f"unknown order {cfg.order!r}")
+    if cfg.dataset != "wine" and cfg.order != ExperimentConfig.order:
+        raise ConfigError(f"order applies to wine runs only, not {cfg.dataset!r}")
+
+
 def resolve_online_dataset(cfg: ExperimentConfig) -> Dataset:
     """The example stream an online run walks through, warmup included."""
+    _check_order(cfg)
     if cfg.dataset == "wine":
         if not (cfg.white_path and cfg.red_path):
             raise ConfigError("wine runs need white_path and red_path")
@@ -310,6 +319,7 @@ def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """(train pool, test stream) for offline runs.  usps keeps its file
     split; other datasets are split by a seeded shuffle."""
     if cfg.dataset == "usps":
+        _check_order(cfg)
         if not (cfg.train_path and cfg.test_path):
             raise ConfigError("usps runs need train_path and test_path")
         train, test = load_usps(cfg.train_path, cfg.test_path)

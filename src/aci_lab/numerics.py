@@ -5,9 +5,10 @@ path over a Gram matrix the caller may keep up to date; Student-t
 quantiles come from scipy's ``stdtrit``; empirical quantiles use the
 ceiling (worst-case) convention throughout the package.  Every k-NN
 route finds neighbours through the same kernels: the direct
-``distances`` (one query row at a time) or the Gram-expansion
-``sq_distances`` (whole matrices), ``k_smallest`` values or
-``k_nearest`` indices, and ``vote_shares``.
+``distances`` (one query row at a time; knn-cp builds its pairwise
+matrix from these rows too), the Gram-expansion ``sq_distances`` (the
+offline class scorer's query-by-training products only), ``k_smallest``
+values or ``k_nearest`` indices, and ``vote_shares``.
 """
 
 import math
@@ -117,6 +118,8 @@ def sq_distances(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
     """The min(k, n) smallest values along the last axis, ascending."""
+    if k == 1 and values.shape[-1]:
+        return values.min(axis=-1, keepdims=True)
     if k < values.shape[-1]:
         values = np.partition(values, k - 1, axis=-1)[..., :k]
     return np.sort(values, axis=-1)

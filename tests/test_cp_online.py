@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from aci_lab.core import derive_rng
 from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
                                KnnConformalClassifier, crr_predict,
                                knn_cp_predict, knn_nonconformity, p_value)
-from aci_lab.numerics import NumericError
+from aci_lab.numerics import NumericError, distances
 from oracles import crr_grid_oracle
 
 # the worked 4-point instance: two tight clusters on a line
@@ -135,26 +136,75 @@ def test_knn_cp_matches_bruteforce_rescoring():
             f"trial {trial}"
 
 
-@pytest.mark.parametrize("scale", [0.1, 0.3])
-def test_cached_class_matches_bruteforce_on_grid_ties(scale):
-    # integer grids scaled by 0.1 or 0.3: many tied distances that only
-    # agree if every route computes them, and their means, the same way
+def _online_knn_cp(cls):
+    def route(hist_X, hist_y, x, eps, k, labels):
+        pred = cls(k=k, label_space=labels)
+        for xi, yi in zip(hist_X, hist_y):
+            pred.observe(xi, int(yi))
+        return pred.predict(x, eps)
+    return route
+
+
+_KNN_CP_ROUTES = {
+    "knn_cp_predict": knn_cp_predict,
+    "KnnConformalClassifier": _online_knn_cp(KnnConformalClassifier),
+    "CachedKnnConformalClassifier": _online_knn_cp(CachedKnnConformalClassifier),
+}
+
+
+@functools.cache
+def _grid_tie_cases(scale):
+    """400 (hist_X, hist_y, x, eps, k, brute-force set) cases on integer
+    grids scaled by ``scale``, shared by every route under test."""
     rng = derive_rng(11, "knn-grid-ties", scale)
-    misses = []
-    for case in range(400):
+    cases = []
+    for _ in range(400):
         n = int(rng.integers(1, 31))
         p = int(rng.integers(1, 4))
         k = int(rng.integers(1, 6))
         X = rng.integers(0, 4, size=(n + 1, p)) * scale
         y = rng.integers(0, 3, size=n)
         eps = float(rng.uniform(0.02, 0.9))
-        pred = CachedKnnConformalClassifier(k=k, label_space=[0, 1, 2])
-        for i in range(n):
-            pred.observe(X[i], int(y[i]))
-        got = pred.predict(X[n], eps)
-        if set(got.labels) != _ref_knn_cp(X[:n], y, X[n], eps, k, [0, 1, 2]):
-            misses.append(case)
+        cases.append((X[:n], y, X[n], eps, k, _ref_knn_cp(X[:n], y, X[n], eps, k, [0, 1, 2])))
+    return cases
+
+
+@pytest.mark.parametrize("route", list(_KNN_CP_ROUTES))
+@pytest.mark.parametrize("scale", [0.1, 0.3])
+def test_knn_cp_routes_match_bruteforce_on_grid_ties(scale, route):
+    # integer grids scaled by 0.1 or 0.3: many tied distances that only
+    # agree if every route computes them, and their means, the same way
+    predict = _KNN_CP_ROUTES[route]
+    misses = [case for case, (hX, hy, x, eps, k, want) in enumerate(_grid_tie_cases(scale))
+              if set(predict(hX, hy, x, eps, k, [0, 1, 2]).labels) != want]
     assert misses == []
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_kept_distance_matrix_extends_lazily(k):
+    # uneven observe runs between predicts: the matrix is extended only
+    # when a prediction needs it, across several capacity doublings
+    rng = derive_rng(5, "knn-lazy", k)
+    X = rng.integers(0, 4, size=(60, 3)) * 0.3
+    y = rng.integers(0, 3, size=60)
+    pred = KnnConformalClassifier(k=k, label_space=[0, 1, 2])
+    n = 0
+    for run in (3, 7, 12, 3, 7, 12, 3, 7):
+        for _ in range(run):
+            pred.observe(X[n], int(y[n]))
+            n += 1
+        for eps in (0.1, 0.4):
+            got = pred.predict(X[n], eps)
+            assert got.labels == knn_cp_predict(X[:n], y[:n], X[n], eps, k,
+                                                [0, 1, 2]).labels, f"n={n}"
+        assert pred._filled == n
+        block = pred._dist[:n, :n]
+        for i in range(n):
+            want = distances(X[:n], X[i])
+            want[i] = np.inf
+            assert np.array_equal(block[i], want), f"row {i} at n={n}"
+        assert np.array_equal(block, block.T)
+    assert pred._dist.shape == (64, 64)
 
 
 @pytest.mark.parametrize("cls", [KnnConformalClassifier,

@@ -271,6 +271,11 @@ _BAD_INVOCATIONS = {
                   "--seeds", "0,x"],
     "infinite-drift": ["online", "--dataset", "synth-reg", "--predictor", "crr",
                        "--drift", "inf", *_SHORT],
+    # both run to exit 0 without their --order
+    "unknown-order": ["online", "--dataset", "synth-reg", "--predictor", "crr",
+                      "--order", "bogus", "--n", "400", "--warmup", "20"],
+    "order-on-synthetic": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
+                           "--order", "red-then-white", "--n", "300", "--delta", "0.05"],
 }
 
 

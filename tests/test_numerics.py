@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from aci_lab.core import derive_rng
 from aci_lab.numerics import (ceil_index, empirical_quantile, floor_index,
-                              student_t_quantile)
+                              k_smallest, student_t_quantile)
 from oracles import t_cdf_by_integration
 
 
@@ -81,3 +83,21 @@ def test_index_helpers_resist_float_noise():
     assert floor_index(2.9999999999999996) == 3
     assert floor_index(2.9) == 2
 
+
+
+# ------------------------------------------------------------ k-NN kernels
+
+def test_k_smallest_k1_equals_partition_and_sort():
+    # k = 1 takes a row minimum; it must give what the general
+    # partition-then-sort route gives, +inf padding included
+    rng = derive_rng(4, "k-smallest")
+    for n in (1, 2, 5, 40):
+        rows = rng.normal(size=(30, n))
+        rows[rng.random(size=rows.shape) < 0.3] = np.inf
+        rows[0] = np.inf
+        for values in (rows, rows[0], rng.normal(size=n)):
+            general = np.sort(np.partition(values, 0, axis=-1)[..., :1], axis=-1)
+            got = k_smallest(values, 1)
+            assert got.shape == general.shape
+            assert np.array_equal(got, general)
+    assert k_smallest(np.empty((3, 0)), 1).shape == (3, 0)
