@@ -180,9 +180,7 @@ def _coerce(key: str, text: str):
 
 
 def _check_order(cfg: ExperimentConfig) -> None:
-    """``order`` names a wine file order, and only wine runs may move it."""
-    if cfg.order not in ("white-then-red", "red-then-white"):
-        raise ConfigError(f"unknown order {cfg.order!r}")
+    """Only wine runs may move ``order``; ``load_wine`` checks its name."""
     if cfg.dataset != "wine" and cfg.order != ExperimentConfig.order:
         raise ConfigError(f"order applies to wine runs only, not {cfg.dataset!r}")
 

@@ -23,10 +23,12 @@ sys.exit({code})
 '''
 
 
-def _load_tool():
+def _load_tool(change):
+    """The tool, with ``change`` standing in for this tree."""
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    mod.ROOT = change
     return mod
 
 
@@ -37,16 +39,15 @@ def _stub_root(path, commit, walls, correct=True, failed=0, code=0):
     return path
 
 
-def _args(parent, change, pairs=5):
+def _args(parent, pairs=5):
     return [str(parent), "--workload", "knn-stream", "--pairs", str(pairs),
-            "--seconds", "1", "--seed-base", "100", "--tag", "t",
-            "--change-root", str(change)]
+            "--seconds", "1", "--seed-base", "100", "--tag", "t"]
 
 
 def test_bench_pairs_aggregates(tmp_path):
     parent = _stub_root(tmp_path / "parent", "aaa", [2.0, 2.2, 1.8, 2.4, 2.1])
     change = _stub_root(tmp_path / "change", "bbb", [1.0, 1.2, 1.9, 1.1, 1.3])
-    assert _load_tool().main(_args(parent, change)) == 0
+    assert _load_tool(change).main(_args(parent)) == 0
     report = json.loads((change / "BENCH_t.json").read_text())
     assert report["commits"] == {"parent": "aaa", "change": "bbb"}
     w = report["workloads"]["knn-stream"]
@@ -66,5 +67,5 @@ def test_bench_pairs_aggregates(tmp_path):
 def test_bench_pairs_writes_nothing_when_a_run_fails(tmp_path, stub):
     parent = _stub_root(tmp_path / "parent", "aaa", [2.0, 2.0, 2.0])
     change = _stub_root(tmp_path / "change", "bbb", [1.0, 1.0, 1.0], **stub)
-    assert _load_tool().main(_args(parent, change, pairs=3)) == 1
+    assert _load_tool(change).main(_args(parent, pairs=3)) == 1
     assert not (change / "BENCH_t.json").exists()

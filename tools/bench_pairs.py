@@ -42,8 +42,6 @@ def parse_args(argv):
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed-base", type=int, required=True)
     ap.add_argument("--tag", required=True)
-    ap.add_argument("--change-root", type=Path, default=ROOT,
-                    help="tree compared with the parent (default: this one)")
     return ap.parse_args(argv)
 
 
@@ -95,8 +93,7 @@ def summarize(pairs):
 
 def main(argv=None):
     args = parse_args(argv)
-    change_root = args.change_root.resolve()
-    roots = {"parent": args.parent_root.resolve(), "change": change_root}
+    roots = {"parent": args.parent_root.resolve(), "change": ROOT}
     envs, workloads = {}, {}
     try:
         for workload in args.workload:
@@ -124,7 +121,7 @@ def main(argv=None):
     report = {"tag": args.tag, "seconds": args.seconds, "pairs": args.pairs,
               "commits": {side: (envs[side] or {}).get("commit") for side in roots},
               "env": envs, "workloads": workloads}
-    path = change_root / f"BENCH_{args.tag}.json"
+    path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
     return 0
