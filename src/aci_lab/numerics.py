@@ -8,7 +8,10 @@ route finds neighbours through the same kernels: the direct
 ``distances`` (one query row at a time; knn-cp builds its pairwise
 matrix from these rows too), the Gram-expansion ``sq_distances`` (the
 offline class scorer's query-by-training products only), ``k_smallest``
-values or ``k_nearest`` indices, and ``vote_shares``.
+values or ``k_nearest`` indices, and ``vote_shares``.  ``k_nearest``
+selects by one partition plus a stable sort of the candidates at or
+below the k-th value, so ties at that value keep "earlier index wins";
+it needs finite input, which every distance kernel here guarantees.
 """
 
 import math
@@ -111,9 +114,15 @@ def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def sq_distances(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of Q and of A by the
     Gram expansion: one matrix product, but rounding may leave exact
-    duplicates slightly apart or slightly negative."""
-    return (np.sum(Q * Q, axis=1)[:, None] + np.sum(A * A, axis=1)[None, :]
-            - 2.0 * (Q @ A.T))
+    duplicates slightly apart or slightly negative.  Finite features too
+    large for the expansion (squares beyond the float range) raise
+    ValueError instead of giving inf or nan distances."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (np.sum(Q * Q, axis=1)[:, None] + np.sum(A * A, axis=1)[None, :]
+              - 2.0 * (Q @ A.T))
+    if not np.isfinite(d2).all():
+        raise ValueError("squared distances are not finite: features too large")
+    return d2
 
 
 def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
@@ -127,8 +136,22 @@ def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
 
 def k_nearest(d: np.ndarray, k: int) -> np.ndarray:
     """Indices of the min(k, n) smallest distances along the last axis,
-    nearest first; of equal distances the earlier index wins."""
-    return np.argsort(d, axis=-1, kind="stable")[..., :k]
+    nearest first; of equal distances the earlier index wins (k >= 1,
+    finite d).
+
+    One partition finds the k-th smallest value v; every entry <= v is a
+    candidate, in index order, so all ties at v are kept, and a stable
+    sort of those few candidates gives the first k.  A matrix is selected
+    row by row.
+    """
+    n = d.shape[-1]
+    if k >= n:
+        return np.argsort(d, axis=-1, kind="stable")
+    if d.ndim > 1:
+        rows = [k_nearest(row, k) for row in d.reshape(-1, n)]
+        return np.array(rows, dtype=np.intp).reshape(d.shape[:-1] + (k,))
+    near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
+    return near[d[near].argsort(kind="stable")[:k]]
 
 
 def vote_shares(votes: np.ndarray, label_space) -> np.ndarray:

@@ -233,28 +233,30 @@ def test_cli_online_and_report(tmp_path, capsys):
     assert "satisfied=True" in capsys.readouterr().out
 
 
-_SHORT = ("--n", "200", "--warmup", "20")
+# A feasible short run: each _SHORT_ROWS base plus _SHORT exits 0 (see
+# test_cli_short_rows_run_without_their_bad_flags), so a row fails only
+# through its own bad flags, which come last and so override _SHORT.
+_SHORT = ("--n", "200", "--warmup", "20", "--delta", "0.02")
+_KNN_ONLINE = ["online", "--dataset", "synth-class", "--predictor", "knn-nccp"]
+_CRR_ONLINE = ["online", "--dataset", "synth-reg", "--predictor", "crr"]
+_SHORT_ROWS = {
+    "k0": (_KNN_ONLINE, ["--k", "0"]),
+    "one-class": (_KNN_ONLINE, ["--n-classes", "1"]),
+    "p0": (_CRR_ONLINE, ["--p", "0"]),
+    "warmup0": (_CRR_ONLINE, ["--warmup", "0"]),
+    "eps-above-1": (_CRR_ONLINE, ["--eps", "1.5"]),
+    "delta0": (_CRR_ONLINE, ["--delta", "0"]),
+    "negative-gamma": (_CRR_ONLINE, ["--gamma", "-0.1"]),
+    "negative-ridge-a": (_CRR_ONLINE, ["--ridge-a", "-1"]),
+    "infinite-drift": (_CRR_ONLINE, ["--drift", "inf"]),
+}
 _BAD_INVOCATIONS = {
     "reg-predictor-online": ["online", "--dataset", "synth-reg", "--predictor", "icp-reg",
                              "--n", "260", "--warmup", "40"],
     "crr-offline": ["offline", "--dataset", "synth-class", "--predictor", "crr"],
-    "k0": ["online", "--dataset", "synth-class", "--predictor", "knn-nccp", "--k", "0",
-           *_SHORT],
-    "one-class": ["online", "--dataset", "synth-class", "--predictor", "knn-nccp",
-                  "--n-classes", "1", *_SHORT],
-    "p0": ["online", "--dataset", "synth-reg", "--predictor", "crr", "--p", "0", *_SHORT],
-    "warmup0": ["online", "--dataset", "synth-reg", "--predictor", "crr",
-                "--n", "200", "--warmup", "0"],
-    "eps-above-1": ["online", "--dataset", "synth-reg", "--predictor", "crr",
-                    "--eps", "1.5", *_SHORT],
+    **{case: [*base, *_SHORT, *bad] for case, (base, bad) in _SHORT_ROWS.items()},
     "eps-nan-offline": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
                         "--eps", "nan", "--n", "300"],
-    "delta0": ["online", "--dataset", "synth-reg", "--predictor", "crr", "--delta", "0",
-               *_SHORT],
-    "negative-gamma": ["online", "--dataset", "synth-reg", "--predictor", "crr",
-                       "--gamma", "-0.1", *_SHORT],
-    "negative-ridge-a": ["online", "--dataset", "synth-reg", "--predictor", "crr",
-                         "--ridge-a", "-1", *_SHORT],
     "cal-fraction0": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
                       "--cal-fraction", "0", "--n", "300"],
     "cal-fraction1": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
@@ -269,8 +271,6 @@ _BAD_INVOCATIONS = {
                             "{tmp}/bad.dat"],
     "bad-seeds": ["sweep", "--dataset", "synth-reg", "--predictor", "icp-reg",
                   "--seeds", "0,x"],
-    "infinite-drift": ["online", "--dataset", "synth-reg", "--predictor", "crr",
-                       "--drift", "inf", *_SHORT],
     # both run to exit 0 without their --order
     "unknown-order": ["online", "--dataset", "synth-reg", "--predictor", "crr",
                       "--order", "bogus", "--n", "400", "--warmup", "20"],
@@ -291,6 +291,16 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:"), err
     if case.startswith("eps-"):
         assert "eps " in err[0] and "eps1" not in err[0]
+
+
+@pytest.mark.parametrize("case", list(_SHORT_ROWS))
+def test_cli_short_rows_run_without_their_bad_flags(case, capsys):
+    base, _ = _SHORT_ROWS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*base, *_SHORT])
+    assert rc == 0, capsys.readouterr().err
+    assert "bound_satisfied=True" in capsys.readouterr().out
 
 
 def test_cli_crr_with_short_warmup_starts_with_full_lines(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from aci_lab.core import derive_rng
+from aci_lab.inductive import KnnClassScorer
 from aci_lab.numerics import (ceil_index, empirical_quantile, floor_index,
-                              k_smallest, student_t_quantile)
+                              k_nearest, k_smallest, sq_distances, student_t_quantile)
 from oracles import t_cdf_by_integration
 
 
@@ -101,3 +103,36 @@ def test_k_smallest_k1_equals_partition_and_sort():
             assert got.shape == general.shape
             assert np.array_equal(got, general)
     assert k_smallest(np.empty((3, 0)), 1).shape == (3, 0)
+
+
+def test_k_nearest_matches_stable_argsort():
+    # partition selection must return exactly the first k of a stable
+    # argsort, so among equal values the earlier index wins; grid values
+    # scaled by 0.3 make ties dense (and inexact, as real distances are),
+    # and Gram-expansion rows are what the class scorer passes
+    rng = derive_rng(5, "k-nearest")
+    for n in (1, 2, 3, 7, 20, 41, 100, 300):
+        ks = {1, 2, 5, 20, 40, n - 1, n, n + 1} - {0}
+        for values in (rng.normal(size=(6, n)),
+                       rng.integers(0, 4, size=(6, n)) * 0.3,
+                       rng.integers(0, 40, size=(6, n)) * 0.3,
+                       sq_distances(rng.integers(0, 3, size=(6, 2)) * 0.3,
+                                    rng.integers(0, 3, size=(n, 2)) * 0.3)):
+            for k in sorted(ks):
+                want = np.argsort(values, axis=-1, kind="stable")[..., :k]
+                got = k_nearest(values, k)
+                assert got.shape == want.shape and np.array_equal(got, want), (n, k)
+                for row, want_row in zip(values, want):
+                    assert np.array_equal(k_nearest(row, k), want_row), (n, k)
+
+
+def test_sq_distances_refuse_overflow():
+    # finite features whose squares overflow used to give nan distances
+    # (and a RuntimeWarning); a k-NN vote then picked arbitrary neighbours
+    Q, A = np.zeros((1, 1)), np.array([[3e200], [1e200], [-1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            sq_distances(Q, A)
+        with pytest.raises(ValueError, match="not finite"):
+            KnnClassScorer(2).fit(A, np.array([0, 0, 1])).class_scores(Q[0])

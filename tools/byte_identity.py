@@ -55,6 +55,14 @@ def commands():
                                         pid, "--warmup", "3", "--n", "300"]))
     cmds.append(("knn-cp-k3", ["online", "--dataset", "synth-class", "--predictor",
                                "knn-cp", "--k", "3", *ONLINE]))
+    # knn-nccp at the benchmark's knn-stream shape, and the offline class
+    # scorers at k = 1
+    cmds.append(("knn-nccp-stream", ["online", "--dataset", "synth-class", "--predictor",
+                                     "knn-nccp", "--k", "20", "--p", "8", "--n", "4000",
+                                     "--warmup", "100"]))
+    for pid in ("icp-class", "inccp-class"):
+        cmds.append((f"offline-{pid}-k1", ["offline", "--dataset", "synth-class",
+                                           "--predictor", pid, "--k", "1"]))
     return cmds
 
 
