@@ -188,6 +188,10 @@ def _check_order(cfg: ExperimentConfig) -> None:
 def resolve_online_dataset(cfg: ExperimentConfig) -> Dataset:
     """The example stream an online run walks through, warmup included."""
     _check_order(cfg)
+    if cfg.standardize and cfg.warmup < 2:
+        # the statistics come from the warm-up rows only, so that no
+        # controlled example is seen before its step
+        raise ConfigError(f"standardize needs warmup >= 2, got warmup {cfg.warmup}")
     if cfg.dataset == "wine":
         if not (cfg.white_path and cfg.red_path):
             raise ConfigError("wine runs need white_path and red_path")
@@ -217,9 +221,8 @@ def resolve_online_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.subsample is not None:
         ds = ds.subsample(min(cfg.subsample, len(ds)), cfg.seed)
     if cfg.standardize:
-        ref = ds.X[:max(cfg.warmup, 2)]
         ds = Dataset(name=ds.name, task=ds.task,
-                     X=standardize_features(ds.X, ref), y=ds.y,
+                     X=standardize_features(ds.X, ds.X[:cfg.warmup]), y=ds.y,
                      label_space=list(ds.label_space))
     return ds
 

@@ -93,15 +93,12 @@ class KnnQuantileScorer(_KnnScorer):
 
     def neighbour_labels(self, x) -> np.ndarray:
         """The k nearest training labels, nearest first: a (k,) array for
-        one feature vector, an (m, k) table for a matrix of them.  Every
-        row is its own direct search, so a table row equals the single
-        query's answer, ties included (the earlier training index wins).
+        one feature vector, an (m, k) table for a matrix of them.  A
+        matrix is one block search whose rows are bit-equal to single-query
+        searches, ties included (the earlier training index wins).
         """
         X = self._fitted()
-        x = np.asarray(x, dtype=float)
-        rows = [k_nearest(distances(X, row), self.k) for row in np.atleast_2d(x)]
-        labels = self._y[np.array(rows, dtype=np.intp).reshape(-1, self.k)]
-        return labels[0] if x.ndim == 1 else labels
+        return self._y[k_nearest(distances(X, np.asarray(x, dtype=float)), self.k)]
 
     def point(self, x) -> float:
         return float(np.mean(self.neighbour_labels(x)))
@@ -117,10 +114,13 @@ def calibration_scores(scorer, X_cal, y_cal) -> np.ndarray:
     y_cal = np.asarray(y_cal).astype(int)
     if X_cal.ndim != 2 or X_cal.shape[0] == 0:
         raise ValueError("calibration set must be a non-empty 2-D array")
+    hits = y_cal[:, None] == np.asarray(scorer.label_space, dtype=int)
+    known = hits.any(axis=1)
+    if not known.all():
+        raise ValueError(f"calibration label {y_cal[~known][0]} is not in the "
+                         f"scorer's label space {scorer.label_space}")
     shares = np.atleast_2d(scorer.class_scores(X_cal))
-    col = {lab: j for j, lab in enumerate(scorer.label_space)}
-    idx = np.array([col[int(c)] for c in y_cal])
-    return 1.0 - shares[np.arange(len(y_cal)), idx]
+    return 1.0 - shares[np.arange(len(y_cal)), hits.argmax(axis=1)]
 
 
 def calibration_residuals(scorer, X_cal, y_cal) -> np.ndarray:

@@ -5,8 +5,10 @@ path over a Gram matrix the caller may keep up to date; Student-t
 quantiles come from scipy's ``stdtrit``; empirical quantiles use the
 ceiling (worst-case) convention throughout the package.  Every k-NN
 route finds neighbours through the same kernels: the direct
-``distances`` (one query row at a time; knn-cp builds its pairwise
-matrix from these rows too), the Gram-expansion ``sq_distances`` (the
+``distances`` (one query row, as the online predictors and knn-cp's
+pairwise matrix use it, or one block search over a matrix of queries,
+as the offline regression scorer uses it, whose rows are bit-equal to
+single-query searches), the Gram-expansion ``sq_distances`` (the
 offline class scorer's query-by-training products only), ``k_smallest``
 values or ``k_nearest`` indices, and ``vote_shares``.  ``k_nearest``
 selects by one partition plus a stable sort of the candidates at or
@@ -99,16 +101,54 @@ def empirical_quantile(values, q: float) -> float:
     return float(arr[idx - 1])
 
 
-def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean distance from ``x`` to every row of ``A``.
+# Elements of the (p, B, n) difference block in one table step (512 KB).
+_BLOCK = 1 << 16
 
-    A non-finite row or x always gives a non-finite distance, so one
-    reduction over the n outputs turns bad features into a ValueError.
+
+def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distance from ``x`` to every row of ``A``: an (n,) array
+    for one query row, an (m, n) table for a matrix of them.
+
+    A table works through blocks of queries against one feature-major
+    copy of A and sums the squared differences with ``_pairwise_sum``, so
+    every table row is bit-equal to the one-row call.  A non-finite row
+    or query always gives a non-finite distance, so one reduction over
+    the outputs turns bad features into a ValueError.
     """
-    d = np.sqrt(np.sum((A - x) ** 2, axis=1))
+    if x.ndim != 2:
+        d = np.sqrt(np.sum((A - x) ** 2, axis=1))
+    else:
+        AT = np.ascontiguousarray(A.T)
+        p, n = AT.shape
+        step = max(1, _BLOCK // max(p * n, 1))
+        d = np.empty((x.shape[0], n))
+        for lo in range(0, x.shape[0], step):
+            QT = x[lo:lo + step].T
+            block = np.subtract(AT[:, None, :], QT[:, :, None])
+            d[lo:lo + step] = np.sqrt(_pairwise_sum(np.square(block, out=block)))
     if not np.isfinite(d.sum()):
         raise ValueError("features contain non-finite values")
     return d
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in the order numpy's pairwise summation
+    takes along one contiguous row: sequential below 8 terms; up to 128,
+    eight interleaved accumulators, a fixed tree over them, then the
+    remainder in order; beyond that, two halves split at a multiple of 8.
+    """
+    p = a.shape[0]
+    if p < 8:
+        return np.add.reduce(a, axis=0)
+    if p > 128:
+        half = p // 2 - (p // 2) % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    whole = p - p % 8
+    r = np.add.reduce(a[:whole].reshape((whole // 8, 8) + a.shape[1:]), axis=0)
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(whole, p):
+        res += a[i]
+    return res
 
 
 def sq_distances(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -141,15 +181,25 @@ def k_nearest(d: np.ndarray, k: int) -> np.ndarray:
 
     One partition finds the k-th smallest value v; every entry <= v is a
     candidate, in index order, so all ties at v are kept, and a stable
-    sort of those few candidates gives the first k.  A matrix is selected
-    row by row.
+    sort of those few candidates gives the first k.  A matrix takes every
+    row with exactly k candidates at once; only a row where a tie crosses
+    v is selected on its own.
     """
     n = d.shape[-1]
     if k >= n:
         return np.argsort(d, axis=-1, kind="stable")
     if d.ndim > 1:
-        rows = [k_nearest(row, k) for row in d.reshape(-1, n)]
-        return np.array(rows, dtype=np.intp).reshape(d.shape[:-1] + (k,))
+        D = d.reshape(-1, n)
+        cand = D <= np.partition(D, k - 1, axis=-1)[:, k - 1:k]
+        tied = cand.sum(axis=1) > k
+        cand[tied] = False
+        flat = cand.reshape(-1).nonzero()[0]
+        order = D.reshape(-1)[flat].reshape(-1, k).argsort(axis=1, kind="stable")
+        near = np.empty((D.shape[0], k), dtype=np.intp)
+        near[~tied] = np.take_along_axis(flat.reshape(-1, k) % n, order, axis=1)
+        for i in tied.nonzero()[0]:
+            near[i] = k_nearest(D[i], k)
+        return near.reshape(d.shape[:-1] + (k,))
     near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
     return near[d[near].argsort(kind="stable")[:k]]
 

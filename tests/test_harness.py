@@ -249,6 +249,7 @@ _SHORT_ROWS = {
     "negative-gamma": (_CRR_ONLINE, ["--gamma", "-0.1"]),
     "negative-ridge-a": (_CRR_ONLINE, ["--ridge-a", "-1"]),
     "infinite-drift": (_CRR_ONLINE, ["--drift", "inf"]),
+    "standardize-warmup1": ([*_CRR_ONLINE, "--standardize"], ["--warmup", "1"]),
 }
 _BAD_INVOCATIONS = {
     "reg-predictor-online": ["online", "--dataset", "synth-reg", "--predictor", "icp-reg",

@@ -168,6 +168,14 @@ def test_calibration_scores_are_true_label_complements():
     assert scores == pytest.approx([0.6, 0.8])  # 1 - (0.4, 0.2)
 
 
+def test_calibration_scores_refuse_unknown_label():
+    # a label outside the scorer's label space used to raise a bare
+    # KeyError from the column lookup
+    scorer = KnnClassScorer(k=1).fit(np.array([[0.0], [1.0]]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="calibration label 7"):
+        calibration_scores(scorer, np.array([[0.5], [0.2]]), np.array([1, 7]))
+
+
 def test_calibration_residuals_are_absolute():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.arange(1.0, 11.0)

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from aci_lab.core import derive_rng
 from aci_lab.inductive import KnnClassScorer
-from aci_lab.numerics import (ceil_index, empirical_quantile, floor_index,
+from aci_lab import numerics
+from aci_lab.numerics import (ceil_index, distances, empirical_quantile, floor_index,
                               k_nearest, k_smallest, sq_distances, student_t_quantile)
 from oracles import t_cdf_by_integration
 
@@ -124,6 +125,57 @@ def test_k_nearest_matches_stable_argsort():
                 assert got.shape == want.shape and np.array_equal(got, want), (n, k)
                 for row, want_row in zip(values, want):
                     assert np.array_equal(k_nearest(row, k), want_row), (n, k)
+
+
+def test_distances_table_matches_rows():
+    # the table sums each row's squared differences in numpy's own
+    # pairwise order, so every row must be bit-equal to the one-row call;
+    # these p reach every branch of that order (sequential below 8, the
+    # eight-accumulator tree with and without a remainder up to 128, and
+    # the split into halves above), and the last m spans several blocks
+    rng = derive_rng(6, "distance-table")
+    n = 40
+    for p in (*range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257, 300):
+        step = max(1, numerics._BLOCK // (p * n))
+        for m in (1, 2, 7, 2 * step + 3):
+            for A, Q in (
+                    (rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=(n, p)),
+                     rng.normal(size=(m, p)) * 10.0 ** rng.integers(-3, 4, size=(m, p))),
+                    (rng.integers(0, 4, size=(n, p)) * 0.3,
+                     rng.integers(0, 4, size=(m, p)) * 0.3)):
+                table = distances(A, Q)
+                assert table.shape == (m, n)
+                for i in range(m):
+                    assert np.array_equal(table[i], distances(A, Q[i])), (p, m, i)
+    A, Q = rng.normal(size=(n, 3)), rng.normal(size=(5, 3))
+    for bad in (np.nan, np.inf):
+        Q_bad, A_bad = Q.copy(), A.copy()
+        Q_bad[3, 1], A_bad[17, 2] = bad, bad
+        with pytest.raises(ValueError, match="non-finite"):
+            distances(A, Q_bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            distances(A_bad, Q)
+
+
+def test_k_nearest_matrix_mixes_tied_and_plain_rows():
+    # rows whose k-th value is tied with a later entry take the one-row
+    # route, the others the whole-matrix selection; one matrix mixes both
+    rng = derive_rng(7, "k-nearest-mixed")
+    n = 12
+    for k in (1, 2, 5, n - 1, n, n + 3):
+        D = rng.normal(size=(9, n))
+        if k < n:
+            for i in (0, 4, 5, 8):
+                row = D[i]
+                order = np.argsort(row, kind="stable")
+                row[order[-1]] = row[order[k - 1]]  # a tie across the k-th value
+            cand = (D <= np.sort(D, axis=1)[:, k - 1:k]).sum(axis=1)
+            assert (cand > k).sum() == 4 and (cand == k).sum() == 5
+        want = np.argsort(D, axis=-1, kind="stable")[:, :k]
+        got = k_nearest(D, k)
+        assert got.shape == want.shape and np.array_equal(got, want), k
+        assert np.array_equal(k_nearest(D.reshape(3, 3, n), k),
+                              want.reshape(3, 3, -1)), k
 
 
 def test_sq_distances_refuse_overflow():
