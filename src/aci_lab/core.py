@@ -229,7 +229,8 @@ class ExampleBuffer:
 
 class KnnHistoryPredictor(SetPredictor):
     """Online k-NN classifier plumbing: neighbour count, declared label
-    space and an integer-labelled history.  Subclasses supply ``_predict``."""
+    space, an integer-labelled history and its rows' squared norms for
+    the Gram screen (``_row_norms``).  Subclasses supply ``_predict``."""
 
     task = CLASSIFICATION
 
@@ -242,9 +243,25 @@ class KnnHistoryPredictor(SetPredictor):
         if not self.label_space:
             raise ValueError("label space is empty")
         self._hist = ExampleBuffer(label_dtype=int)
+        # Entries [0, _normed) hold squared row norms; capacity doubles.
+        self._sq = np.empty(0)
+        self._normed = 0
 
     def _observe(self, x, y):
         self._hist.append(x, self._check_label(y))
+
+    def _row_norms(self) -> np.ndarray:
+        """Squared norms of the history rows, filled for the rows appended
+        since the last call only, so ``observe`` stays a plain append."""
+        X = self._hist.X
+        n, done = X.shape[0], self._normed
+        if n > self._sq.shape[0]:
+            grown = np.empty(max(8, 1 << (n - 1).bit_length()))
+            grown[:done] = self._sq[:done]
+            self._sq = grown
+        self._sq[done:n] = np.einsum("ij,ij->i", X[done:], X[done:])
+        self._normed = n
+        return self._sq[:n]
 
     def _check_label(self, y) -> int:
         y = int(y)

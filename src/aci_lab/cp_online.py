@@ -19,7 +19,7 @@ import numpy as np
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
                    PredictionSet, RidgeHistoryPredictor, boundary_set)
 from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_index,
-                       k_smallest)
+                       gram_screen, k_smallest, kth_bound, screened_distances)
 
 
 def p_value(scores, candidate_score: float) -> float:
@@ -246,8 +246,10 @@ class CachedKnnConformalClassifier(KnnHistoryPredictor):
     distances (within the history) are cached as examples arrive, so
     scoring a candidate completion only has to merge the candidate's
     distance into each row: O(n*k) per step instead of O(n^2).
-    Predictions agree exactly with rescoring the bag from direct
-    distances, ties included.
+    ``observe`` gives a direct distance only to the rows that the Gram
+    screen cannot rule out (``gram_screen``), so every cached value is a
+    direct one.  Predictions agree exactly with rescoring the bag from
+    direct distances, ties included.
     """
 
     def __init__(self, k: int, label_space):
@@ -270,8 +272,17 @@ class CachedKnnConformalClassifier(KnnHistoryPredictor):
             self._same = np.concatenate([self._same, np.full_like(self._same, np.inf)])
             self._diff = np.concatenate([self._diff, np.full_like(self._diff, np.inf)])
         if n_hist:
-            d = distances(self._hist.X, x)
+            X, k = self._hist.X, self.k
             is_same = self._hist.y == y
+            # Row i changes only where x comes nearer than its cached k-th
+            # value on x's side, and x's own top k on each side lies within
+            # that side's kth_bound; rows certified beyond both get +inf.
+            g, slack = gram_screen(X, self._row_norms(), x)
+            same_k = kth_bound(g[is_same], slack[is_same], k)
+            diff_k = kth_bound(g[~is_same], slack[~is_same], k)
+            thr = np.where(is_same, np.maximum(self._same[:n_hist, -1], same_k),
+                           np.maximum(self._diff[:n_hist, -1], diff_k))
+            d = screened_distances(X, x, g, slack, thr)
             _merge_rows(self._same[:n_hist], d, is_same)
             _merge_rows(self._diff[:n_hist], d, ~is_same)
             own = k_smallest(np.where([is_same, ~is_same], d, np.inf), self.k)

@@ -19,8 +19,8 @@ import numpy as np
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
                    PredictionSet, RidgeHistoryPredictor, boundary_set)
 from .inductive import _labels_above
-from .numerics import (NumericError, RidgeSystem, distances, k_nearest, student_t_quantile,
-                       vote_shares)
+from .numerics import (NumericError, RidgeSystem, distances, k_nearest, screened_nearest,
+                       student_t_quantile, vote_shares)
 
 
 def knn_vote_shares(hist_X, hist_y, x, k: int, label_space) -> np.ndarray:
@@ -101,11 +101,15 @@ def _ols_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
 
 
 class KnnThresholdClassifier(KnnHistoryPredictor):
-    """Online vote-share thresholding over the full history."""
+    """Online vote-share thresholding over the full history: the sets of
+    :func:`knn_threshold_predict`, with the k nearest found through the
+    Gram screen (``screened_nearest``)."""
 
     def _predict(self, x, eps):
-        return knn_threshold_predict(self._hist.X, self._hist.y,
-                                     x, eps, self.k, self.label_space)
+        X = self._hist.X
+        near = screened_nearest(X, self._row_norms(), x, self.k)
+        shares = vote_shares(self._hist.y[near], self.label_space)
+        return _labels_above(shares, self.label_space, eps)
 
 
 class OlsIntervalPredictor(RidgeHistoryPredictor):

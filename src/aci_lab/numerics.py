@@ -5,15 +5,20 @@ path over a Gram matrix the caller may keep up to date; Student-t
 quantiles come from scipy's ``stdtrit``; empirical quantiles use the
 ceiling (worst-case) convention throughout the package.  Every k-NN
 route finds neighbours through the same kernels: the direct
-``distances`` (one query row, as the online predictors and knn-cp's
-pairwise matrix use it, or one block search over a matrix of queries,
-as the offline regression scorer uses it, whose rows are bit-equal to
-single-query searches), the Gram-expansion ``sq_distances`` (the
-offline class scorer's query-by-training products only), ``k_smallest``
-values or ``k_nearest`` indices, and ``vote_shares``.  ``k_nearest``
-selects by one partition plus a stable sort of the candidates at or
-below the k-th value, so ties at that value keep "earlier index wins";
-it needs finite input, which every distance kernel here guarantees.
+``distances`` (one query row, as knn-cp's pairwise matrix uses it, or
+one block search over a matrix of queries, as the offline regression
+scorer uses it, whose rows are bit-equal to single-query searches), the
+Gram screen of the online predictors (``gram_screen``, ``kth_bound``,
+``screened_distances`` and ``screened_nearest``: one matrix-vector
+product and a rounding-error bound rule out the rows that cannot
+matter, and the rest get the direct ``distances`` row, so every value
+that reaches an output is the direct one), the Gram-expansion
+``sq_distances`` (the offline class scorer's query-by-training products
+only), ``k_smallest`` values or ``k_nearest`` indices, and
+``vote_shares``.  ``k_nearest`` selects by one partition plus a stable
+sort of the candidates at or below the k-th value, so ties at that
+value keep "earlier index wins"; it needs finite input, which every
+distance kernel here guarantees.
 """
 
 import math
@@ -104,6 +109,9 @@ def empirical_quantile(values, q: float) -> float:
 # Elements of the (p, B, n) difference block in one table step (512 KB).
 _BLOCK = 1 << 16
 
+# Unit roundoff of float64.
+_U = 2.0 ** -53
+
 
 def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Euclidean distance from ``x`` to every row of ``A``: an (n,) array
@@ -111,24 +119,111 @@ def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     A table works through blocks of queries against one feature-major
     copy of A and sums the squared differences with ``_pairwise_sum``, so
-    every table row is bit-equal to the one-row call.  A non-finite row
-    or query always gives a non-finite distance, so one reduction over
-    the outputs turns bad features into a ValueError.
+    every table row is bit-equal to the one-row call.  Where one query's
+    block alone passes ``_BLOCK`` (p * n > 2^16) blocks gain nothing, and
+    the table is built from one-row calls.  A non-finite row or query, or
+    finite features whose squared differences overflow, give a
+    non-finite distance, so one reduction over the outputs turns them
+    into a ValueError (and no numpy warning).
     """
-    if x.ndim != 2:
-        d = np.sqrt(np.sum((A - x) ** 2, axis=1))
-    else:
-        AT = np.ascontiguousarray(A.T)
-        p, n = AT.shape
-        step = max(1, _BLOCK // max(p * n, 1))
-        d = np.empty((x.shape[0], n))
-        for lo in range(0, x.shape[0], step):
-            QT = x[lo:lo + step].T
-            block = np.subtract(AT[:, None, :], QT[:, :, None])
-            d[lo:lo + step] = np.sqrt(_pairwise_sum(np.square(block, out=block)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.ndim != 2:
+            d = np.sqrt(np.sum((A - x) ** 2, axis=1))
+        elif A.size > _BLOCK:
+            d = np.array([distances(A, q) for q in x]).reshape(x.shape[0], A.shape[0])
+        else:
+            AT = np.ascontiguousarray(A.T)
+            p, n = AT.shape
+            step = max(1, _BLOCK // max(p * n, 1))
+            d = np.empty((x.shape[0], n))
+            for lo in range(0, x.shape[0], step):
+                QT = x[lo:lo + step].T
+                block = np.subtract(AT[:, None, :], QT[:, :, None])
+                d[lo:lo + step] = np.sqrt(_pairwise_sum(np.square(block, out=block)))
     if not np.isfinite(d.sum()):
-        raise ValueError("features contain non-finite values")
+        raise ValueError("features contain non-finite values or values too large "
+                         "for distances")
     return d
+
+
+def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray):
+    """Certified bounds on the direct distances from ``x`` to the rows of
+    ``A`` from one matrix-vector product: ``(g, slack)`` with
+    g = sq + x.x - 2 A x, where ``sq`` holds the rows' squared norms
+    (summed in any order), such that the sum of squared differences D
+    that ``distances`` takes the root of lies within g -/+ slack, with
+    room to spare for the roundings of the tests made from them.
+
+    The bound.  Let u = 2^-53, gamma_m = m u / (1 - m u) and s the exact
+    squared distance |a - x|^2.  For any summation order (BLAS blocking
+    and fused multiply-adds included) sq, x.x and 2 a.x are within
+    gamma_p |a|^2, gamma_p |x|^2 and gamma_p (|a|^2 + |x|^2) of their
+    exact values, and two more roundings follow, so |g - s| <=
+    2 gamma_{p+4} (|a|^2 + |x|^2); the direct sum has |D - s| <=
+    gamma_{p+2} s, and s <= 2 (|a|^2 + |x|^2).  Hence, for (p + 4) u <= 1/2,
+
+        |D - g| <= 8 (p + 4) u (|a|^2 + |x|^2).
+
+    slack = 16 (p + 4) (u (sq + x.x) + 2^-1022) is twice that (|a|^2 +
+    |x|^2 exceeds sq + x.x by a factor 1 + gamma_p at most).  The spare
+    half covers the roundings of slack, of g -/+ slack and of the
+    threshold tests in ``screened_distances`` and ``kth_bound``; the
+    2^-1022 term covers the absolute error of results that underflow.
+
+    Fallback.  When max(sq) + x.x >= 2^1020 a direct squared difference
+    may overflow; then slack is +inf, no row is ruled out, and every
+    row takes the direct route (and its ValueError).  Below that limit
+    g is finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = sq + x @ x
+        if not norms.max() < 2.0 ** 1020:
+            return np.zeros(A.shape[0]), np.full(A.shape[0], np.inf)
+        g = norms - 2.0 * (A @ x)
+    c = 16.0 * (A.shape[1] + 4)
+    return g, (c * _U) * norms + c * 2.0 ** -1022
+
+
+def kth_bound(g: np.ndarray, slack: np.ndarray, k: int) -> float:
+    """A distance T >= the k-th smallest direct distance over the rows
+    screened by ``(g, slack)`` of :func:`gram_screen`: the square root of
+    the k-th smallest g + slack.  Each of those k rows has a direct sum
+    D <= g + slack even after that sum is rounded (the slack's spare
+    half), and a rounded square root is monotone.  +inf with fewer than
+    k rows.  A row certified farther than T can neither be among the k
+    nearest nor tie with the k-th."""
+    if g.shape[0] < k:
+        return math.inf
+    return math.sqrt(np.partition(g + slack, k - 1)[k - 1])
+
+
+def _within(g: np.ndarray, slack: np.ndarray, thr) -> np.ndarray:
+    """Rows whose direct distance may be <= ``thr``: the others have
+    g - slack > thr^2 (1 + 4u), enough that even the rounded square
+    root of their direct sum exceeds thr.  A NaN keeps its row."""
+    return ~(g - slack > thr * thr * (1.0 + 4.0 * _U))
+
+
+def screened_distances(A: np.ndarray, x: np.ndarray, g: np.ndarray, slack: np.ndarray,
+                       thr) -> np.ndarray:
+    """``distances(A, x)``, bit for bit, at every row whose direct distance
+    may be <= ``thr`` (a scalar or one value per row); +inf at the rows
+    that the screen ``(g, slack)`` of :func:`gram_screen` certifies
+    farther."""
+    keep = _within(g, slack, thr)
+    d = np.full(A.shape[0], np.inf)
+    d[keep] = distances(A[keep], x)
+    return d
+
+
+def screened_nearest(A: np.ndarray, sq: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """``k_nearest(distances(A, x), k)`` through the Gram screen: only the
+    rows not certified farther than :func:`kth_bound` get a direct
+    distance.  They are searched in index order, so of equal distances
+    the earlier index still wins; ``sq`` holds the rows' squared norms."""
+    g, slack = gram_screen(A, sq, x)
+    cand = _within(g, slack, kth_bound(g, slack, k)).nonzero()[0]
+    return cand[k_nearest(distances(A[cand], x), k)]
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:

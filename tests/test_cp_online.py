@@ -6,8 +6,9 @@ import pytest
 
 from aci_lab.core import derive_rng
 from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
-                               KnnConformalClassifier, crr_predict,
-                               knn_cp_predict, knn_nonconformity, p_value)
+                               KnnConformalClassifier, _fill_distances, _neighbor_rows,
+                               crr_predict, knn_cp_predict, knn_nonconformity, p_value)
+from aci_lab.data import StreamSpec, make_stream
 from aci_lab.numerics import NumericError, distances
 from oracles import crr_grid_oracle
 
@@ -224,6 +225,39 @@ def test_online_class_agrees_with_direct_function(cls):
             want = knn_cp_predict(X[:i], y[:i], X[i], eps, k, [0, 1, 2])
             assert got.labels == want.labels, f"step {i} k={k}"
             pred.observe(X[i], int(y[i]))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("labels", ["digits", "one-rare", "one-class"])
+def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
+    # 256 features, where observe finds the rows a new example changes
+    # through the Gram screen: after every observe the caches equal a
+    # fresh rescoring of the direct distance matrix bit for bit, and
+    # every set equals the one-shot knn_cp_predict.  Label mixes cover
+    # 10 labels, a label with fewer than k examples, and a single-class
+    # history; with a 1e8 offset the screen's slack admits every row.
+    ds = make_stream(StreamSpec(kind="cluster-classification", n=70, p=256, seed=4,
+                                n_classes=10, class_sep=3.5))
+    X, y = ds.X + offset, ds.y.copy()
+    if labels == "one-rare":
+        y[y == 1] = 0
+        y[[10, 40]] = 1
+    elif labels == "one-class":
+        y[:] = 2
+    pred = CachedKnnConformalClassifier(k=k, label_space=ds.label_space)
+    dist = np.empty((70, 70))
+    for i in range(70):
+        if i >= 5:
+            for eps in (0.05, 0.3):
+                want = knn_cp_predict(X[:i], y[:i], X[i], eps, k, ds.label_space)
+                assert pred.predict(X[i], eps).labels == want.labels, (i, eps)
+        pred.observe(X[i], int(y[i]))
+        _fill_distances(dist, X, i)
+        same, diff = _neighbor_rows(dist[:i + 1, :i + 1], y[:i + 1], k)
+        width = same.shape[1]
+        assert np.array_equal(pred._same[:i + 1, :width], same), i
+        assert np.array_equal(pred._diff[:i + 1, :width], diff), i
 
 
 def test_online_class_rejects_unknown_label():

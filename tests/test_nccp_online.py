@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aci_lab.core import derive_rng
+from aci_lab.data import StreamSpec, make_stream
 from aci_lab.cp_online import crr_predict, knn_cp_predict, knn_nonconformity
 from aci_lab.inductive import KnnClassScorer, KnnQuantileScorer
 from aci_lab.nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
@@ -137,6 +138,28 @@ def test_threshold_classifier_class_matches_function():
         want = knn_threshold_predict(X[:i], y[:i], X[i], 0.3, 3, [0, 1])
         assert got.labels == want.labels
         pred.observe(X[i], int(y[i]))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+@pytest.mark.parametrize("k", [1, 20])
+def test_threshold_classifier_at_digits_shape_matches_function(k, offset):
+    # 256 features and 10 labels, where the Gram screen does the search:
+    # every set equals the one-shot oracle's, from a history shorter than
+    # k on; with a 1e8 offset the screen's slack admits every row.  The
+    # row norms are filled by predict only, across capacity doublings.
+    ds = make_stream(StreamSpec(kind="cluster-classification", n=90, p=256, seed=3,
+                                n_classes=10, class_sep=3.5))
+    X, y = ds.X + offset, ds.y
+    pred = KnnThresholdClassifier(k=k, label_space=ds.label_space)
+    pred.observe(X[0], int(y[0]))
+    for i in range(1, 90):
+        assert pred._normed < i
+        for eps in (0.05, 0.2):
+            want = knn_threshold_predict(X[:i], y[:i], X[i], eps, k, ds.label_space)
+            assert pred.predict(X[i], eps).labels == want.labels, (i, eps)
+        assert pred._normed == i
+        pred.observe(X[i], int(y[i]))
+    assert pred._sq.shape == (128,)
 
 
 def test_ols_predictor_class_matches_function():

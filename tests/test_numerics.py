@@ -8,8 +8,11 @@ from hypothesis import given, strategies as st
 from aci_lab.core import derive_rng
 from aci_lab.inductive import KnnClassScorer
 from aci_lab import numerics
+from aci_lab.nccp_online import KnnThresholdClassifier
 from aci_lab.numerics import (ceil_index, distances, empirical_quantile, floor_index,
-                              k_nearest, k_smallest, sq_distances, student_t_quantile)
+                              gram_screen, k_nearest, k_smallest, kth_bound,
+                              screened_distances, screened_nearest, sq_distances,
+                              student_t_quantile)
 from oracles import t_cdf_by_integration
 
 
@@ -147,6 +150,13 @@ def test_distances_table_matches_rows():
                 assert table.shape == (m, n)
                 for i in range(m):
                     assert np.array_equal(table[i], distances(A, Q[i])), (p, m, i)
+    # one query's block alone passes the bound: the table is row calls
+    A, Q = rng.normal(size=(300, 256)), rng.normal(size=(3, 256))
+    assert A.size > numerics._BLOCK
+    table = distances(A, Q)
+    assert table.shape == (3, 300)
+    for i in range(3):
+        assert np.array_equal(table[i], distances(A, Q[i]))
     A, Q = rng.normal(size=(n, 3)), rng.normal(size=(5, 3))
     for bad in (np.nan, np.inf):
         Q_bad, A_bad = Q.copy(), A.copy()
@@ -188,3 +198,82 @@ def test_sq_distances_refuse_overflow():
             sq_distances(Q, A)
         with pytest.raises(ValueError, match="not finite"):
             KnnClassScorer(2).fit(A, np.array([0, 0, 1])).class_scores(Q[0])
+
+
+def test_distances_refuse_overflow():
+    # finite features whose squared differences overflow raise the
+    # distance error (naming too-large values) without a numpy warning,
+    # directly, as a table, and through the screened online search
+    A, x = np.array([[1e200, 0.0], [0.0, 1.0]]), np.array([-1e200, 0.0])
+    pred = KnnThresholdClassifier(1, [0, 1])
+    pred.observe(A[0], 0)
+    pred.observe(A[1], 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: distances(A, x), lambda: distances(A, x[None, :]),
+                     lambda: screened_nearest(A, np.einsum("ij,ij->i", A, A), x, 1),
+                     lambda: pred.predict(x, 0.5)):
+            with pytest.raises(ValueError, match="non-finite values or values too large"):
+                call()
+
+
+def _screen_cases(rng, n, p):
+    """(A, x) families where the Gram values are least trustworthy:
+    random rows, integer grids (exact ties) plain and scaled by 0.3,
+    duplicated rows, one-ulp neighbours, a 1e8 offset, wildly mixed row
+    scales, values whose squares underflow, and values whose squares
+    overflow though their differences do not (the screen falls back)."""
+    yield rng.normal(size=(n, p)), rng.normal(size=p)
+    yield rng.integers(0, 3, size=(n, p)) * 1.0, rng.integers(0, 3, size=p) * 1.0
+    yield rng.integers(0, 3, size=(n, p)) * 0.3, rng.integers(0, 3, size=p) * 0.3
+    A = rng.normal(size=(n, p))
+    A[n // 2:] = A[:n - n // 2]
+    yield A, A[0].copy()
+    x = rng.normal(size=p)
+    A = np.tile(x, (n, 1))
+    A[:, 0] = np.nextafter(x[0], x[0] + rng.random(n) - 0.5)
+    yield A, x
+    A = rng.normal(size=(n, p)) + 1e8
+    yield A, A[-1] + 1e-8
+    A = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-150, 150, size=(n, 1))
+    yield A, A[0] * (1 + 1e-15)
+    A = rng.normal(size=(n, p)) * 1e-160
+    yield A, A[-1].copy()
+    yield rng.normal(size=(n, p)) + 1e160, rng.normal(size=p) + 1e160
+
+
+def test_screened_search_equals_direct_search():
+    # the screen only rules rows out: every kept value is the direct
+    # distance bit for bit, every ruled-out row is truly farther than the
+    # threshold, kth_bound bounds the k-th direct distance, and the
+    # screened k nearest are the direct ones, ties included
+    rng = derive_rng(8, "gram-screen")
+    for p in (1, 2, 3, 7, 8, 9, 16, 31, 64, 129, 256):
+        for n in (1, 2, 5, 30, 200):
+            for A, x in _screen_cases(rng, n, p):
+                sq = np.einsum("ij,ij->i", A, A)
+                d = distances(A, x)
+                g, slack = gram_screen(A, sq, x)
+                for k in sorted({1, 2, 5, 20, n, n + 1}):
+                    assert np.array_equal(screened_nearest(A, sq, x, k),
+                                          k_nearest(d, k)), (p, n, k)
+                    bound = kth_bound(g, slack, k)
+                    assert bound >= np.sort(d)[k - 1] if k <= n else bound == math.inf
+                    for thr in (bound, d[0], rng.choice(d, size=n)):
+                        got = screened_distances(A, x, g, slack, thr)
+                        kept = got < np.inf
+                        assert np.array_equal(got[kept], d[kept]), (p, n, k)
+                        assert np.all(d[~kept] > np.broadcast_to(thr, d.shape)[~kept])
+
+
+def test_screen_rules_out_far_rows():
+    # on well-separated rows the screen spares most direct distances;
+    # with a 1e8 offset at p = 256 the slack admits every row
+    rng = derive_rng(9, "gram-screen-prunes")
+    A, x = rng.normal(size=(200, 8)), rng.normal(size=8)
+    g, slack = gram_screen(A, np.einsum("ij,ij->i", A, A), x)
+    assert np.count_nonzero(screened_distances(A, x, g, slack,
+                                               kth_bound(g, slack, 5)) < np.inf) < 20
+    A = rng.normal(size=(50, 256)) + 1e8
+    g, slack = gram_screen(A, np.einsum("ij,ij->i", A, A), A[0] + 1.0)
+    assert np.all(screened_distances(A, A[0] + 1.0, g, slack, kth_bound(g, slack, 1)) < np.inf)

@@ -75,6 +75,14 @@ def commands():
                                             "--k", k, "--n", "1000", "--p", "8",
                                             "--seeds", "0,1", "--cal-fractions",
                                             "0.1,0.5,0.9", "--delta", "0.05"]))
+    # knn-nccp at the benchmark's digits shape (256 features, 10 labels,
+    # history 2000), where the Gram screen rules out most rows
+    for k in ("20", "1"):
+        cmds.append((f"knn-nccp-digits-k{k}", ["online", "--dataset", "synth-class",
+                                               "--predictor", "knn-nccp", "--p", "256",
+                                               "--n-classes", "10", "--class-sep", "3.5",
+                                               "--n", "2200", "--warmup", "2000",
+                                               "--k", k]))
     return cmds
 
 
