@@ -15,13 +15,13 @@ produce sets nested in eps.
 import numpy as np
 
 from .core import CLASSIFICATION, REGRESSION, PredictionSet, boundary_set
-from .numerics import (ceil_index, distances, empirical_quantile, k_nearest,
-                       sq_distances, vote_shares)
+from .numerics import ceil_index, empirical_quantile, screened_nearest, vote_shares
 
 
 class _KnnScorer:
-    """Shared k-NN scorer plumbing: the neighbour count, the fit checks and
-    the fitted training set."""
+    """Shared k-NN scorer plumbing: the neighbour count, the fit and query
+    checks, the fitted training set with its rows' squared norms, and the
+    one neighbour search both scorers use."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -42,11 +42,23 @@ class _KnnScorer:
             raise ValueError("training features contain non-finite values")
         self._X = X
         self._y = y
+        self._sq = np.einsum("ij,ij->i", X, X)
 
-    def _fitted(self) -> np.ndarray:
+    def _nearest(self, x) -> np.ndarray:
+        """Training indices of the k nearest rows, nearest first, ties to
+        the earlier index: a (k,) array for one feature vector, an (m, k)
+        table for a matrix of them (``screened_nearest``, so every row
+        equals the direct search)."""
         if self._X is None:
             raise ValueError("scorer is not fitted")
-        return self._X
+        x = np.asarray(x, dtype=float)
+        p = self._X.shape[1]
+        if x.ndim not in (1, 2) or x.shape[-1] != p:
+            raise ValueError(f"query has {x.shape[-1] if x.ndim else 0} features, "
+                             f"the scorer was fitted on {p}")
+        if not np.isfinite(x).all():
+            raise ValueError("query features contain non-finite values")
+        return screened_nearest(self._X, self._sq, x, self.k)
 
 
 class KnnClassScorer(_KnnScorer):
@@ -70,15 +82,7 @@ class KnnClassScorer(_KnnScorer):
         return self
 
     def class_scores(self, x) -> np.ndarray:
-        X = self._fitted()
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        if not np.isfinite(x).all():
-            raise ValueError("query features contain non-finite values")
-        votes = self._y[k_nearest(sq_distances(x, X), self.k)]
-        shares = vote_shares(votes, self.label_space)
-        return shares[0] if single else shares
+        return vote_shares(self._y[self._nearest(x)], self.label_space)
 
 
 class KnnQuantileScorer(_KnnScorer):
@@ -93,12 +97,10 @@ class KnnQuantileScorer(_KnnScorer):
 
     def neighbour_labels(self, x) -> np.ndarray:
         """The k nearest training labels, nearest first: a (k,) array for
-        one feature vector, an (m, k) table for a matrix of them.  A
-        matrix is one block search whose rows are bit-equal to single-query
-        searches, ties included (the earlier training index wins).
+        one feature vector, an (m, k) table for a matrix of them; ties go
+        to the earlier training index.
         """
-        X = self._fitted()
-        return self._y[k_nearest(distances(X, np.asarray(x, dtype=float)), self.k)]
+        return self._y[self._nearest(x)]
 
     def point(self, x) -> float:
         return float(np.mean(self.neighbour_labels(x)))

@@ -4,21 +4,20 @@ Ridge/least-squares systems are solved through one SPD factorisation
 path over a Gram matrix the caller may keep up to date; Student-t
 quantiles come from scipy's ``stdtrit``; empirical quantiles use the
 ceiling (worst-case) convention throughout the package.  Every k-NN
-route finds neighbours through the same kernels: the direct
-``distances`` (one query row, as knn-cp's pairwise matrix uses it, or
-one block search over a matrix of queries, as the offline regression
-scorer uses it, whose rows are bit-equal to single-query searches), the
-Gram screen of the online predictors (``gram_screen``, ``kth_bound``,
-``screened_distances`` and ``screened_nearest``: one matrix-vector
-product and a rounding-error bound rule out the rows that cannot
-matter, and the rest get the direct ``distances`` row, so every value
-that reaches an output is the direct one), the Gram-expansion
-``sq_distances`` (the offline class scorer's query-by-training products
-only), ``k_smallest`` values or ``k_nearest`` indices, and
-``vote_shares``.  ``k_nearest`` selects by one partition plus a stable
-sort of the candidates at or below the k-th value, so ties at that
-value keep "earlier index wins"; it needs finite input, which every
-distance kernel here guarantees.
+route finds neighbours through the same kernels: ``distances``, the
+one distance definition (one query row against every row, or paired
+rows; knn-cp's pairwise matrix uses the first), the Gram screen
+(``gram_screen``, ``kth_bound``, ``screened_distances`` and
+``screened_nearest``: one matrix product and a rounding-error bound
+rule out the rows that cannot matter, and the rest get the direct
+``distances`` value, so every value that reaches an output is the
+direct one), ``k_smallest`` values or ``k_nearest`` indices, and
+``vote_shares``.  ``screened_nearest`` searches one query row (the
+online predictors) or a matrix of them in blocks of about 2^14 (query,
+row) pairs (the offline scorers' tables).  ``k_nearest`` selects by
+one partition plus a stable sort of the candidates at or below the
+k-th value, so ties at that value keep "earlier index wins"; it needs
+finite input, which every distance kernel here guarantees.
 """
 
 import math
@@ -106,40 +105,27 @@ def empirical_quantile(values, q: float) -> float:
     return float(arr[idx - 1])
 
 
-# Elements of the (p, B, n) difference block in one table step (512 KB).
-_BLOCK = 1 << 16
+# (query, row) pairs screened at once in a matrix search: 2^14 Gram
+# values (128 KB) per block.
+_PAIRS = 1 << 14
 
 # Unit roundoff of float64.
 _U = 2.0 ** -53
 
 
 def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean distance from ``x`` to every row of ``A``: an (n,) array
-    for one query row, an (m, n) table for a matrix of them.
-
-    A table works through blocks of queries against one feature-major
-    copy of A and sums the squared differences with ``_pairwise_sum``, so
-    every table row is bit-equal to the one-row call.  Where one query's
-    block alone passes ``_BLOCK`` (p * n > 2^16) blocks gain nothing, and
-    the table is built from one-row calls.  A non-finite row or query, or
-    finite features whose squared differences overflow, give a
+    """Euclidean distance from ``x`` to every row of ``A`` for one query
+    row, or from each row of ``A`` to the same row of ``x`` for one query
+    per row: ``sqrt(sum((A - x)**2, axis=1))``, the package's only
+    distance definition.  numpy sums each contiguous row of the
+    differences in one order whatever the row count, so a paired row is
+    bit-equal to the one-row call for its query.  A non-finite row or
+    query, or finite features whose squared differences overflow, give a
     non-finite distance, so one reduction over the outputs turns them
     into a ValueError (and no numpy warning).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if x.ndim != 2:
-            d = np.sqrt(np.sum((A - x) ** 2, axis=1))
-        elif A.size > _BLOCK:
-            d = np.array([distances(A, q) for q in x]).reshape(x.shape[0], A.shape[0])
-        else:
-            AT = np.ascontiguousarray(A.T)
-            p, n = AT.shape
-            step = max(1, _BLOCK // max(p * n, 1))
-            d = np.empty((x.shape[0], n))
-            for lo in range(0, x.shape[0], step):
-                QT = x[lo:lo + step].T
-                block = np.subtract(AT[:, None, :], QT[:, :, None])
-                d[lo:lo + step] = np.sqrt(_pairwise_sum(np.square(block, out=block)))
+        d = np.sqrt(np.sum((A - x) ** 2, axis=1))
     if not np.isfinite(d.sum()):
         raise ValueError("features contain non-finite values or values too large "
                          "for distances")
@@ -148,11 +134,12 @@ def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray):
     """Certified bounds on the direct distances from ``x`` to the rows of
-    ``A`` from one matrix-vector product: ``(g, slack)`` with
-    g = sq + x.x - 2 A x, where ``sq`` holds the rows' squared norms
-    (summed in any order), such that the sum of squared differences D
-    that ``distances`` takes the root of lies within g -/+ slack, with
-    room to spare for the roundings of the tests made from them.
+    ``A`` from one matrix product: ``(g, slack)`` with g = sq + x.x - 2 A x,
+    where ``sq`` holds the rows' squared norms (summed in any order), such
+    that the sum of squared differences D that ``distances`` takes the
+    root of lies within g -/+ slack, with room to spare for the roundings
+    of the tests made from them.  A matrix of queries gives one row of g
+    and slack per query.
 
     The bound.  Let u = 2^-53, gamma_m = m u / (1 - m u) and s the exact
     squared distance |a - x|^2.  For any summation order (BLAS blocking
@@ -170,31 +157,31 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray):
     threshold tests in ``screened_distances`` and ``kth_bound``; the
     2^-1022 term covers the absolute error of results that underflow.
 
-    Fallback.  When max(sq) + x.x >= 2^1020 a direct squared difference
-    may overflow; then slack is +inf, no row is ruled out, and every
-    row takes the direct route (and its ValueError).  Below that limit
-    g is finite.
+    Fallback.  When some sq + x.x >= 2^1020 a direct squared difference
+    may overflow; then every slack is +inf, no row is ruled out, and
+    every row takes the direct route (and its ValueError).  Below that
+    limit g is finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = sq + x @ x
+        norms = sq + np.einsum("...j,...j->...", x, x)[..., None]
         if not norms.max() < 2.0 ** 1020:
-            return np.zeros(A.shape[0]), np.full(A.shape[0], np.inf)
-        g = norms - 2.0 * (A @ x)
+            return np.zeros(norms.shape), np.full(norms.shape, np.inf)
+        g = norms - 2.0 * (x @ A.T)
     c = 16.0 * (A.shape[1] + 4)
     return g, (c * _U) * norms + c * 2.0 ** -1022
 
 
-def kth_bound(g: np.ndarray, slack: np.ndarray, k: int) -> float:
+def kth_bound(g: np.ndarray, slack: np.ndarray, k: int):
     """A distance T >= the k-th smallest direct distance over the rows
-    screened by ``(g, slack)`` of :func:`gram_screen`: the square root of
-    the k-th smallest g + slack.  Each of those k rows has a direct sum
-    D <= g + slack even after that sum is rounded (the slack's spare
-    half), and a rounded square root is monotone.  +inf with fewer than
-    k rows.  A row certified farther than T can neither be among the k
-    nearest nor tie with the k-th."""
-    if g.shape[0] < k:
-        return math.inf
-    return math.sqrt(np.partition(g + slack, k - 1)[k - 1])
+    screened by ``(g, slack)`` of :func:`gram_screen`, one per query along
+    the last axis: the square root of the k-th smallest g + slack.  Each
+    of those k rows has a direct sum D <= g + slack even after that sum
+    is rounded (the slack's spare half), and a rounded square root is
+    monotone.  +inf with fewer than k rows.  A row certified farther than
+    T can neither be among the k nearest nor tie with the k-th."""
+    if g.shape[-1] < k:
+        return np.full(g.shape[:-1], np.inf)
+    return np.sqrt(np.partition(g + slack, k - 1, axis=-1)[..., k - 1])
 
 
 def _within(g: np.ndarray, slack: np.ndarray, thr) -> np.ndarray:
@@ -217,47 +204,40 @@ def screened_distances(A: np.ndarray, x: np.ndarray, g: np.ndarray, slack: np.nd
 
 
 def screened_nearest(A: np.ndarray, sq: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """``k_nearest(distances(A, x), k)`` through the Gram screen: only the
-    rows not certified farther than :func:`kth_bound` get a direct
-    distance.  They are searched in index order, so of equal distances
-    the earlier index still wins; ``sq`` holds the rows' squared norms."""
-    g, slack = gram_screen(A, sq, x)
-    cand = _within(g, slack, kth_bound(g, slack, k)).nonzero()[0]
-    return cand[k_nearest(distances(A[cand], x), k)]
+    """``k_nearest(distances(A, x), k)`` through the Gram screen for one
+    query row x, and one such row per query for a matrix of them; ``sq``
+    holds the rows' squared norms.
 
+    One query: only the rows not certified farther than
+    :func:`kth_bound` get a direct distance.  They are searched in index
+    order, so of equal distances the earlier index still wins.
 
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in the order numpy's pairwise summation
-    takes along one contiguous row: sequential below 8 terms; up to 128,
-    eight interleaved accumulators, a fixed tree over them, then the
-    remainder in order; beyond that, two halves split at a multiple of 8.
+    A matrix is searched in blocks of about ``_PAIRS`` (query, row) pairs,
+    each screened by one matrix product.  Each kept pair of query i and
+    row j gets the paired direct distance of ``A[j]`` and ``x[i]``,
+    bit-equal to the one-row value.  Each query then selects by (distance, index): its
+    candidates, in index order and padded with +inf, are stable-sorted
+    along the row.
     """
-    p = a.shape[0]
-    if p < 8:
-        return np.add.reduce(a, axis=0)
-    if p > 128:
-        half = p // 2 - (p // 2) % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    whole = p - p % 8
-    r = np.add.reduce(a[:whole].reshape((whole // 8, 8) + a.shape[1:]), axis=0)
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(whole, p):
-        res += a[i]
-    return res
-
-
-def sq_distances(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of Q and of A by the
-    Gram expansion: one matrix product, but rounding may leave exact
-    duplicates slightly apart or slightly negative.  Finite features too
-    large for the expansion (squares beyond the float range) raise
-    ValueError instead of giving inf or nan distances."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = (np.sum(Q * Q, axis=1)[:, None] + np.sum(A * A, axis=1)[None, :]
-              - 2.0 * (Q @ A.T))
-    if not np.isfinite(d2).all():
-        raise ValueError("squared distances are not finite: features too large")
-    return d2
+    if x.ndim == 1:
+        g, slack = gram_screen(A, sq, x)
+        cand = _within(g, slack, kth_bound(g, slack, k)).nonzero()[0]
+        return cand[k_nearest(distances(A[cand], x), k)]
+    n = A.shape[0]
+    near = np.empty((x.shape[0], min(k, n)), dtype=np.intp)
+    step = max(1, _PAIRS // n)
+    for lo in range(0, x.shape[0], step):
+        Q = x[lo:lo + step]
+        g, slack = gram_screen(A, sq, Q)
+        keep = _within(g, slack, kth_bound(g, slack, k)[:, None])
+        qi, j = np.divmod(np.flatnonzero(keep), n)
+        counts = np.bincount(qi, minlength=Q.shape[0])
+        start = np.cumsum(counts) - counts
+        D = np.full((Q.shape[0], counts.max()), np.inf)
+        D[qi, np.arange(qi.shape[0]) - start[qi]] = distances(A[j], Q[qi])
+        order = D.argsort(axis=1, kind="stable")[:, :k]
+        near[lo:lo + step] = j[start[:, None] + order]
+    return near
 
 
 def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
@@ -270,31 +250,15 @@ def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def k_nearest(d: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the min(k, n) smallest distances along the last axis,
-    nearest first; of equal distances the earlier index wins (k >= 1,
-    finite d).
+    """Indices of the min(k, n) smallest of n distances, nearest first; of
+    equal distances the earlier index wins (k >= 1, finite d).
 
     One partition finds the k-th smallest value v; every entry <= v is a
     candidate, in index order, so all ties at v are kept, and a stable
-    sort of those few candidates gives the first k.  A matrix takes every
-    row with exactly k candidates at once; only a row where a tie crosses
-    v is selected on its own.
+    sort of those few candidates gives the first k.
     """
-    n = d.shape[-1]
-    if k >= n:
-        return np.argsort(d, axis=-1, kind="stable")
-    if d.ndim > 1:
-        D = d.reshape(-1, n)
-        cand = D <= np.partition(D, k - 1, axis=-1)[:, k - 1:k]
-        tied = cand.sum(axis=1) > k
-        cand[tied] = False
-        flat = cand.reshape(-1).nonzero()[0]
-        order = D.reshape(-1)[flat].reshape(-1, k).argsort(axis=1, kind="stable")
-        near = np.empty((D.shape[0], k), dtype=np.intp)
-        near[~tied] = np.take_along_axis(flat.reshape(-1, k) % n, order, axis=1)
-        for i in tied.nonzero()[0]:
-            near[i] = k_nearest(D[i], k)
-        return near.reshape(d.shape[:-1] + (k,))
+    if k >= d.shape[0]:
+        return np.argsort(d, kind="stable")
     near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
     return near[d[near].argsort(kind="stable")[:k]]
 

@@ -8,6 +8,7 @@ from aci_lab.inductive import (KnnClassScorer, KnnQuantileScorer,
                                calibration_residuals, calibration_scores,
                                icp_classify_predict, icp_regress_predict,
                                inccp_classify_predict, inccp_regress_predict)
+from aci_lab.numerics import distances, vote_shares
 
 
 def _small_scorer():
@@ -42,6 +43,53 @@ def test_neighbour_labels_batch_matches_single():
     for i in range(9):
         assert np.array_equal(table[i], scorer.neighbour_labels(X_test[i]))
         assert table[i].mean() == scorer.point(X_test[i])
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.3, 1.0])
+def test_scorers_match_direct_oracle_on_grid_ties(scale):
+    # integer grids scaled by 0.1, 0.3 or 1 make many distances tie
+    # exactly; both scorers, on a query matrix spanning several search
+    # blocks and on single rows, must pick the first k of a stable argsort
+    # of one-row distances, so the earlier training index wins every tie
+    rng = derive_rng(12, "scorer-grid-ties", scale)
+    for p in (2, 6, 8):
+        X = rng.integers(0, 4, size=(300, p)) * scale
+        y = rng.integers(0, 3, size=300)
+        Q = rng.integers(0, 4, size=(200, p)) * scale
+        for k in (1, 10):
+            near = np.array([np.argsort(distances(X, q), kind="stable")[:k] for q in Q])
+            want_shares = vote_shares(y[near], [0, 1, 2])
+            classes = KnnClassScorer(k).fit(X, y, label_space=[0, 1, 2])
+            labels = KnnQuantileScorer(k).fit(X, y * 1.0)
+            assert np.array_equal(classes.class_scores(Q), want_shares), (p, k)
+            assert np.array_equal(labels.neighbour_labels(Q), y[near] * 1.0), (p, k)
+            for i in range(0, 200, 7):
+                assert np.array_equal(classes.class_scores(Q[i]), want_shares[i]), (p, k, i)
+                assert np.array_equal(labels.neighbour_labels(Q[i]), y[near[i]] * 1.0), (p, k, i)
+
+
+@pytest.mark.parametrize("cls, search, width", [(KnnClassScorer, "class_scores", 3),
+                                                (KnnQuantileScorer, "neighbour_labels", 2)])
+def test_scorer_query_checks(cls, search, width):
+    # both scorers check queries in one place: a wrong feature count names
+    # both counts, a non-finite feature is refused alike, and an empty
+    # query matrix gives an empty result
+    with pytest.raises(ValueError, match="not fitted"):
+        getattr(cls(2), search)(np.zeros(3))
+    rng = derive_rng(13, "scorer-queries")
+    X, y = rng.normal(size=(20, 3)), rng.integers(0, 3, size=20)
+    search = getattr(cls(2).fit(X, y), search)
+    for bad in (np.zeros(4), np.zeros((5, 2)), np.zeros((0, 4))):
+        with pytest.raises(ValueError, match=f"query has {bad.shape[-1]} features, "
+                                             f"the scorer was fitted on 3"):
+            search(bad)
+    for bad in (np.nan, np.inf):
+        Q = rng.normal(size=(5, 3))
+        Q[2, 1] = bad
+        for query in (Q, Q[2]):
+            with pytest.raises(ValueError, match="query features contain non-finite values"):
+                search(query)
+    assert search(np.empty((0, 3))).shape == (0, width)
 
 
 def _random_train(n, p, n_classes=3, seed=1):

@@ -11,8 +11,7 @@ from aci_lab import numerics
 from aci_lab.nccp_online import KnnThresholdClassifier
 from aci_lab.numerics import (ceil_index, distances, empirical_quantile, floor_index,
                               gram_screen, k_nearest, k_smallest, kth_bound,
-                              screened_distances, screened_nearest, sq_distances,
-                              student_t_quantile)
+                              screened_distances, screened_nearest, student_t_quantile)
 from oracles import t_cdf_by_integration
 
 
@@ -113,148 +112,107 @@ def test_k_nearest_matches_stable_argsort():
     # partition selection must return exactly the first k of a stable
     # argsort, so among equal values the earlier index wins; grid values
     # scaled by 0.3 make ties dense (and inexact, as real distances are),
-    # and Gram-expansion rows are what the class scorer passes
+    # and so do direct distances between grid points
     rng = derive_rng(5, "k-nearest")
     for n in (1, 2, 3, 7, 20, 41, 100, 300):
         ks = {1, 2, 5, 20, 40, n - 1, n, n + 1} - {0}
+        A = rng.integers(0, 3, size=(n, 2)) * 0.3
         for values in (rng.normal(size=(6, n)),
                        rng.integers(0, 4, size=(6, n)) * 0.3,
                        rng.integers(0, 40, size=(6, n)) * 0.3,
-                       sq_distances(rng.integers(0, 3, size=(6, 2)) * 0.3,
-                                    rng.integers(0, 3, size=(n, 2)) * 0.3)):
-            for k in sorted(ks):
-                want = np.argsort(values, axis=-1, kind="stable")[..., :k]
-                got = k_nearest(values, k)
-                assert got.shape == want.shape and np.array_equal(got, want), (n, k)
-                for row, want_row in zip(values, want):
-                    assert np.array_equal(k_nearest(row, k), want_row), (n, k)
-
-
-def test_distances_table_matches_rows():
-    # the table sums each row's squared differences in numpy's own
-    # pairwise order, so every row must be bit-equal to the one-row call;
-    # these p reach every branch of that order (sequential below 8, the
-    # eight-accumulator tree with and without a remainder up to 128, and
-    # the split into halves above), and the last m spans several blocks
-    rng = derive_rng(6, "distance-table")
-    n = 40
-    for p in (*range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257, 300):
-        step = max(1, numerics._BLOCK // (p * n))
-        for m in (1, 2, 7, 2 * step + 3):
-            for A, Q in (
-                    (rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=(n, p)),
-                     rng.normal(size=(m, p)) * 10.0 ** rng.integers(-3, 4, size=(m, p))),
-                    (rng.integers(0, 4, size=(n, p)) * 0.3,
-                     rng.integers(0, 4, size=(m, p)) * 0.3)):
-                table = distances(A, Q)
-                assert table.shape == (m, n)
-                for i in range(m):
-                    assert np.array_equal(table[i], distances(A, Q[i])), (p, m, i)
-    # one query's block alone passes the bound: the table is row calls
-    A, Q = rng.normal(size=(300, 256)), rng.normal(size=(3, 256))
-    assert A.size > numerics._BLOCK
-    table = distances(A, Q)
-    assert table.shape == (3, 300)
-    for i in range(3):
-        assert np.array_equal(table[i], distances(A, Q[i]))
-    A, Q = rng.normal(size=(n, 3)), rng.normal(size=(5, 3))
-    for bad in (np.nan, np.inf):
-        Q_bad, A_bad = Q.copy(), A.copy()
-        Q_bad[3, 1], A_bad[17, 2] = bad, bad
-        with pytest.raises(ValueError, match="non-finite"):
-            distances(A, Q_bad)
-        with pytest.raises(ValueError, match="non-finite"):
-            distances(A_bad, Q)
-
-
-def test_k_nearest_matrix_mixes_tied_and_plain_rows():
-    # rows whose k-th value is tied with a later entry take the one-row
-    # route, the others the whole-matrix selection; one matrix mixes both
-    rng = derive_rng(7, "k-nearest-mixed")
-    n = 12
-    for k in (1, 2, 5, n - 1, n, n + 3):
-        D = rng.normal(size=(9, n))
-        if k < n:
-            for i in (0, 4, 5, 8):
-                row = D[i]
-                order = np.argsort(row, kind="stable")
-                row[order[-1]] = row[order[k - 1]]  # a tie across the k-th value
-            cand = (D <= np.sort(D, axis=1)[:, k - 1:k]).sum(axis=1)
-            assert (cand > k).sum() == 4 and (cand == k).sum() == 5
-        want = np.argsort(D, axis=-1, kind="stable")[:, :k]
-        got = k_nearest(D, k)
-        assert got.shape == want.shape and np.array_equal(got, want), k
-        assert np.array_equal(k_nearest(D.reshape(3, 3, n), k),
-                              want.reshape(3, 3, -1)), k
+                       [distances(A, q) for q in rng.integers(0, 3, size=(6, 2)) * 0.3]):
+            for row in values:
+                for k in sorted(ks):
+                    want = np.argsort(row, kind="stable")[:k]
+                    assert np.array_equal(k_nearest(row, k), want), (n, k)
 
 
 def test_sq_distances_refuse_overflow():
     # finite features whose squares overflow used to give nan distances
-    # (and a RuntimeWarning); a k-NN vote then picked arbitrary neighbours
+    # (and a RuntimeWarning); a k-NN vote then picked arbitrary neighbours.
+    # The class scorer now raises the distance error, without a warning
     Q, A = np.zeros((1, 1)), np.array([[3e200], [1e200], [-1e200]])
+    scorer = KnnClassScorer(2).fit(A, np.array([0, 0, 1]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not finite"):
-            sq_distances(Q, A)
-        with pytest.raises(ValueError, match="not finite"):
-            KnnClassScorer(2).fit(A, np.array([0, 0, 1])).class_scores(Q[0])
+        for query in (Q, Q[0]):
+            with pytest.raises(ValueError, match="non-finite values or values too large"):
+                scorer.class_scores(query)
 
 
 def test_distances_refuse_overflow():
     # finite features whose squared differences overflow raise the
     # distance error (naming too-large values) without a numpy warning,
-    # directly, as a table, and through the screened online search
+    # directly, as paired rows, through the screened search of one query
+    # and of a matrix, and through the online predictor
     A, x = np.array([[1e200, 0.0], [0.0, 1.0]]), np.array([-1e200, 0.0])
+    sq = np.einsum("ij,ij->i", A, A)
     pred = KnnThresholdClassifier(1, [0, 1])
     pred.observe(A[0], 0)
     pred.observe(A[1], 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: distances(A, x), lambda: distances(A, x[None, :]),
-                     lambda: screened_nearest(A, np.einsum("ij,ij->i", A, A), x, 1),
+        for call in (lambda: distances(A, x), lambda: distances(A, np.tile(x, (2, 1))),
+                     lambda: screened_nearest(A, sq, x, 1),
+                     lambda: screened_nearest(A, sq, np.tile(x, (3, 1)), 1),
                      lambda: pred.predict(x, 0.5)):
             with pytest.raises(ValueError, match="non-finite values or values too large"):
                 call()
 
 
-def _screen_cases(rng, n, p):
-    """(A, x) families where the Gram values are least trustworthy:
-    random rows, integer grids (exact ties) plain and scaled by 0.3,
-    duplicated rows, one-ulp neighbours, a 1e8 offset, wildly mixed row
-    scales, values whose squares underflow, and values whose squares
-    overflow though their differences do not (the screen falls back)."""
-    yield rng.normal(size=(n, p)), rng.normal(size=p)
-    yield rng.integers(0, 3, size=(n, p)) * 1.0, rng.integers(0, 3, size=p) * 1.0
-    yield rng.integers(0, 3, size=(n, p)) * 0.3, rng.integers(0, 3, size=p) * 0.3
+def _screen_cases(rng, n, p, m):
+    """(A, Q) families, Q holding m queries, where the Gram values are
+    least trustworthy: random rows, integer grids (exact ties) plain and
+    scaled by 0.3, duplicated rows, one-ulp neighbours, a 1e8 offset,
+    wildly mixed row scales, values whose squares underflow, and values
+    whose squares overflow though their differences do not (the screen
+    falls back)."""
+    pick = lambda A: A[rng.integers(0, n, size=m)]
+    yield rng.normal(size=(n, p)), rng.normal(size=(m, p))
+    yield rng.integers(0, 3, size=(n, p)) * 1.0, rng.integers(0, 3, size=(m, p)) * 1.0
+    yield rng.integers(0, 3, size=(n, p)) * 0.3, rng.integers(0, 3, size=(m, p)) * 0.3
     A = rng.normal(size=(n, p))
     A[n // 2:] = A[:n - n // 2]
-    yield A, A[0].copy()
+    yield A, pick(A)
     x = rng.normal(size=p)
     A = np.tile(x, (n, 1))
     A[:, 0] = np.nextafter(x[0], x[0] + rng.random(n) - 0.5)
-    yield A, x
+    yield A, np.tile(x, (m, 1))
     A = rng.normal(size=(n, p)) + 1e8
-    yield A, A[-1] + 1e-8
+    yield A, pick(A) + 1e-8
     A = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-150, 150, size=(n, 1))
-    yield A, A[0] * (1 + 1e-15)
+    yield A, pick(A) * (1 + 1e-15)
     A = rng.normal(size=(n, p)) * 1e-160
-    yield A, A[-1].copy()
-    yield rng.normal(size=(n, p)) + 1e160, rng.normal(size=p) + 1e160
+    yield A, pick(A)
+    yield rng.normal(size=(n, p)) + 1e160, rng.normal(size=(m, p)) + 1e160
 
 
-def test_screened_search_equals_direct_search():
+def test_screened_search_equals_direct_search(monkeypatch):
     # the screen only rules rows out: every kept value is the direct
     # distance bit for bit, every ruled-out row is truly farther than the
     # threshold, kth_bound bounds the k-th direct distance, and the
-    # screened k nearest are the direct ones, ties included
+    # screened k nearest are the direct ones, ties included.  A matrix of
+    # queries spans two blocks (made small here, so that every n does)
+    # and must equal one-row searches row by row; paired-row distances
+    # must be bit-equal to one-row calls
+    monkeypatch.setattr(numerics, "_PAIRS", 64)
     rng = derive_rng(8, "gram-screen")
     for p in (1, 2, 3, 7, 8, 9, 16, 31, 64, 129, 256):
         for n in (1, 2, 5, 30, 200):
-            for A, x in _screen_cases(rng, n, p):
+            m = max(1, numerics._PAIRS // n) + 2
+            for A, Q in _screen_cases(rng, n, p, m):
                 sq = np.einsum("ij,ij->i", A, A)
-                d = distances(A, x)
+                rows = [distances(A, q) for q in Q]
+                j = rng.integers(0, n, size=m)
+                assert np.array_equal(distances(A[j], Q), [d[i] for d, i in zip(rows, j)]), p
+                x, d = Q[0], rows[0]
                 g, slack = gram_screen(A, sq, x)
+                G, S = gram_screen(A, sq, Q)
                 for k in sorted({1, 2, 5, 20, n, n + 1}):
+                    assert np.array_equal(screened_nearest(A, sq, Q, k),
+                                          [k_nearest(r, k) for r in rows]), (p, n, k)
+                    assert np.all(kth_bound(G, S, k) >= [np.sort(r)[k - 1] for r in rows]
+                                  if k <= n else kth_bound(G, S, k) == math.inf)
                     assert np.array_equal(screened_nearest(A, sq, x, k),
                                           k_nearest(d, k)), (p, n, k)
                     bound = kth_bound(g, slack, k)

@@ -63,13 +63,17 @@ def commands():
     for pid in ("icp-class", "inccp-class"):
         cmds.append((f"offline-{pid}-k1", ["offline", "--dataset", "synth-class",
                                            "--predictor", pid, "--k", "1"]))
-    # the offline regression tables at feature counts that reach the
-    # remainder (p = 20) and the split (p = 130) branches of the table's
-    # summation order, and sweeps at the benchmark's split-sweep shape
+    # the offline tables above 8 features, where numpy's pairwise sum of
+    # a distance row takes its eight-accumulator (p = 20) and halving
+    # (p = 130) forms, so the screened query blocks must reproduce the
+    # one-row values there; and sweeps at the benchmark's split-sweep shape
     for p in ("20", "130"):
         for pid in ("icp-reg", "inccp-reg"):
             cmds.append((f"offline-{pid}-p{p}", ["offline", "--dataset", "synth-reg",
                                                  "--predictor", pid, "--p", p]))
+    for pid in ("icp-class", "inccp-class"):
+        cmds.append((f"offline-{pid}-p130", ["offline", "--dataset", "synth-class",
+                                             "--predictor", pid, "--p", "130"]))
     for pid, ds, k in (("icp-reg", "synth-reg", "20"), ("icp-class", "synth-class", "10")):
         cmds.append((f"sweep-{pid}-split", ["sweep", "--dataset", ds, "--predictor", pid,
                                             "--k", k, "--n", "1000", "--p", "8",
