@@ -29,6 +29,7 @@ class _KnnScorer:
         self.k = int(k)
         self._X = None
         self._y = None
+        self._sq = None
 
     def _fit(self, X, y) -> None:
         X = np.asarray(X, dtype=float)
