@@ -17,7 +17,7 @@ Choosing gamma = max(eps_1, 1-eps_1) / (delta * N - 1) makes the bound
 equal a requested delta.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def aci_update(state: AciState, err: int) -> AciState:
     if err not in (0, 1):
         raise ValueError(f"error indicator must be 0 or 1, got {err!r}")
     new_eps = state.eps + state.gamma * (state.eps_target - err)
-    return replace(state, eps=new_eps, step=state.step + 1)
+    return AciState(state.eps_target, new_eps, state.gamma, state.step + 1)
 
 
 def gamma_for_bound(eps1: float, delta: float, n_steps: int) -> float:

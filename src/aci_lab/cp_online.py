@@ -19,7 +19,7 @@ import numpy as np
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
                    PredictionSet, RidgeHistoryPredictor, boundary_set)
 from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_index,
-                       gram_screen, k_smallest, kth_bound, screened_distances)
+                       gram_screen, k_smallest, kth_bound, screened_distances, within)
 
 
 def p_value(scores, candidate_score: float) -> float:
@@ -94,6 +94,55 @@ def _fill_distances(hh: np.ndarray, X: np.ndarray, start: int) -> None:
     for j in range(start, X.shape[0]):
         hh[j, :j] = hh[:j, j] = distances(X[:j], X[j])
         hh[j, j] = np.inf
+
+
+# (row, row) pairs screened at once by the first fill of a kept matrix:
+# 2^16 Gram values (512 KB) per block of rows.
+_FILL_PAIRS = 1 << 16
+
+
+def _screened_fill(hh: np.ndarray, X: np.ndarray, sq: np.ndarray, y: np.ndarray,
+                   k: int) -> None:
+    """Fill the pairwise matrix ``hh`` over the n rows of X (squared norms
+    ``sq``, labels ``y``) so that ``_neighbor_rows`` reads what it reads
+    from ``_fill_distances``: the direct value wherever it may be among
+    row i's or row j's k nearest on the pair's side (same label or not),
+    +inf elsewhere and on the diagonal.
+
+    Rows are screened in blocks of about ``_FILL_PAIRS`` pairs.  The first
+    pass gives each row its per-side ``kth_bound`` (diagonal excluded) and
+    keeps g - slack in ``hh`` as scratch; the second keeps the pairs
+    (i < j) whose direct distance may be <= the larger of the two rows'
+    bounds on that side.  Each kept pair gets one paired ``distances``
+    value, mirrored.  A ruled-out value lies beyond both rows' k-th value
+    on its side, and those only fall as rows arrive."""
+    n = X.shape[0]
+    step = max(1, _FILL_PAIRS // n)
+    blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    thr = np.empty((2, n))  # per row: same-label, different-label bound
+    for lo, hi in blocks:
+        g, slack = gram_screen(X, sq, X[lo:hi])
+        hh[lo:hi, lo:n] = g[:, lo:] - slack[:, lo:]
+        g[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        same = y[lo:hi, None] == y
+        thr[0, lo:hi] = kth_bound(np.where(same, g, np.inf), slack, k)
+        thr[1, lo:hi] = kth_bound(np.where(same, np.inf, g), slack, k)
+    kept = []
+    for lo, hi in blocks:
+        # Pairs (i, j > i) only: columns lo.. of the block's rows.
+        same = y[lo:hi, None] == y[lo:]
+        own = np.where(same, thr[0, lo:hi, None], thr[1, lo:hi, None])
+        # hh holds g - slack here, so a zero slack gives the same test.
+        keep = within(hh[lo:hi, lo:n], 0.0,
+                      np.maximum(own, np.where(same, thr[0, lo:], thr[1, lo:])))
+        keep &= np.arange(lo, n) > np.arange(lo, hi)[:, None]
+        r, c = keep.nonzero()
+        kept.append((lo + r, lo + c))
+    i, j = (np.concatenate(ix) for ix in zip(*kept))
+    hh[:n, :n] = np.inf
+    for lo in range(0, i.shape[0], n):
+        a, b = i[lo:lo + n], j[lo:lo + n]
+        hh[a, b] = hh[b, a] = distances(X[a], X[b])
 
 
 def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -> PredictionSet:
@@ -211,9 +260,13 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     :func:`knn_cp_predict` does, paying its O(n^2) neighbour selection per
     step.  The within-history distance matrix is kept across steps:
     ``observe`` only appends, and the next ``predict`` fills the rows and
-    columns of the examples that arrived since, one direct ``distances``
-    row each.  :class:`CachedKnnConformalClassifier` gives the same
-    outputs from incremental caches when the O(n^2) bill matters.
+    columns of the examples that arrived since.  The first fill is
+    screened (:func:`_screened_fill`): only pairs that may be among
+    either row's k nearest on their side get a direct distance, the rest
+    +inf.  Later rows get one direct ``distances`` row each.  Either way
+    the neighbour rows read from the matrix are those of the direct one.
+    :class:`CachedKnnConformalClassifier` gives the same outputs from
+    incremental caches when the O(n^2) bill matters.
     """
 
     def __init__(self, k: int, label_space):
@@ -232,7 +285,10 @@ class KnnConformalClassifier(KnnHistoryPredictor):
             done = self._filled
             grown[:done, :done] = self._dist[:done, :done]
             self._dist = grown
-        _fill_distances(self._dist, X, self._filled)
+        if self._filled:
+            _fill_distances(self._dist, X, self._filled)
+        else:
+            _screened_fill(self._dist, X, self._row_norms(), y, self.k)
         self._filled = n_hist
         same_rows, diff_rows = _neighbor_rows(self._dist[:n_hist, :n_hist], y, self.k)
         return _conformal_label_set(same_rows, diff_rows, distances(X, x), y,
@@ -248,8 +304,9 @@ class CachedKnnConformalClassifier(KnnHistoryPredictor):
     distance into each row: O(n*k) per step instead of O(n^2).
     ``observe`` gives a direct distance only to the rows that the Gram
     screen cannot rule out (``gram_screen``), so every cached value is a
-    direct one.  Predictions agree exactly with rescoring the bag from
-    direct distances, ties included.
+    direct one; ``predict`` screens the candidate the same way.
+    Predictions agree exactly with rescoring the bag from direct
+    distances, ties included.
     """
 
     def __init__(self, k: int, label_space):
@@ -260,10 +317,19 @@ class CachedKnnConformalClassifier(KnnHistoryPredictor):
         self._diff = np.full((8, self.k), np.inf)
 
     def _predict(self, x, eps):
-        d = distances(self._hist.X, x)
-        n_hist = d.shape[0]
-        return _conformal_label_set(self._same[:n_hist], self._diff[:n_hist], d,
-                                    self._hist.y, self.label_space, self.k, eps)
+        X, y = self._hist.X, self._hist.y
+        n_hist = X.shape[0]
+        same, diff = self._same[:n_hist], self._diff[:n_hist]
+        # d[i] matters where x could come nearer than row i's cached k-th
+        # value on either side, or be among x's own k nearest of row i's
+        # label (that label's kth_bound); every other row gets +inf.
+        g, slack = gram_screen(X, self._row_norms(), x)
+        thr = np.maximum(same[:, -1], diff[:, -1])
+        for lab in self.label_space:
+            is_lab = y == lab
+            thr[is_lab] = np.maximum(thr[is_lab], kth_bound(g[is_lab], slack[is_lab], self.k))
+        d = screened_distances(X, x, g, slack, thr)
+        return _conformal_label_set(same, diff, d, y, self.label_space, self.k, eps)
 
     def _observe(self, x, y):
         y = self._check_label(y)

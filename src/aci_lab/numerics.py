@@ -6,8 +6,9 @@ quantiles come from scipy's ``stdtrit``; empirical quantiles use the
 ceiling (worst-case) convention throughout the package.  Every k-NN
 route finds neighbours through the same kernels: ``distances``, the
 one distance definition (one query row against every row, or paired
-rows; knn-cp's pairwise matrix uses the first), the Gram screen
-(``gram_screen``, ``kth_bound``, ``screened_distances`` and
+rows; ``knn_cp_predict``'s pairwise matrix uses the first, the screened
+first fill of ``KnnConformalClassifier``'s the second), the Gram screen
+(``gram_screen``, ``kth_bound``, ``within``, ``screened_distances`` and
 ``screened_nearest``: one matrix product and a rounding-error bound
 rule out the rows that cannot matter, and the rest get the direct
 ``distances`` value, so every value that reaches an output is the
@@ -184,7 +185,7 @@ def kth_bound(g: np.ndarray, slack: np.ndarray, k: int):
     return np.sqrt(np.partition(g + slack, k - 1, axis=-1)[..., k - 1])
 
 
-def _within(g: np.ndarray, slack: np.ndarray, thr) -> np.ndarray:
+def within(g: np.ndarray, slack: np.ndarray, thr) -> np.ndarray:
     """Rows whose direct distance may be <= ``thr``: the others have
     g - slack > thr^2 (1 + 4u), enough that even the rounded square
     root of their direct sum exceeds thr.  A NaN keeps its row."""
@@ -197,7 +198,7 @@ def screened_distances(A: np.ndarray, x: np.ndarray, g: np.ndarray, slack: np.nd
     may be <= ``thr`` (a scalar or one value per row); +inf at the rows
     that the screen ``(g, slack)`` of :func:`gram_screen` certifies
     farther."""
-    keep = _within(g, slack, thr)
+    keep = within(g, slack, thr)
     d = np.full(A.shape[0], np.inf)
     d[keep] = distances(A[keep], x)
     return d
@@ -221,7 +222,7 @@ def screened_nearest(A: np.ndarray, sq: np.ndarray, x: np.ndarray, k: int) -> np
     """
     if x.ndim == 1:
         g, slack = gram_screen(A, sq, x)
-        cand = _within(g, slack, kth_bound(g, slack, k)).nonzero()[0]
+        cand = within(g, slack, kth_bound(g, slack, k)).nonzero()[0]
         return cand[k_nearest(distances(A[cand], x), k)]
     n = A.shape[0]
     near = np.empty((x.shape[0], min(k, n)), dtype=np.intp)
@@ -229,7 +230,7 @@ def screened_nearest(A: np.ndarray, sq: np.ndarray, x: np.ndarray, k: int) -> np
     for lo in range(0, x.shape[0], step):
         Q = x[lo:lo + step]
         g, slack = gram_screen(A, sq, Q)
-        keep = _within(g, slack, kth_bound(g, slack, k)[:, None])
+        keep = within(g, slack, kth_bound(g, slack, k)[:, None])
         qi, j = np.divmod(np.flatnonzero(keep), n)
         counts = np.bincount(qi, minlength=Q.shape[0])
         start = np.cumsum(counts) - counts

@@ -21,6 +21,17 @@ def test_update_rejects_bad_err():
         aci_update(s, 0.5)
 
 
+def test_update_builds_a_checked_state():
+    # the new state keeps target and step size, counts the step, and
+    # passes through the AciState checks
+    s = aci_update(aci_update(aci_init(0.2, gamma=0.05), 1), 0)
+    assert (s.eps_target, s.gamma, s.step) == (0.2, 0.05, 2)
+    assert s.eps == 0.2 + 0.05 * (0.2 - 1) + 0.05 * 0.2
+    object.__setattr__(s, "gamma", -1.0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        aci_update(s, 0)
+
+
 def test_gamma_for_bound_known_horizons():
     # derived from the closed form max(eps1, 1-eps1) / (delta*N - 1)
     assert gamma_for_bound(0.1, 0.01, 6397) == pytest.approx(0.0142925, abs=1e-6)

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,10 +182,26 @@ def test_knn_cp_routes_match_bruteforce_on_grid_ties(scale, route):
     assert misses == []
 
 
+def _check_kept_matrix(block, X, y, k):
+    """The kept matrix is symmetric, each finite entry is the direct
+    distance (the diagonal +inf), and its neighbour rows are bit-equal to
+    those of the fully direct matrix."""
+    n = X.shape[0]
+    direct = np.empty((n, n))
+    _fill_distances(direct, X, 0)
+    assert np.array_equal(block, block.T)
+    assert np.isposinf(block.diagonal()).all()
+    finite = np.isfinite(block)
+    assert np.array_equal(block[finite], direct[finite])
+    for got, want in zip(_neighbor_rows(block, y, k), _neighbor_rows(direct, y, k)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_kept_distance_matrix_extends_lazily(k):
     # uneven observe runs between predicts: the matrix is extended only
-    # when a prediction needs it, across several capacity doublings
+    # when a prediction needs it, across several capacity doublings; the
+    # first fill is screened, later rows are direct
     rng = derive_rng(5, "knn-lazy", k)
     X = rng.integers(0, 4, size=(60, 3)) * 0.3
     y = rng.integers(0, 3, size=60)
@@ -199,13 +216,84 @@ def test_kept_distance_matrix_extends_lazily(k):
             assert got.labels == knn_cp_predict(X[:n], y[:n], X[n], eps, k,
                                                 [0, 1, 2]).labels, f"n={n}"
         assert pred._filled == n
-        block = pred._dist[:n, :n]
-        for i in range(n):
-            want = distances(X[:n], X[i])
-            want[i] = np.inf
-            assert np.array_equal(block[i], want), f"row {i} at n={n}"
-        assert np.array_equal(block, block.T)
+        _check_kept_matrix(pred._dist[:n, :n], X[:n], y[:n], k)
     assert pred._dist.shape == (64, 64)
+
+
+def _digits_shape_stream(labels, offset, n):
+    """n examples with 256 features and 10 labels, relabelled so that
+    ``labels`` is "digits" (as drawn), "one-rare" (label 1 on two rows) or
+    "one-class", and shifted by ``offset``."""
+    ds = make_stream(StreamSpec(kind="cluster-classification", n=n, p=256, seed=4,
+                                n_classes=10, class_sep=3.5))
+    X, y = ds.X + offset, ds.y.copy()
+    if labels == "one-rare":
+        y[y == 1] = 0
+        y[[10, 40]] = 1
+    elif labels == "one-class":
+        y[:] = 2
+    return X, y, ds.label_space
+
+
+@pytest.mark.parametrize("dup", [False, True])
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("labels", ["digits", "one-rare", "one-class"])
+def test_screened_first_fill_at_digits_shape(labels, k, offset, dup):
+    # 256 features: the first predict fills the kept matrix through the
+    # pairwise Gram screen.  The matrix keeps every value _neighbor_rows
+    # reads, and every set equals the one-shot knn_cp_predict, for the
+    # first fill and for the direct rows added after it.  Label mixes
+    # cover 10 labels, a label with fewer than k examples and a single
+    # class; a 1e8 offset makes the slack admit every pair, and
+    # duplicated rows tie at distance 0.
+    X, y, label_space = _digits_shape_stream(labels, offset, 90)
+    if dup:
+        X[20:40] = X[:20]
+        X[60:65] = X[5]
+    for warm in (1, 2, 60):
+        pred = KnnConformalClassifier(k=k, label_space=label_space)
+        for i in range(warm):
+            pred.observe(X[i], int(y[i]))
+        for i in range(warm, warm + 4):
+            for eps in (0.05, 0.3):
+                want = knn_cp_predict(X[:i], y[:i], X[i], eps, k, label_space)
+                assert pred.predict(X[i], eps).labels == want.labels, (warm, i, eps)
+            _check_kept_matrix(pred._dist[:i, :i], X[:i], y[:i], k)
+            pred.observe(X[i], int(y[i]))
+
+
+def test_screened_first_fill_rules_out_far_pairs():
+    # at the digits shape only a few pairs per row need a direct distance
+    X, y, label_space = _digits_shape_stream("digits", 0.0, 300)
+    pred = KnnConformalClassifier(k=1, label_space=label_space)
+    for i in range(299):
+        pred.observe(X[i], int(y[i]))
+    pred.predict(X[299], 0.1)
+    finite = np.isfinite(pred._dist[:299, :299]).sum()
+    assert finite < 10 * 299
+    _check_kept_matrix(pred._dist[:299, :299], X[:299], y[:299], 1)
+
+
+def test_screened_first_fill_refuses_overflow():
+    # features whose squares overflow: the first fill raises the distances
+    # ValueError where a squared difference overflows, and where none
+    # does it agrees with knn_cp_predict; no numpy warning either way
+    far = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+    near = np.array([[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = KnnConformalClassifier(k=1, label_space=[0, 1])
+        for row, lab in zip(far, (0, 1, 0)):
+            pred.observe(row, lab)
+        with pytest.raises(ValueError, match="too large for distances"):
+            pred.predict(np.array([0.0, 2.0]), 0.1)
+        pred = KnnConformalClassifier(k=1, label_space=[0, 1])
+        for row, lab in zip(near, (0, 1, 0)):
+            pred.observe(row, lab)
+        x = np.array([1e200, 2.0])
+        assert pred.predict(x, 0.3).labels == knn_cp_predict(near, [0, 1, 0], x, 0.3, 1,
+                                                             [0, 1]).labels
 
 
 @pytest.mark.parametrize("cls", [KnnConformalClassifier,
@@ -237,20 +325,13 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
     # every set equals the one-shot knn_cp_predict.  Label mixes cover
     # 10 labels, a label with fewer than k examples, and a single-class
     # history; with a 1e8 offset the screen's slack admits every row.
-    ds = make_stream(StreamSpec(kind="cluster-classification", n=70, p=256, seed=4,
-                                n_classes=10, class_sep=3.5))
-    X, y = ds.X + offset, ds.y.copy()
-    if labels == "one-rare":
-        y[y == 1] = 0
-        y[[10, 40]] = 1
-    elif labels == "one-class":
-        y[:] = 2
-    pred = CachedKnnConformalClassifier(k=k, label_space=ds.label_space)
+    X, y, label_space = _digits_shape_stream(labels, offset, 70)
+    pred = CachedKnnConformalClassifier(k=k, label_space=label_space)
     dist = np.empty((70, 70))
     for i in range(70):
         if i >= 5:
             for eps in (0.05, 0.3):
-                want = knn_cp_predict(X[:i], y[:i], X[i], eps, k, ds.label_space)
+                want = knn_cp_predict(X[:i], y[:i], X[i], eps, k, label_space)
                 assert pred.predict(X[i], eps).labels == want.labels, (i, eps)
         pred.observe(X[i], int(y[i]))
         _fill_distances(dist, X, i)

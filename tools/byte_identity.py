@@ -87,6 +87,15 @@ def commands():
                                                "--n-classes", "10", "--class-sep", "3.5",
                                                "--n", "2200", "--warmup", "2000",
                                                "--k", k]))
+    # knn-cp after a long warm-up, so its first predict fills the kept
+    # matrix through the pairwise screen, at both summation forms of a
+    # distance row and with k = 1 and 3
+    for p in ("20", "130"):
+        for k in ("1", "3"):
+            cmds.append((f"knn-cp-warm-p{p}-k{k}", ["online", "--dataset", "synth-class",
+                                                    "--predictor", "knn-cp", "--p", p,
+                                                    "--k", k, "--n", "460",
+                                                    "--warmup", "400", "--gamma", "0.05"]))
     return cmds
 
 
