@@ -136,12 +136,12 @@ def _screened_fill(hh: np.ndarray, X: np.ndarray, sq: np.ndarray, y: np.ndarray,
         keep = within(hh[lo:hi, lo:n], 0.0,
                       np.maximum(own, np.where(same, thr[0, lo:], thr[1, lo:])))
         keep &= np.arange(lo, n) > np.arange(lo, hi)[:, None]
-        r, c = keep.nonzero()
-        kept.append((lo + r, lo + c))
-    i, j = (np.concatenate(ix) for ix in zip(*kept))
+        kept.append(lo + np.argwhere(keep))
+    i, j = np.concatenate(kept).T
     hh[:n, :n] = np.inf
-    for lo in range(0, i.shape[0], n):
-        a, b = i[lo:lo + n], j[lo:lo + n]
+    # Paired distances n pairs at a time: no more memory than a direct row.
+    for s in range(0, i.shape[0], n):
+        a, b = i[s:s + n], j[s:s + n]
         hh[a, b] = hh[b, a] = distances(X[a], X[b])
 
 

@@ -10,7 +10,7 @@ from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
                                KnnConformalClassifier, _fill_distances, _neighbor_rows,
                                crr_predict, knn_cp_predict, knn_nonconformity, p_value)
 from aci_lab.data import StreamSpec, make_stream
-from aci_lab.numerics import NumericError, distances
+from aci_lab.numerics import NumericError
 from oracles import crr_grid_oracle
 
 # the worked 4-point instance: two tight clusters on a line
