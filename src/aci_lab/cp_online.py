@@ -96,53 +96,59 @@ def _fill_distances(hh: np.ndarray, X: np.ndarray, start: int) -> None:
         hh[j, j] = np.inf
 
 
-# (row, row) pairs screened at once by the first fill of a kept matrix:
-# 2^16 Gram values (512 KB) per block of rows.
+# (row, row) pairs screened at once when rows are caught up: 2^16 Gram
+# values (512 KB) per block of rows.
 _FILL_PAIRS = 1 << 16
+
+
+def _screened_pairs(X, sq, y, k, start, floor=None):
+    """The pairs that rows start..n-1 of X (squared norms ``sq``, labels
+    ``y``) need for their k nearest same-label and different-label
+    distances among all n rows, in blocks of about ``_FILL_PAIRS`` pairs.
+    Per block of rows lo..hi-1 yields ``(lo, same, r, j, d)``: ``same``
+    marks the block's same-label pairs, (hi - lo, n), and d holds the
+    direct distances of the kept pairs (lo + r, j).
+
+    One ``gram_screen`` of the block gives each row a per-side
+    ``kth_bound`` over every other row.  A pair is kept where ``within``
+    says its direct distance may be <= that bound on the pair's side, or
+    <= ``floor[side, j]`` (0 same label, 1 different) when a floor is
+    given; never the self pair.  So a row's k nearest on each side, ties
+    included, are among its kept pairs, and so is every distance below
+    ``floor``.  Each kept pair gets one paired ``distances`` value."""
+    n = X.shape[0]
+    step = max(1, _FILL_PAIRS // n)
+    for lo in range(start, n, step):
+        hi = min(lo + step, n)
+        g, slack = gram_screen(X, sq, X[lo:hi])
+        same = y[lo:hi, None] == y
+        own = np.arange(hi - lo), np.arange(lo, hi)
+        g_same = np.where(same, g, np.inf)
+        g_same[own] = np.inf
+        thr = np.where(same, kth_bound(g_same, slack, k)[:, None],
+                       kth_bound(np.where(same, np.inf, g), slack, k)[:, None])
+        if floor is not None:
+            thr = np.maximum(thr, np.where(same, floor[0], floor[1]))
+        keep = within(g, slack, thr)
+        keep[own] = False
+        r, j = keep.nonzero()
+        # Paired distances n pairs at a time: no more memory than a direct row.
+        d = [distances(X[j[s:s + n]], X[lo + r[s:s + n]]) for s in range(0, r.shape[0], n)]
+        yield lo, same, r, j, np.concatenate([np.empty(0), *d])
 
 
 def _screened_fill(hh: np.ndarray, X: np.ndarray, sq: np.ndarray, y: np.ndarray,
                    k: int) -> None:
     """Fill the pairwise matrix ``hh`` over the n rows of X (squared norms
     ``sq``, labels ``y``) so that ``_neighbor_rows`` reads what it reads
-    from ``_fill_distances``: the direct value wherever it may be among
-    row i's or row j's k nearest on the pair's side (same label or not),
-    +inf elsewhere and on the diagonal.
-
-    Rows are screened in blocks of about ``_FILL_PAIRS`` pairs.  The first
-    pass gives each row its per-side ``kth_bound`` (diagonal excluded) and
-    keeps g - slack in ``hh`` as scratch; the second keeps the pairs
-    (i < j) whose direct distance may be <= the larger of the two rows'
-    bounds on that side.  Each kept pair gets one paired ``distances``
-    value, mirrored.  A ruled-out value lies beyond both rows' k-th value
-    on its side, and those only fall as rows arrive."""
+    from ``_fill_distances``: each pair :func:`_screened_pairs` keeps for
+    either row gets its direct value at (i, j) and (j, i), every other
+    entry and the diagonal +inf.  A +inf entry lies beyond both rows'
+    k-th value on its side, and those only fall as rows arrive."""
     n = X.shape[0]
-    step = max(1, _FILL_PAIRS // n)
-    blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    thr = np.empty((2, n))  # per row: same-label, different-label bound
-    for lo, hi in blocks:
-        g, slack = gram_screen(X, sq, X[lo:hi])
-        hh[lo:hi, lo:n] = g[:, lo:] - slack[:, lo:]
-        g[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        same = y[lo:hi, None] == y
-        thr[0, lo:hi] = kth_bound(np.where(same, g, np.inf), slack, k)
-        thr[1, lo:hi] = kth_bound(np.where(same, np.inf, g), slack, k)
-    kept = []
-    for lo, hi in blocks:
-        # Pairs (i, j > i) only: columns lo.. of the block's rows.
-        same = y[lo:hi, None] == y[lo:]
-        own = np.where(same, thr[0, lo:hi, None], thr[1, lo:hi, None])
-        # hh holds g - slack here, so a zero slack gives the same test.
-        keep = within(hh[lo:hi, lo:n], 0.0,
-                      np.maximum(own, np.where(same, thr[0, lo:], thr[1, lo:])))
-        keep &= np.arange(lo, n) > np.arange(lo, hi)[:, None]
-        kept.append(lo + np.argwhere(keep))
-    i, j = np.concatenate(kept).T
     hh[:n, :n] = np.inf
-    # Paired distances n pairs at a time: no more memory than a direct row.
-    for s in range(0, i.shape[0], n):
-        a, b = i[s:s + n], j[s:s + n]
-        hh[a, b] = hh[b, a] = distances(X[a], X[b])
+    for lo, _, r, j, d in _screened_pairs(X, sq, y, k, 0):
+        hh[lo + r, j] = hh[j, lo + r] = d
 
 
 def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -> PredictionSet:
@@ -172,8 +178,8 @@ def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -
 
 
 def _score_from_distances(d, same_mask, k: int) -> float:
-    same = np.sort(d[same_mask])[:k]
-    diff = np.sort(d[~same_mask])[:k]
+    same = k_smallest(d[same_mask], k)
+    diff = k_smallest(d[~same_mask], k)
     if same.size == 0:
         return math.inf
     if diff.size == 0:
@@ -299,27 +305,30 @@ class CachedKnnConformalClassifier(KnnHistoryPredictor):
     """Full-CP k-NN classifier with incremental neighbour caches.
 
     Per history point the k smallest same-label and different-label
-    distances (within the history) are cached as examples arrive, so
-    scoring a candidate completion only has to merge the candidate's
-    distance into each row: O(n*k) per step instead of O(n^2).
-    ``observe`` gives a direct distance only to the rows that the Gram
-    screen cannot rule out (``gram_screen``), so every cached value is a
-    direct one; ``predict`` screens the candidate the same way.
-    Predictions agree exactly with rescoring the bag from direct
-    distances, ties included.
+    distances (within the history) are cached, so scoring a candidate
+    completion only has to merge the candidate's distance into each row:
+    O(n*k) per step instead of O(n^2).  ``observe`` only appends; the next
+    ``predict`` first catches the caches up with the rows that arrived
+    since (``_catch_up``), through the screened row blocks that knn-cp's
+    first fill uses, so every cached value is a direct one.  ``predict``
+    then screens the candidate through the Gram screen (``gram_screen``)
+    too.  Features whose distances overflow therefore raise the
+    ``distances`` ValueError at that ``predict``, not at ``observe``, and
+    leave the caches as they were.  Predictions agree exactly with
+    rescoring the bag from direct distances, ties included.
     """
 
     def __init__(self, k: int, label_space):
         super().__init__(k, label_space)
-        # (n, k) ascending, +inf where fewer than k exist; row count
-        # tracks the history, capacity doubles on demand.
-        self._same = np.full((8, self.k), np.inf)
-        self._diff = np.full((8, self.k), np.inf)
+        # (rows cached, k) ascending, +inf where fewer than k exist.
+        self._same = np.full((0, self.k), np.inf)
+        self._diff = np.full((0, self.k), np.inf)
 
     def _predict(self, x, eps):
+        if self._same.shape[0] < len(self._hist):
+            self._catch_up()
         X, y = self._hist.X, self._hist.y
-        n_hist = X.shape[0]
-        same, diff = self._same[:n_hist], self._diff[:n_hist]
+        same, diff = self._same, self._diff
         # d[i] matters where x could come nearer than row i's cached k-th
         # value on either side, or be among x's own k nearest of row i's
         # label (that label's kth_bound); every other row gets +inf.
@@ -331,29 +340,28 @@ class CachedKnnConformalClassifier(KnnHistoryPredictor):
         d = screened_distances(X, x, g, slack, thr)
         return _conformal_label_set(same, diff, d, y, self.label_space, self.k, eps)
 
-    def _observe(self, x, y):
-        y = self._check_label(y)
-        n_hist = len(self._hist)
-        if n_hist == self._same.shape[0]:
-            self._same = np.concatenate([self._same, np.full_like(self._same, np.inf)])
-            self._diff = np.concatenate([self._diff, np.full_like(self._diff, np.inf)])
-        if n_hist:
-            X, k = self._hist.X, self.k
-            is_same = self._hist.y == y
-            # Row i changes only where x comes nearer than its cached k-th
-            # value on x's side, and x's own top k on each side lies within
-            # that side's kth_bound; rows certified beyond both get +inf.
-            g, slack = gram_screen(X, self._row_norms(), x)
-            same_k = kth_bound(g[is_same], slack[is_same], k)
-            diff_k = kth_bound(g[~is_same], slack[~is_same], k)
-            thr = np.where(is_same, np.maximum(self._same[:n_hist, -1], same_k),
-                           np.maximum(self._diff[:n_hist, -1], diff_k))
-            d = screened_distances(X, x, g, slack, thr)
-            _merge_rows(self._same[:n_hist], d, is_same)
-            _merge_rows(self._diff[:n_hist], d, ~is_same)
-            own = k_smallest(np.where([is_same, ~is_same], d, np.inf), self.k)
-            self._same[n_hist, :own.shape[1]], self._diff[n_hist, :own.shape[1]] = own
-        self._hist.append(x, y)
+    def _catch_up(self):
+        """Cache rows for the examples that arrived since the last call, and
+        merge their distances into the rows cached before it.  Works on
+        copies, so a ValueError from ``distances`` changes nothing."""
+        X, y, k = self._hist.X, self._hist.y, self.k
+        n, c = X.shape[0], self._same.shape[0]
+        pad = np.full((n - c, k), np.inf)
+        rows = np.concatenate([self._same, pad]), np.concatenate([self._diff, pad])
+        # A row cached before the call changes only where a new row comes
+        # nearer than its cached k-th value on the pair's side.
+        floor = np.zeros((2, n))
+        floor[:, :c] = rows[0][:c, -1], rows[1][:c, -1]
+        for lo, same, r, j, d in _screened_pairs(X, self._row_norms(), y, k, c, floor):
+            near = np.full(same.shape, np.inf)
+            near[r, j] = d
+            old = np.unique(j[j < c])
+            for cache, on_side in zip(rows, (same, ~same)):
+                side = np.where(on_side, near, np.inf)
+                top = k_smallest(side, k)
+                cache[lo:lo + side.shape[0], :top.shape[1]] = top
+                cache[old] = k_smallest(np.hstack([cache[old], side[:, old].T]), k)
+        self._same, self._diff = rows
 
 
 def _finite_mean(rows: np.ndarray) -> np.ndarray:
@@ -372,18 +380,6 @@ def _ratio(same_mean, diff_mean):
     r = np.where(same_mean == 0.0, 0.0, r)
     r = np.where(np.isnan(diff_mean), 0.0, r)
     return np.where(np.isnan(same_mean), np.inf, r)
-
-
-def _merge_rows(rows: np.ndarray, d: np.ndarray, applies: np.ndarray) -> None:
-    """Insert d[i] into each applicable cached top-k row in place, keeping
-    the k smallest in ascending order (inf padding beyond the max row)."""
-    if rows.shape[0] == 0:
-        return
-    worse = rows[:, -1] > d
-    upd = applies & worse
-    if np.any(upd):
-        rows[upd, -1] = d[upd]
-        rows[upd] = np.sort(rows[upd], axis=1)
 
 
 class CrrPredictor(RidgeHistoryPredictor):

@@ -7,7 +7,7 @@ ceiling (worst-case) convention throughout the package.  Every k-NN
 route finds neighbours through the same kernels: ``distances``, the
 one distance definition (one query row against every row, or paired
 rows; ``knn_cp_predict``'s pairwise matrix uses the first, the screened
-first fill of ``KnnConformalClassifier``'s the second), the Gram screen
+row blocks of the full-CP k-NN classes the second), the Gram screen
 (``gram_screen``, ``kth_bound``, ``within``, ``screened_distances`` and
 ``screened_nearest``: one matrix product and a rounding-error bound
 rule out the rows that cannot matter, and the rest get the direct
@@ -167,9 +167,14 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray):
         norms = sq + np.einsum("...j,...j->...", x, x)[..., None]
         if not norms.max() < 2.0 ** 1020:
             return np.zeros(norms.shape), np.full(norms.shape, np.inf)
-        g = norms - 2.0 * (x @ A.T)
+        # norms - 2 A x, in place: doubling and negation are exact.
+        g = x @ A.T
+        g *= -2.0
+        g += norms
     c = 16.0 * (A.shape[1] + 4)
-    return g, (c * _U) * norms + c * 2.0 ** -1022
+    norms *= c * _U
+    norms += c * 2.0 ** -1022
+    return g, norms
 
 
 def kth_bound(g: np.ndarray, slack: np.ndarray, k: int):
@@ -182,6 +187,8 @@ def kth_bound(g: np.ndarray, slack: np.ndarray, k: int):
     T can neither be among the k nearest nor tie with the k-th."""
     if g.shape[-1] < k:
         return np.full(g.shape[:-1], np.inf)
+    if k == 1:
+        return np.sqrt(np.min(g + slack, axis=-1))
     return np.sqrt(np.partition(g + slack, k - 1, axis=-1)[..., k - 1])
 
 

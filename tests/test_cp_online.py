@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from aci_lab import cp_online, nccp_online
 from aci_lab.core import derive_rng
 from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
                                KnnConformalClassifier, _fill_distances, _neighbor_rows,
                                crr_predict, knn_cp_predict, knn_nonconformity, p_value)
 from aci_lab.data import StreamSpec, make_stream
+from aci_lab.nccp_online import KnnThresholdClassifier
 from aci_lab.numerics import NumericError
 from oracles import crr_grid_oracle
 
@@ -319,12 +321,13 @@ def test_online_class_agrees_with_direct_function(cls):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("labels", ["digits", "one-rare", "one-class"])
 def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
-    # 256 features, where observe finds the rows a new example changes
-    # through the Gram screen: after every observe the caches equal a
-    # fresh rescoring of the direct distance matrix bit for bit, and
-    # every set equals the one-shot knn_cp_predict.  Label mixes cover
-    # 10 labels, a label with fewer than k examples, and a single-class
-    # history; with a 1e8 offset the screen's slack admits every row.
+    # 256 features, where the catch-up finds the rows a new example
+    # changes through the Gram screen: after every observe and catch-up
+    # the caches equal a fresh rescoring of the direct distance matrix bit
+    # for bit, and every set equals the one-shot knn_cp_predict.  Label
+    # mixes cover 10 labels, a label with fewer than k examples, and a
+    # single-class history; with a 1e8 offset the screen's slack admits
+    # every row.
     X, y, label_space = _digits_shape_stream(labels, offset, 70)
     pred = CachedKnnConformalClassifier(k=k, label_space=label_space)
     dist = np.empty((70, 70))
@@ -334,11 +337,96 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
                 want = knn_cp_predict(X[:i], y[:i], X[i], eps, k, label_space)
                 assert pred.predict(X[i], eps).labels == want.labels, (i, eps)
         pred.observe(X[i], int(y[i]))
+        pred._catch_up()
         _fill_distances(dist, X, i)
         same, diff = _neighbor_rows(dist[:i + 1, :i + 1], y[:i + 1], k)
         width = same.shape[1]
         assert np.array_equal(pred._same[:i + 1, :width], same), i
         assert np.array_equal(pred._diff[:i + 1, :width], diff), i
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("data", ["digits", "one-rare", "one-class", "grid-ties"])
+def test_cached_class_catches_up_in_bursts(data, k, monkeypatch):
+    # irregular bursts of observes between predicts, each caught up in
+    # several screened row blocks: after every burst the caches equal the
+    # neighbour rows of the direct matrix bit for bit, and every set the
+    # one-shot knn_cp_predict.  Rows caught up in an earlier block of a
+    # burst must take no merge again, and rows cached before it must take
+    # every new value that displaces one of theirs.
+    monkeypatch.setattr(cp_online, "_FILL_PAIRS", 1 << 10)
+    if data == "grid-ties":
+        rng = derive_rng(7, "knn-bursts", k)
+        X = rng.integers(0, 4, size=(241, 3)) * 0.3
+        y, label_space = rng.integers(0, 3, size=241), [0, 1, 2]
+    else:
+        X, y, label_space = _digits_shape_stream(data, 0.0, 241)
+    pred = CachedKnnConformalClassifier(k=k, label_space=label_space)
+    n = 0
+    for burst in (1, 2, 37, 200):
+        for _ in range(burst):
+            pred.observe(X[n], int(y[n]))
+            n += 1
+        for eps in (0.05, 0.3):
+            want = knn_cp_predict(X[:n], y[:n], X[n], eps, k, label_space)
+            assert pred.predict(X[n], eps).labels == want.labels, (n, eps)
+        dist = np.empty((n, n))
+        _fill_distances(dist, X[:n], 0)
+        same, diff = _neighbor_rows(dist, y[:n], k)
+        width = same.shape[1]
+        assert np.array_equal(pred._same[:, :width], same), n
+        assert np.array_equal(pred._diff[:, :width], diff), n
+
+
+def test_cached_class_catch_up_refuses_overflow():
+    # the cached twin of test_screened_first_fill_refuses_overflow: rows
+    # whose squared differences overflow raise the distances ValueError
+    # at every predict after they arrive, and leave the caches as they
+    # were; where none overflows the set agrees with knn_cp_predict; no
+    # numpy warning either way
+    far = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+    near = np.array([[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = CachedKnnConformalClassifier(k=1, label_space=[0, 1])
+        pred.observe(np.array([0.0, 3.0]), 1)
+        pred.predict(np.array([0.0, 2.0]), 0.1)
+        cached = pred._same.copy(), pred._diff.copy()
+        for row, lab in zip(far, (0, 1, 0)):
+            pred.observe(row, lab)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too large for distances"):
+                pred.predict(np.array([0.0, 2.0]), 0.1)
+            assert np.array_equal(pred._same, cached[0])
+            assert np.array_equal(pred._diff, cached[1])
+        pred = CachedKnnConformalClassifier(k=1, label_space=[0, 1])
+        for row, lab in zip(near, (0, 1, 0)):
+            pred.observe(row, lab)
+        x = np.array([1e200, 2.0])
+        assert pred.predict(x, 0.3).labels == knn_cp_predict(near, [0, 1, 0], x, 0.3, 1,
+                                                             [0, 1]).labels
+
+
+@pytest.mark.parametrize("cls", [KnnConformalClassifier, CachedKnnConformalClassifier,
+                                 KnnThresholdClassifier])
+def test_online_knn_observe_only_appends(cls, monkeypatch):
+    # observe does no distance work on any online k-NN class, so a warm-up
+    # of observes (the README loop's) stays a plain append; predict pays
+    def refuse(*args, **kwargs):
+        raise AssertionError("observe computed distances")
+    for module, name in ((cp_online, "gram_screen"), (cp_online, "distances"),
+                         (nccp_online, "screened_nearest"), (nccp_online, "distances")):
+        monkeypatch.setattr(module, name, refuse)
+    rng = derive_rng(3, "knn-append")
+    X, y = rng.normal(size=(41, 3)), rng.integers(0, 3, size=41)
+    pred = cls(k=3, label_space=[0, 1, 2])
+    for i in range(40):
+        pred.observe(X[i], int(y[i]))
+    monkeypatch.undo()
+    assert len(pred._hist) == 40
+    if cls is not KnnThresholdClassifier:
+        assert pred.predict(X[40], 0.2).labels == knn_cp_predict(X[:40], y[:40], X[40], 0.2, 3,
+                                                                 [0, 1, 2]).labels
 
 
 def test_online_class_rejects_unknown_label():
