@@ -79,7 +79,7 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
 
     hx = distances(hist_X, np.asarray(x, dtype=float))
     hh = np.empty((n_hist, n_hist))
-    _fill_distances(hh, hist_X, 0)
+    _fill_distances(hh, hist_X)
     # Per history point, the k nearest same-label / different-label
     # distances within the history; the candidate only ever adds one
     # distance to one of the two sides.
@@ -87,11 +87,11 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     return _conformal_label_set(same_rows, diff_rows, hx, hist_y, label_space, k, eps)
 
 
-def _fill_distances(hh: np.ndarray, X: np.ndarray, start: int) -> None:
-    """Fill rows and columns ``start``..n-1 of the pairwise distance matrix
-    ``hh`` over the n rows of X: one direct ``distances`` row per point,
-    mirrored into its column, and +inf on the diagonal."""
-    for j in range(start, X.shape[0]):
+def _fill_distances(hh: np.ndarray, X: np.ndarray) -> None:
+    """Fill the pairwise distance matrix ``hh`` over the n rows of X: one
+    direct ``distances`` row per point, mirrored into its column, and
+    +inf on the diagonal."""
+    for j in range(X.shape[0]):
         hh[j, :j] = hh[:j, j] = distances(X[:j], X[j])
         hh[j, j] = np.inf
 
@@ -101,7 +101,7 @@ def _fill_distances(hh: np.ndarray, X: np.ndarray, start: int) -> None:
 _FILL_PAIRS = 1 << 16
 
 
-def _screened_pairs(X, sq, y, k, start, floor=None):
+def _screened_pairs(X, sq, y, k, start, floor):
     """The pairs that rows start..n-1 of X (squared norms ``sq``, labels
     ``y``) need for their k nearest same-label and different-label
     distances among all n rows, in blocks of about ``_FILL_PAIRS`` pairs.
@@ -112,10 +112,10 @@ def _screened_pairs(X, sq, y, k, start, floor=None):
     One ``gram_screen`` of the block gives each row a per-side
     ``kth_bound`` over every other row.  A pair is kept where ``within``
     says its direct distance may be <= that bound on the pair's side, or
-    <= ``floor[side, j]`` (0 same label, 1 different) when a floor is
-    given; never the self pair.  So a row's k nearest on each side, ties
-    included, are among its kept pairs, and so is every distance below
-    ``floor``.  Each kept pair gets one paired ``distances`` value."""
+    <= ``floor[side, j]`` (0 same label, 1 different); never the self
+    pair.  So a row's k nearest on each side, ties included, are among
+    its kept pairs, and so is every distance below ``floor``.  Each kept
+    pair gets one paired ``distances`` value."""
     n = X.shape[0]
     step = max(1, _FILL_PAIRS // n)
     for lo in range(start, n, step):
@@ -125,30 +125,15 @@ def _screened_pairs(X, sq, y, k, start, floor=None):
         own = np.arange(hi - lo), np.arange(lo, hi)
         g_same = np.where(same, g, np.inf)
         g_same[own] = np.inf
-        thr = np.where(same, kth_bound(g_same, slack, k)[:, None],
-                       kth_bound(np.where(same, np.inf, g), slack, k)[:, None])
-        if floor is not None:
-            thr = np.maximum(thr, np.where(same, floor[0], floor[1]))
+        thr = np.where(same, np.maximum(kth_bound(g_same, slack, k)[:, None], floor[0]),
+                       np.maximum(kth_bound(np.where(same, np.inf, g), slack, k)[:, None],
+                                  floor[1]))
         keep = within(g, slack, thr)
         keep[own] = False
         r, j = keep.nonzero()
         # Paired distances n pairs at a time: no more memory than a direct row.
         d = [distances(X[j[s:s + n]], X[lo + r[s:s + n]]) for s in range(0, r.shape[0], n)]
         yield lo, same, r, j, np.concatenate([np.empty(0), *d])
-
-
-def _screened_fill(hh: np.ndarray, X: np.ndarray, sq: np.ndarray, y: np.ndarray,
-                   k: int) -> None:
-    """Fill the pairwise matrix ``hh`` over the n rows of X (squared norms
-    ``sq``, labels ``y``) so that ``_neighbor_rows`` reads what it reads
-    from ``_fill_distances``: each pair :func:`_screened_pairs` keeps for
-    either row gets its direct value at (i, j) and (j, i), every other
-    entry and the diagonal +inf.  A +inf entry lies beyond both rows'
-    k-th value on its side, and those only fall as rows arrive."""
-    n = X.shape[0]
-    hh[:n, :n] = np.inf
-    for lo, _, r, j, d in _screened_pairs(X, sq, y, k, 0):
-        hh[lo + r, j] = hh[j, lo + r] = d
 
 
 def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -> PredictionSet:
@@ -164,12 +149,13 @@ def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -
     same, diff = _finite_mean(same_rows), _finite_mean(diff_rows)
     same_with = _finite_mean(k_smallest(np.hstack([same_rows, d[:, None]]), k))
     diff_with = _finite_mean(k_smallest(np.hstack([diff_rows, d[:, None]]), k))
+    # Row i's score when the candidate shares its label, and when it does not.
+    if_same, if_diff = _ratio(same_with, diff), _ratio(same, diff_with)
     n_bag = d.shape[0] + 1
     kept = []
     for lab in label_space:
         is_same = hist_y == lab
-        alphas = _ratio(np.where(is_same, same_with, same),
-                        np.where(is_same, diff, diff_with))
+        alphas = np.where(is_same, if_same, if_diff)
         alpha_n = _score_from_distances(d, is_same, k)
         n_ge = int(np.count_nonzero(alphas >= alpha_n)) + 1
         if n_ge / n_bag > eps:
@@ -260,62 +246,21 @@ def _crr_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
 
 
 class KnnConformalClassifier(KnnHistoryPredictor):
-    """Online full-CP k-NN classifier.
-
-    Every prediction rescores the whole augmented bag as
-    :func:`knn_cp_predict` does, paying its O(n^2) neighbour selection per
-    step.  The within-history distance matrix is kept across steps:
-    ``observe`` only appends, and the next ``predict`` fills the rows and
-    columns of the examples that arrived since.  The first fill is
-    screened (:func:`_screened_fill`): only pairs that may be among
-    either row's k nearest on their side get a direct distance, the rest
-    +inf.  Later rows get one direct ``distances`` row each.  Either way
-    the neighbour rows read from the matrix are those of the direct one.
-    :class:`CachedKnnConformalClassifier` gives the same outputs from
-    incremental caches when the O(n^2) bill matters.
-    """
-
-    def __init__(self, k: int, label_space):
-        super().__init__(k, label_space)
-        # Rows and columns [0, _filled) hold direct distances within the
-        # history; capacity doubles on demand.
-        self._dist = np.empty((0, 0))
-        self._filled = 0
-
-    def _predict(self, x, eps):
-        X, y = self._hist.X, self._hist.y
-        n_hist = X.shape[0]
-        if n_hist > self._dist.shape[0]:
-            cap = max(8, 1 << (n_hist - 1).bit_length())
-            grown = np.empty((cap, cap))
-            done = self._filled
-            grown[:done, :done] = self._dist[:done, :done]
-            self._dist = grown
-        if self._filled:
-            _fill_distances(self._dist, X, self._filled)
-        else:
-            _screened_fill(self._dist, X, self._row_norms(), y, self.k)
-        self._filled = n_hist
-        same_rows, diff_rows = _neighbor_rows(self._dist[:n_hist, :n_hist], y, self.k)
-        return _conformal_label_set(same_rows, diff_rows, distances(X, x), y,
-                                    self.label_space, self.k, eps)
-
-
-class CachedKnnConformalClassifier(KnnHistoryPredictor):
-    """Full-CP k-NN classifier with incremental neighbour caches.
+    """Online full-CP k-NN classifier over incremental neighbour caches.
 
     Per history point the k smallest same-label and different-label
     distances (within the history) are cached, so scoring a candidate
     completion only has to merge the candidate's distance into each row:
-    O(n*k) per step instead of O(n^2).  ``observe`` only appends; the next
+    O(n*k) per step instead of the O(n^2) rescoring of
+    :func:`knn_cp_predict`.  ``observe`` only appends; the next
     ``predict`` first catches the caches up with the rows that arrived
-    since (``_catch_up``), through the screened row blocks that knn-cp's
-    first fill uses, so every cached value is a direct one.  ``predict``
-    then screens the candidate through the Gram screen (``gram_screen``)
-    too.  Features whose distances overflow therefore raise the
-    ``distances`` ValueError at that ``predict``, not at ``observe``, and
-    leave the caches as they were.  Predictions agree exactly with
-    rescoring the bag from direct distances, ties included.
+    since (``_catch_up``), through screened row blocks
+    (``_screened_pairs``), so every cached value is a direct one.
+    ``predict`` then screens the candidate through the Gram screen
+    (``gram_screen``) too.  Features whose distances overflow therefore
+    raise the ``distances`` ValueError at that ``predict``, not at
+    ``observe``, and leave the caches as they were.  Predictions agree
+    exactly with rescoring the bag from direct distances, ties included.
     """
 
     def __init__(self, k: int, label_space):
@@ -362,6 +307,11 @@ class CachedKnnConformalClassifier(KnnHistoryPredictor):
                 cache[lo:lo + side.shape[0], :top.shape[1]] = top
                 cache[old] = k_smallest(np.hstack([cache[old], side[:, old].T]), k)
         self._same, self._diff = rows
+
+
+# The cached class's earlier name, kept as a plain alias for the code that
+# imports it (perfbench's copy of the README loop, for one).
+CachedKnnConformalClassifier = KnnConformalClassifier
 
 
 def _finite_mean(rows: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ ceiling (worst-case) convention throughout the package.  Every k-NN
 route finds neighbours through the same kernels: ``distances``, the
 one distance definition (one query row against every row, or paired
 rows; ``knn_cp_predict``'s pairwise matrix uses the first, the screened
-row blocks of the full-CP k-NN classes the second), the Gram screen
+row blocks of the online full-CP k-NN class the second), the Gram screen
 (``gram_screen``, ``kth_bound``, ``within``, ``screened_distances`` and
 ``screened_nearest``: one matrix product and a rounding-error bound
 rule out the rows that cannot matter, and the rest get the direct

@@ -4,6 +4,7 @@ second."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,7 @@ def test_bench_pairs_aggregates(tmp_path):
     assert _load_tool(change).main(_args(parent)) == 0
     report = json.loads((change / "BENCH_t.json").read_text())
     assert report["commits"] == {"parent": "aaa", "change": "bbb"}
+    assert report["dirty"] == {"parent": None, "change": None}
     w = report["workloads"]["knn-stream"]
     assert w["seeds"] == [100, 101, 102, 103, 104]
     assert len(w["runs"]) == 10
@@ -69,3 +71,21 @@ def test_bench_pairs_writes_nothing_when_a_run_fails(tmp_path, stub):
     change = _stub_root(tmp_path / "change", "bbb", [1.0, 1.0, 1.0], **stub)
     assert _load_tool(change).main(_args(parent, pairs=3)) == 1
     assert not (change / "BENCH_t.json").exists()
+
+
+def test_bench_pairs_records_dirty_trees(tmp_path):
+    # a root that is no git checkout reads null; a checkout reads whether
+    # it had uncommitted changes before the pairs ran
+    parent = _stub_root(tmp_path / "parent", "aaa", [2.0])
+    change = _stub_root(tmp_path / "change", "bbb", [1.0])
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(["git", "-C", str(change), "-c", "user.name=stub",
+                        "-c", "user.email=stub@example.com", "-c", "commit.gpgsign=false",
+                        *argv], check=True, capture_output=True)
+    tool = _load_tool(change)
+    assert tool.main(_args(parent, pairs=1)) == 0
+    report = change / "BENCH_t.json"
+    assert json.loads(report.read_text())["dirty"] == {"parent": None, "change": False}
+    # the report just written is an untracked file of the change tree
+    assert tool.main(_args(parent, pairs=1)) == 0
+    assert json.loads(report.read_text())["dirty"] == {"parent": None, "change": True}

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from aci_lab import cp_online, nccp_online
+import aci_lab
+from aci_lab import cp_online, harness, nccp_online
 from aci_lab.core import derive_rng
 from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
                                KnnConformalClassifier, _fill_distances, _neighbor_rows,
@@ -149,6 +150,7 @@ def _online_knn_cp(cls):
     return route
 
 
+# The online class also under its alias, the name perfbench constructs.
 _KNN_CP_ROUTES = {
     "knn_cp_predict": knn_cp_predict,
     "KnnConformalClassifier": _online_knn_cp(KnnConformalClassifier),
@@ -184,42 +186,17 @@ def test_knn_cp_routes_match_bruteforce_on_grid_ties(scale, route):
     assert misses == []
 
 
-def _check_kept_matrix(block, X, y, k):
-    """The kept matrix is symmetric, each finite entry is the direct
-    distance (the diagonal +inf), and its neighbour rows are bit-equal to
-    those of the fully direct matrix."""
+def _check_caches(pred, X, y, k):
+    """The online class's caches over the n rows of X hold, bit for bit,
+    the neighbour rows of the fully direct distance matrix."""
     n = X.shape[0]
     direct = np.empty((n, n))
-    _fill_distances(direct, X, 0)
-    assert np.array_equal(block, block.T)
-    assert np.isposinf(block.diagonal()).all()
-    finite = np.isfinite(block)
-    assert np.array_equal(block[finite], direct[finite])
-    for got, want in zip(_neighbor_rows(block, y, k), _neighbor_rows(direct, y, k)):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("k", [1, 3])
-def test_kept_distance_matrix_extends_lazily(k):
-    # uneven observe runs between predicts: the matrix is extended only
-    # when a prediction needs it, across several capacity doublings; the
-    # first fill is screened, later rows are direct
-    rng = derive_rng(5, "knn-lazy", k)
-    X = rng.integers(0, 4, size=(60, 3)) * 0.3
-    y = rng.integers(0, 3, size=60)
-    pred = KnnConformalClassifier(k=k, label_space=[0, 1, 2])
-    n = 0
-    for run in (3, 7, 12, 3, 7, 12, 3, 7):
-        for _ in range(run):
-            pred.observe(X[n], int(y[n]))
-            n += 1
-        for eps in (0.1, 0.4):
-            got = pred.predict(X[n], eps)
-            assert got.labels == knn_cp_predict(X[:n], y[:n], X[n], eps, k,
-                                                [0, 1, 2]).labels, f"n={n}"
-        assert pred._filled == n
-        _check_kept_matrix(pred._dist[:n, :n], X[:n], y[:n], k)
-    assert pred._dist.shape == (64, 64)
+    _fill_distances(direct, X)
+    same, diff = _neighbor_rows(direct, y, k)
+    width = same.shape[1]
+    assert pred._same.shape == pred._diff.shape == (n, k)
+    assert np.array_equal(pred._same[:, :width], same), n
+    assert np.array_equal(pred._diff[:, :width], diff), n
 
 
 def _digits_shape_stream(labels, offset, n):
@@ -242,13 +219,14 @@ def _digits_shape_stream(labels, offset, n):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("labels", ["digits", "one-rare", "one-class"])
 def test_screened_first_fill_at_digits_shape(labels, k, offset, dup):
-    # 256 features: the first predict fills the kept matrix through the
-    # pairwise Gram screen.  The matrix keeps every value _neighbor_rows
-    # reads, and every set equals the one-shot knn_cp_predict, for the
-    # first fill and for the direct rows added after it.  Label mixes
-    # cover 10 labels, a label with fewer than k examples and a single
-    # class; a 1e8 offset makes the slack admit every pair, and
-    # duplicated rows tie at distance 0.
+    # 256 features: the first predict after a warm-up of 1, 2 or 60
+    # observes fills the empty caches through the pairwise Gram screen,
+    # and the next ones catch up one row each.  After every predict the
+    # caches equal the neighbour rows of the direct matrix bit for bit,
+    # and every set equals the one-shot knn_cp_predict.  Label mixes cover
+    # 10 labels, a label with fewer than k examples and a single class; a
+    # 1e8 offset makes the slack admit every pair, and duplicated rows tie
+    # at distance 0.
     X, y, label_space = _digits_shape_stream(labels, offset, 90)
     if dup:
         X[20:40] = X[:20]
@@ -261,47 +239,57 @@ def test_screened_first_fill_at_digits_shape(labels, k, offset, dup):
             for eps in (0.05, 0.3):
                 want = knn_cp_predict(X[:i], y[:i], X[i], eps, k, label_space)
                 assert pred.predict(X[i], eps).labels == want.labels, (warm, i, eps)
-            _check_kept_matrix(pred._dist[:i, :i], X[:i], y[:i], k)
+            _check_caches(pred, X[:i], y[:i], k)
             pred.observe(X[i], int(y[i]))
 
 
-def test_screened_first_fill_rules_out_far_pairs():
-    # at the digits shape only a few pairs per row need a direct distance
+def test_screened_first_fill_rules_out_far_pairs(monkeypatch):
+    # at the digits shape the first catch-up gives only a few pairs per
+    # row a paired direct distance
+    paired, direct = [], cp_online.distances
+
+    def counted(A, x):
+        d = direct(A, x)
+        if x.ndim == 2:
+            paired.append(d.shape[0])
+        return d
+    monkeypatch.setattr(cp_online, "distances", counted)
     X, y, label_space = _digits_shape_stream("digits", 0.0, 300)
     pred = KnnConformalClassifier(k=1, label_space=label_space)
     for i in range(299):
         pred.observe(X[i], int(y[i]))
     pred.predict(X[299], 0.1)
-    finite = np.isfinite(pred._dist[:299, :299]).sum()
-    assert finite < 10 * 299
-    _check_kept_matrix(pred._dist[:299, :299], X[:299], y[:299], 1)
+    assert 0 < sum(paired) < 10 * 299
+    monkeypatch.undo()
+    _check_caches(pred, X[:299], y[:299], 1)
 
 
-def test_screened_first_fill_refuses_overflow():
-    # features whose squares overflow: the first fill raises the distances
-    # ValueError where a squared difference overflows, and where none
-    # does it agrees with knn_cp_predict; no numpy warning either way
-    far = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
-    near = np.array([[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pred = KnnConformalClassifier(k=1, label_space=[0, 1])
-        for row, lab in zip(far, (0, 1, 0)):
-            pred.observe(row, lab)
-        with pytest.raises(ValueError, match="too large for distances"):
-            pred.predict(np.array([0.0, 2.0]), 0.1)
-        pred = KnnConformalClassifier(k=1, label_space=[0, 1])
-        for row, lab in zip(near, (0, 1, 0)):
-            pred.observe(row, lab)
-        x = np.array([1e200, 2.0])
-        assert pred.predict(x, 0.3).labels == knn_cp_predict(near, [0, 1, 0], x, 0.3, 1,
-                                                             [0, 1]).labels
+def test_harness_knn_cp_keeps_no_square_array():
+    # the harness's knn-cp predictor keeps per-row caches, not an (n, n)
+    # distance matrix: after 300 observes and a predict no array it holds
+    # has n^2 entries or more
+    cfg = harness.build_config(dict(dataset="synth-class", predictor="knn-cp", n=301))
+    ds = harness.resolve_online_dataset(cfg)
+    pred = harness.make_online_predictor(cfg, ds)
+    for i in range(300):
+        pred.observe(ds.X[i], int(ds.y[i]))
+    pred.predict(ds.X[300], 0.1)
+
+    def arrays(obj):
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                yield value
+            elif hasattr(value, "__dict__"):
+                yield from arrays(value)
+    sizes = [a.size for a in arrays(pred)]
+    assert sizes and max(sizes) < 300 ** 2
 
 
-@pytest.mark.parametrize("cls", [KnnConformalClassifier,
-                                 CachedKnnConformalClassifier])
-def test_online_class_agrees_with_direct_function(cls):
-    # both online routes must reproduce the direct computation exactly
+@pytest.mark.parametrize("name", ["KnnConformalClassifier", "CachedKnnConformalClassifier"])
+def test_online_class_agrees_with_direct_function(name):
+    # the online class, under either public name, reproduces the direct
+    # computation exactly
+    cls = getattr(aci_lab, name)
     rng = derive_rng(0, "knn-agree")
     for k in (1, 3):
         pred = cls(k=k, label_space=[0, 1, 2])
@@ -329,8 +317,9 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
     # single-class history; with a 1e8 offset the screen's slack admits
     # every row.
     X, y, label_space = _digits_shape_stream(labels, offset, 70)
-    pred = CachedKnnConformalClassifier(k=k, label_space=label_space)
+    pred = KnnConformalClassifier(k=k, label_space=label_space)
     dist = np.empty((70, 70))
+    _fill_distances(dist, X)
     for i in range(70):
         if i >= 5:
             for eps in (0.05, 0.3):
@@ -338,7 +327,6 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
                 assert pred.predict(X[i], eps).labels == want.labels, (i, eps)
         pred.observe(X[i], int(y[i]))
         pred._catch_up()
-        _fill_distances(dist, X, i)
         same, diff = _neighbor_rows(dist[:i + 1, :i + 1], y[:i + 1], k)
         width = same.shape[1]
         assert np.array_equal(pred._same[:i + 1, :width], same), i
@@ -348,58 +336,58 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("data", ["digits", "one-rare", "one-class", "grid-ties"])
 def test_cached_class_catches_up_in_bursts(data, k, monkeypatch):
-    # irregular bursts of observes between predicts, each caught up in
-    # several screened row blocks: after every burst the caches equal the
-    # neighbour rows of the direct matrix bit for bit, and every set the
-    # one-shot knn_cp_predict.  Rows caught up in an earlier block of a
-    # burst must take no merge again, and rows cached before it must take
-    # every new value that displaces one of theirs.
+    # irregular bursts of observes between predicts (uneven runs of 3, 7
+    # and 12, then 37 and 200), each caught up in several screened row
+    # blocks: after every burst the caches equal the neighbour rows of the
+    # direct matrix bit for bit, and every set the one-shot
+    # knn_cp_predict.  Rows caught up in an earlier block of a burst must
+    # take no merge again, and rows cached before it must take every new
+    # value that displaces one of theirs.
     monkeypatch.setattr(cp_online, "_FILL_PAIRS", 1 << 10)
+    bursts = (1, 2, 3, 7, 12, 3, 7, 12, 3, 7, 37, 200)
+    m = sum(bursts) + 1
     if data == "grid-ties":
         rng = derive_rng(7, "knn-bursts", k)
-        X = rng.integers(0, 4, size=(241, 3)) * 0.3
-        y, label_space = rng.integers(0, 3, size=241), [0, 1, 2]
+        X = rng.integers(0, 4, size=(m, 3)) * 0.3
+        y, label_space = rng.integers(0, 3, size=m), [0, 1, 2]
     else:
-        X, y, label_space = _digits_shape_stream(data, 0.0, 241)
-    pred = CachedKnnConformalClassifier(k=k, label_space=label_space)
+        X, y, label_space = _digits_shape_stream(data, 0.0, m)
+    pred = KnnConformalClassifier(k=k, label_space=label_space)
     n = 0
-    for burst in (1, 2, 37, 200):
+    for burst in bursts:
         for _ in range(burst):
             pred.observe(X[n], int(y[n]))
             n += 1
         for eps in (0.05, 0.3):
             want = knn_cp_predict(X[:n], y[:n], X[n], eps, k, label_space)
             assert pred.predict(X[n], eps).labels == want.labels, (n, eps)
-        dist = np.empty((n, n))
-        _fill_distances(dist, X[:n], 0)
-        same, diff = _neighbor_rows(dist, y[:n], k)
-        width = same.shape[1]
-        assert np.array_equal(pred._same[:, :width], same), n
-        assert np.array_equal(pred._diff[:, :width], diff), n
+        _check_caches(pred, X[:n], y[:n], k)
 
 
 def test_cached_class_catch_up_refuses_overflow():
-    # the cached twin of test_screened_first_fill_refuses_overflow: rows
-    # whose squared differences overflow raise the distances ValueError
-    # at every predict after they arrive, and leave the caches as they
+    # rows whose squared differences overflow raise the distances
+    # ValueError at every predict after they arrive, whether they come
+    # before the first catch-up or after one, and leave the caches as they
     # were; where none overflows the set agrees with knn_cp_predict; no
     # numpy warning either way
     far = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
     near = np.array([[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pred = CachedKnnConformalClassifier(k=1, label_space=[0, 1])
-        pred.observe(np.array([0.0, 3.0]), 1)
-        pred.predict(np.array([0.0, 2.0]), 0.1)
-        cached = pred._same.copy(), pred._diff.copy()
-        for row, lab in zip(far, (0, 1, 0)):
-            pred.observe(row, lab)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="too large for distances"):
+        for warm in (0, 1):
+            pred = KnnConformalClassifier(k=1, label_space=[0, 1])
+            if warm:
+                pred.observe(np.array([0.0, 3.0]), 1)
                 pred.predict(np.array([0.0, 2.0]), 0.1)
-            assert np.array_equal(pred._same, cached[0])
-            assert np.array_equal(pred._diff, cached[1])
-        pred = CachedKnnConformalClassifier(k=1, label_space=[0, 1])
+            cached = pred._same.copy(), pred._diff.copy()
+            for row, lab in zip(far, (0, 1, 0)):
+                pred.observe(row, lab)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="too large for distances"):
+                    pred.predict(np.array([0.0, 2.0]), 0.1)
+                assert np.array_equal(pred._same, cached[0])
+                assert np.array_equal(pred._diff, cached[1])
+        pred = KnnConformalClassifier(k=1, label_space=[0, 1])
         for row, lab in zip(near, (0, 1, 0)):
             pred.observe(row, lab)
         x = np.array([1e200, 2.0])
@@ -407,11 +395,14 @@ def test_cached_class_catch_up_refuses_overflow():
                                                              [0, 1]).labels
 
 
-@pytest.mark.parametrize("cls", [KnnConformalClassifier, CachedKnnConformalClassifier,
-                                 KnnThresholdClassifier])
-def test_online_knn_observe_only_appends(cls, monkeypatch):
-    # observe does no distance work on any online k-NN class, so a warm-up
-    # of observes (the README loop's) stays a plain append; predict pays
+@pytest.mark.parametrize("name", ["KnnConformalClassifier", "CachedKnnConformalClassifier",
+                                  "KnnThresholdClassifier"])
+def test_online_knn_observe_only_appends(name, monkeypatch):
+    # observe does no distance work on any online k-NN class, under any of
+    # its public names, so a warm-up of observes (the README loop's) stays
+    # a plain append; predict pays
+    cls = getattr(aci_lab, name)
+
     def refuse(*args, **kwargs):
         raise AssertionError("observe computed distances")
     for module, name in ((cp_online, "gram_screen"), (cp_online, "distances"),

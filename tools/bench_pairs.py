@@ -15,7 +15,9 @@ Each run's last JSON line is parsed.  When every run exits 0 with
 tree with, per workload and metric, the median and quartiles of both
 sides, the ratio of medians (this tree over the parent) and the number
 of pairs this tree won (lower is better for every perfbench metric),
-plus the seeds, both ``env`` lines and every run's ``correct`` and
+plus the seeds, both ``env`` lines, whether each root's working tree
+had uncommitted changes when the pairs began (``dirty``; null for a
+root that is not a git checkout) and every run's ``correct`` and
 ``failed``.  If any run fails, nothing is written and the exit code is
 1.  Only the standard library is used.
 """
@@ -68,6 +70,16 @@ def run_once(root, workload, seed, seconds):
     return env, result
 
 
+def dirty(root):
+    """Whether ``git status --porcelain`` lists anything in the checkout at
+    ``root``; None when ``root`` is not a git checkout."""
+    if not (root / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "-C", str(root), "status", "--porcelain"],
+                          capture_output=True, text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def spread(values):
     """Median and quartiles (inclusive method)."""
     if len(values) == 1:
@@ -94,6 +106,7 @@ def summarize(pairs):
 def main(argv=None):
     args = parse_args(argv)
     roots = {"parent": args.parent_root.resolve(), "change": ROOT}
+    trees = {side: dirty(root) for side, root in roots.items()}
     envs, workloads = {}, {}
     try:
         for workload in args.workload:
@@ -120,7 +133,7 @@ def main(argv=None):
         return 1
     report = {"tag": args.tag, "seconds": args.seconds, "pairs": args.pairs,
               "commits": {side: (envs[side] or {}).get("commit") for side in roots},
-              "env": envs, "workloads": workloads}
+              "dirty": trees, "env": envs, "workloads": workloads}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
