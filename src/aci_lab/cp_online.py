@@ -54,7 +54,8 @@ def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     d = distances(bag_X, np.asarray(x, dtype=float))
-    return _score_from_distances(d, bag_y == y, k)
+    same = bag_y == y
+    return float(_ratio(*_list_means(k_smallest(np.where([same, ~same], d, np.inf), k))))
 
 
 def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:
@@ -82,9 +83,12 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     _fill_distances(hh, hist_X)
     # Per history point, the k nearest same-label / different-label
     # distances within the history; the candidate only ever adds one
-    # distance to one of the two sides.
-    same_rows, diff_rows = _neighbor_rows(hh, hist_y, k)
-    return _conformal_label_set(same_rows, diff_rows, hx, hist_y, label_space, k, eps)
+    # distance to one of the two sides, and every distance is finite, so
+    # the label set rescores every point.
+    near = np.stack(_neighbor_rows(hh, hist_y, k), axis=1)
+    labels = np.asarray(label_space)
+    return _conformal_label_set(near, _row_scores(near), hist_y == labels[:, None], hx, labels,
+                                k, eps)
 
 
 def _fill_distances(hh: np.ndarray, X: np.ndarray) -> None:
@@ -105,9 +109,8 @@ def _screened_pairs(X, sq, y, k, start, floor):
     """The pairs that rows start..n-1 of X (squared norms ``sq``, labels
     ``y``) need for their k nearest same-label and different-label
     distances among all n rows, in blocks of about ``_FILL_PAIRS`` pairs.
-    Per block of rows lo..hi-1 yields ``(lo, same, r, j, d)``: ``same``
-    marks the block's same-label pairs, (hi - lo, n), and d holds the
-    direct distances of the kept pairs (lo + r, j).
+    Per block yields ``(i, j, d)``: the kept pairs (i, j), i a row of the
+    block, and their direct distances d.
 
     One ``gram_screen`` of the block gives each row a per-side
     ``kth_bound`` over every other row.  A pair is kept where ``within``
@@ -133,50 +136,66 @@ def _screened_pairs(X, sq, y, k, start, floor):
         r, j = keep.nonzero()
         # Paired distances n pairs at a time: no more memory than a direct row.
         d = [distances(X[j[s:s + n]], X[lo + r[s:s + n]]) for s in range(0, r.shape[0], n)]
-        yield lo, same, r, j, np.concatenate([np.empty(0), *d])
+        yield lo + r, j, np.concatenate([np.empty(0), *d])
 
 
-def _conformal_label_set(same_rows, diff_rows, d, hist_y, label_space, k, eps) -> PredictionSet:
+def _merge_pairs(flat, key, dist):
+    """Offer each distance dist[t] to row key[t] of ``flat``, whose rows
+    hold k ascending values, +inf padded: every row named keeps the k
+    smallest of its values and its offers.  Returns the rows named."""
+    k = flat.shape[1]
+    order = np.lexsort((dist, key))
+    key, dist = key[order], dist[order]
+    rank = np.arange(key.shape[0]) - np.searchsorted(key, key)
+    head, first = rank == 0, rank < k
+    offers = np.full((np.count_nonzero(head), k), np.inf)
+    offers[(np.cumsum(head) - 1)[first], rank[first]] = dist[first]
+    touched = key[head]
+    flat[touched] = k_smallest(np.concatenate([flat[touched], offers], axis=1), k)
+    return touched
+
+
+def _conformal_label_set(near, score, is_lab, d, labels, k, eps) -> PredictionSet:
     """Labels whose candidate completion has p-value above eps.
 
-    ``same_rows``/``diff_rows`` hold each history point's smallest (up to
-    k) same-label/different-label distances within the history, ascending,
-    +inf where there are fewer, and ``d`` the candidate's distances to the
-    history.  The candidate adds d[i] to one side of row i, depending on
-    its label, so both merges are made once and selected per label.  The
-    p-value counts the candidate itself: (#{alpha_i >= alpha_n} + 1) / (n + 1).
+    ``near`` holds each history point's smallest (up to k) same-label and
+    different-label distances within the history, (n, 2, width)
+    ascending and +inf where there are fewer; ``score`` each point's
+    strangeness from them (``_row_scores``); ``is_lab`` (labels, n) which
+    points carry each of ``labels``; and ``d`` the candidate's distances
+    to the history.  d[i] may be +inf where the candidate can neither
+    displace one of point i's neighbours nor be among its own k nearest
+    of i's label (``knn_cp_predict`` passes every distance finite).
+
+    The candidate adds d[i] to one side of point i, depending on its
+    label, so only the points where d[i] is below a k-th value are
+    rescored, both merges at once, and every other point keeps
+    ``score``.  The candidate's own scores come from its finite
+    distances, and the counts from one comparison, for all labels at
+    once.  The p-value counts the candidate itself:
+    (#{alpha_i >= alpha_n} + 1) / (n + 1).
     """
-    same, diff = _finite_mean(same_rows), _finite_mean(diff_rows)
-    same_with = _finite_mean(k_smallest(np.hstack([same_rows, d[:, None]]), k))
-    diff_with = _finite_mean(k_smallest(np.hstack([diff_rows, d[:, None]]), k))
-    # Row i's score when the candidate shares its label, and when it does not.
-    if_same, if_diff = _ratio(same_with, diff), _ratio(same, diff_with)
-    n_bag = d.shape[0] + 1
-    kept = []
-    for lab in label_space:
-        is_same = hist_y == lab
-        alphas = np.where(is_same, if_same, if_diff)
-        alpha_n = _score_from_distances(d, is_same, k)
-        n_ge = int(np.count_nonzero(alphas >= alpha_n)) + 1
-        if n_ge / n_bag > eps:
-            kept.append(lab)
-    return PredictionSet.label_set(kept)
-
-
-def _score_from_distances(d, same_mask, k: int) -> float:
-    same = k_smallest(d[same_mask], k)
-    diff = k_smallest(d[~same_mask], k)
-    if same.size == 0:
-        return math.inf
-    if diff.size == 0:
-        return 0.0
-    same_mean = float(np.mean(same))
-    diff_mean = float(np.mean(diff))
-    if same_mean == 0.0:
-        return 0.0
-    if diff_mean == 0.0:
-        return math.inf
-    return same_mean / diff_mean
+    # The points whose score the candidate can change.
+    reach = np.flatnonzero(d < np.maximum(near[:, 0, -1], near[:, 1, -1]))
+    held = near[reach]
+    grown = k_smallest(np.concatenate([held, np.repeat(d[reach, None, None], 2, axis=1)],
+                                      axis=2), k)
+    means = _finite_mean(held.reshape(-1, held.shape[2])).reshape(-1, 2)
+    with_d = _finite_mean(grown.reshape(-1, grown.shape[2])).reshape(-1, 2)
+    # The candidate's k nearest of each label and of the other labels.
+    fin = np.flatnonzero(np.isfinite(d))
+    own = is_lab[:, fin]
+    nearest = k_smallest(np.where(np.stack([own, ~own]), d[fin], np.inf), k)
+    own_means = _list_means(nearest.reshape(-1, nearest.shape[2]))
+    # One ratio pass: point i's score when the candidate shares its label
+    # and when it does not, then the candidate's score for each label.
+    m, n_labels = reach.shape[0], labels.shape[0]
+    alpha = _ratio(np.concatenate([with_d[:, 0], means[:, 0], own_means[:n_labels]]),
+                   np.concatenate([means[:, 1], with_d[:, 1], own_means[n_labels:]]))
+    alphas = np.repeat(score[None], n_labels, axis=0)
+    alphas[:, reach] = np.where(is_lab[:, reach], alpha[:m], alpha[m:2 * m])
+    n_ge = (alphas >= alpha[2 * m:, None]).sum(axis=1) + 1
+    return PredictionSet.label_set(labels[n_ge / (d.shape[0] + 1) > eps].tolist())
 
 
 def _neighbor_rows(hh: np.ndarray, y: np.ndarray, k: int):
@@ -249,64 +268,95 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     """Online full-CP k-NN classifier over incremental neighbour caches.
 
     Per history point the k smallest same-label and different-label
-    distances (within the history) are cached, so scoring a candidate
-    completion only has to merge the candidate's distance into each row:
-    O(n*k) per step instead of the O(n^2) rescoring of
-    :func:`knn_cp_predict`.  ``observe`` only appends; the next
-    ``predict`` first catches the caches up with the rows that arrived
-    since (``_catch_up``), through screened row blocks
-    (``_screened_pairs``), so every cached value is a direct one.
-    ``predict`` then screens the candidate through the Gram screen
-    (``gram_screen``) too.  Features whose distances overflow therefore
-    raise the ``distances`` ValueError at that ``predict``, not at
-    ``observe``, and leave the caches as they were.  Predictions agree
-    exactly with rescoring the bag from direct distances, ties included.
+    distances (within the history) are cached, with the point's score
+    from them, so scoring a
+    candidate completion only has to merge the candidate's distance into
+    the points it can reach: O(n*k) per step at most instead of the
+    O(n^2) rescoring of :func:`knn_cp_predict`.  ``observe`` only
+    appends; the next ``predict`` first catches the caches up with the
+    rows that arrived since (``_catch_up``).  One new row that the last
+    ``predict`` screened as its candidate, against the same caches,
+    takes that predict's distances; other arrivals go through screened
+    row blocks (``_screened_pairs``).  Both feed one sparse merge
+    (``_merge_pairs``), and only the rows it touches are rescored, so
+    every cached value is a direct one.  ``predict`` screens
+    the candidate through the Gram screen (``gram_screen``), every
+    label's ``kth_bound`` in one partition, and the label set
+    (``_conformal_label_set``) rescores only the rows the candidate
+    reaches.  Features whose distances overflow therefore raise the
+    ``distances`` ValueError at that ``predict``, not at ``observe``, and
+    leave the caches as they were.  Predictions agree exactly with
+    rescoring the bag from direct distances, ties included.
     """
 
     def __init__(self, k: int, label_space):
         super().__init__(k, label_space)
-        # (rows cached, k) ascending, +inf where fewer than k exist.
-        self._same = np.full((0, self.k), np.inf)
-        self._diff = np.full((0, self.k), np.inf)
+        self._labels = np.unique(self.label_space)
+        # Per cached row: its k smallest same-label and different-label
+        # distances, (rows, 2, k) ascending and +inf where fewer exist, and
+        # the row's score from them.
+        self._near = np.full((0, 2, self.k), np.inf)
+        self._score = np.empty(0)
+        # (cached rows, candidate bytes, its distances) of the last predict.
+        self._last = None
 
     def _predict(self, x, eps):
-        if self._same.shape[0] < len(self._hist):
+        if self._near.shape[0] < len(self._hist):
             self._catch_up()
-        X, y = self._hist.X, self._hist.y
-        same, diff = self._same, self._diff
+        X, y, near, k = self._hist.X, self._hist.y, self._near, self.k
+        is_lab = y == self._labels[:, None]
         # d[i] matters where x could come nearer than row i's cached k-th
         # value on either side, or be among x's own k nearest of row i's
-        # label (that label's kth_bound); every other row gets +inf.
+        # label (that label's kth_bound, for all labels in one partition);
+        # every other row gets +inf.
         g, slack = gram_screen(X, self._row_norms(), x)
-        thr = np.maximum(same[:, -1], diff[:, -1])
-        for lab in self.label_space:
-            is_lab = y == lab
-            thr[is_lab] = np.maximum(thr[is_lab], kth_bound(g[is_lab], slack[is_lab], self.k))
+        bound = kth_bound(np.where(is_lab, g + slack, np.inf), 0.0, k)
+        thr = np.maximum(np.maximum(near[:, 0, -1], near[:, 1, -1]),
+                         bound[np.searchsorted(self._labels, y)])
         d = screened_distances(X, x, g, slack, thr)
-        return _conformal_label_set(same, diff, d, y, self.label_space, self.k, eps)
+        self._last = X.shape[0], x.tobytes(), d
+        return _conformal_label_set(near, self._score, is_lab, d, self._labels, k, eps)
 
     def _catch_up(self):
         """Cache rows for the examples that arrived since the last call, and
-        merge their distances into the rows cached before it.  Works on
-        copies, so a ValueError from ``distances`` changes nothing."""
+        merge their distances into the rows cached before it.
+
+        When exactly one row arrived, with the bytes of the last predict's
+        candidate and against the caches that predict used, its distances
+        there are reused: they hold the row's k nearest of every label
+        (that covers its different-label side too, since each of its k
+        nearest different-label rows is among the k nearest of its own
+        label), and every distance within an older row's cached k-th
+        value.  Otherwise the new rows are screened in row blocks.  Works
+        on copies, so a ValueError from ``distances`` changes nothing."""
         X, y, k = self._hist.X, self._hist.y, self.k
-        n, c = X.shape[0], self._same.shape[0]
-        pad = np.full((n - c, k), np.inf)
-        rows = np.concatenate([self._same, pad]), np.concatenate([self._diff, pad])
-        # A row cached before the call changes only where a new row comes
-        # nearer than its cached k-th value on the pair's side.
-        floor = np.zeros((2, n))
-        floor[:, :c] = rows[0][:c, -1], rows[1][:c, -1]
-        for lo, same, r, j, d in _screened_pairs(X, self._row_norms(), y, k, c, floor):
-            near = np.full(same.shape, np.inf)
-            near[r, j] = d
-            old = np.unique(j[j < c])
-            for cache, on_side in zip(rows, (same, ~same)):
-                side = np.where(on_side, near, np.inf)
-                top = k_smallest(side, k)
-                cache[lo:lo + side.shape[0], :top.shape[1]] = top
-                cache[old] = k_smallest(np.hstack([cache[old], side[:, old].T]), k)
-        self._same, self._diff = rows
+        n, c = X.shape[0], self._near.shape[0]
+        near = np.concatenate([self._near, np.full((n - c, 2, k), np.inf)])
+        if n == c + 1 and self._last is not None and self._last[:2] == (c, X[c].tobytes()):
+            d = self._last[2]
+            j = np.flatnonzero(np.isfinite(d))
+            blocks = [(np.full(j.shape, c), j, d[j])]
+        else:
+            # A row cached before the call changes only where a new row
+            # comes nearer than its cached k-th value on the pair's side.
+            floor = np.zeros((2, n))
+            floor[:, :c] = near[:c, :, -1].T
+            blocks = _screened_pairs(X, self._row_norms(), y, k, c, floor)
+        # Side 0 (same label) or 1 (different) of row r is row 2r + side here.
+        flat = near.reshape(-1, k)
+        touched = [np.arange(c, n)]
+        for i, j, dist in blocks:
+            # Row i takes every pair on its side; an older row j takes one
+            # where it comes nearer than j's k-th value there.
+            side = y[i] != y[j]
+            key_j = 2 * j + side
+            old = (j < c) & (dist < flat[key_j, -1])
+            touched.append(_merge_pairs(flat, np.concatenate([2 * i + side, key_j[old]]),
+                                        np.concatenate([dist, dist[old]])) // 2)
+        rows = np.concatenate(touched)
+        score = np.concatenate([self._score, np.empty(n - c)])
+        score[rows] = _row_scores(near[rows])
+        self._near, self._score = near, score
 
 
 # The cached class's earlier name, kept as a plain alias for the code that
@@ -314,11 +364,32 @@ class KnnConformalClassifier(KnnHistoryPredictor):
 CachedKnnConformalClassifier = KnnConformalClassifier
 
 
+def _row_scores(near):
+    """Each row's strangeness ratio from its (same, different) neighbour
+    distances ``near``, (rows, 2, width)."""
+    means = _finite_mean(near.reshape(-1, near.shape[2])).reshape(-1, 2)
+    return _ratio(means[:, 0], means[:, 1])
+
+
 def _finite_mean(rows: np.ndarray) -> np.ndarray:
     """Row means over the finite entries; NaN where a row has none."""
     finite = np.isfinite(rows)
     with np.errstate(invalid="ignore"):
         return np.where(finite, rows, 0.0).sum(axis=1) / finite.sum(axis=1)
+
+
+def _list_means(lists: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each ascending, +inf padded row's finite entries;
+    NaN where a row has none.  A full row takes one row sum, which gives
+    the same value; a shorter one (a label with fewer than k examples)
+    takes ``np.mean`` of its finite prefix, since a sum over the padded
+    row may round differently."""
+    means = _finite_mean(lists)
+    count = np.isfinite(lists).sum(axis=1)
+    for i in np.flatnonzero(count < lists.shape[1]):
+        if count[i]:
+            means[i] = np.mean(lists[i, :count[i]])
+    return means
 
 
 def _ratio(same_mean, diff_mean):

@@ -9,8 +9,9 @@ import aci_lab
 from aci_lab import cp_online, harness, nccp_online
 from aci_lab.core import derive_rng
 from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
-                               KnnConformalClassifier, _fill_distances, _neighbor_rows,
-                               crr_predict, knn_cp_predict, knn_nonconformity, p_value)
+                               KnnConformalClassifier, _fill_distances, _finite_mean,
+                               _neighbor_rows, _ratio, crr_predict, knn_cp_predict,
+                               knn_nonconformity, p_value)
 from aci_lab.data import StreamSpec, make_stream
 from aci_lab.nccp_online import KnnThresholdClassifier
 from aci_lab.numerics import NumericError
@@ -188,15 +189,19 @@ def test_knn_cp_routes_match_bruteforce_on_grid_ties(scale, route):
 
 def _check_caches(pred, X, y, k):
     """The online class's caches over the n rows of X hold, bit for bit,
-    the neighbour rows of the fully direct distance matrix."""
+    the neighbour rows of the fully direct distance matrix, and its kept
+    row scores equal those of every cached row recomputed at once, though
+    each was computed with only the rows a catch-up touched."""
     n = X.shape[0]
     direct = np.empty((n, n))
     _fill_distances(direct, X)
     same, diff = _neighbor_rows(direct, y, k)
     width = same.shape[1]
-    assert pred._same.shape == pred._diff.shape == (n, k)
-    assert np.array_equal(pred._same[:, :width], same), n
-    assert np.array_equal(pred._diff[:, :width], diff), n
+    assert pred._near.shape == (n, 2, k)
+    assert np.array_equal(pred._near[:, 0, :width], same), n
+    assert np.array_equal(pred._near[:, 1, :width], diff), n
+    means = _finite_mean(pred._near[:, 0]), _finite_mean(pred._near[:, 1])
+    assert np.array_equal(pred._score, _ratio(*means)), n
 
 
 def _digits_shape_stream(labels, offset, n):
@@ -329,8 +334,8 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
         pred._catch_up()
         same, diff = _neighbor_rows(dist[:i + 1, :i + 1], y[:i + 1], k)
         width = same.shape[1]
-        assert np.array_equal(pred._same[:i + 1, :width], same), i
-        assert np.array_equal(pred._diff[:i + 1, :width], diff), i
+        assert np.array_equal(pred._near[:i + 1, 0, :width], same), i
+        assert np.array_equal(pred._near[:i + 1, 1, :width], diff), i
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -364,6 +369,160 @@ def test_cached_class_catches_up_in_bursts(data, k, monkeypatch):
         _check_caches(pred, X[:n], y[:n], k)
 
 
+def _edge_stream(data, n):
+    """(X, y, label space) with n rows for the reuse-path tests: 3 or 10
+    labels, one class, a label on two rows only, or integer-grid ties."""
+    if data == "grid-ties":
+        rng = derive_rng(9, "knn-reuse")
+        return rng.integers(0, 4, size=(n, 3)) * 0.3, rng.integers(0, 3, size=n), [0, 1, 2]
+    n_classes = 10 if data == "10-labels" else 3
+    ds = make_stream(StreamSpec(kind="cluster-classification", n=n, p=12, seed=5,
+                                n_classes=n_classes, class_sep=2.0))
+    y = ds.y.copy()
+    if data == "one-class":
+        y[:] = 1
+    elif data == "one-rare":
+        y[y == 1] = 0
+        y[[3, 30]] = 1
+    return ds.X, y, ds.label_space
+
+
+@pytest.mark.parametrize("k", [1, 3, 20])
+@pytest.mark.parametrize("data", ["3-labels", "10-labels", "one-class", "one-rare",
+                                  "grid-ties"])
+def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch):
+    # The catch-up takes the last predict's distances only for exactly one
+    # new row with that candidate's bytes, against the caches that predict
+    # used; every other arrival is screened in row blocks.  Sequences:
+    # boundary levels (no _predict) between predicts, a predict that
+    # raises the overflow ValueError, predict(x1) then observe(x2), two
+    # predicts then one observe, and a row observed as -0.0 where 0.0 was
+    # predicted.  After every catch-up the caches equal the direct
+    # matrix's neighbour rows, and every set equals knn_cp_predict.
+    X, y, label_space = _edge_stream(data, 60)
+    blocks, screened_pairs = [], cp_online._screened_pairs
+    monkeypatch.setattr(cp_online, "_screened_pairs",
+                        lambda *args: blocks.append(1) or screened_pairs(*args))
+    pred = KnnConformalClassifier(k=k, label_space=label_space)
+    hist = []
+    far = np.full(X.shape[1], 1e200)
+
+    def observe(x, i):
+        pred.observe(x, int(y[i]))
+        hist.append((x, y[i]))
+
+    def predict(x, path=None):
+        # path: the catch-up this predict makes, "reuse", "blocks" or None
+        before = len(blocks)
+        hX, hy = np.array([h[0] for h in hist]), np.array([h[1] for h in hist])
+        for eps in (0.3, 0.05):
+            want = knn_cp_predict(hX, hy, x, eps, k, label_space)
+            assert pred.predict(x, eps).labels == want.labels, (len(hist), eps)
+        assert len(blocks) - before == (path == "blocks"), (len(hist), path)
+        _check_caches(pred, hX, hy, k)
+
+    for i in range(8):
+        observe(X[i], i)
+    predict(X[8], "blocks")
+    observe(X[8], 8)
+    predict(X[9], "reuse")
+    observe(X[9], 9)
+    # Boundary levels skip _predict, so two rows arrive unscreened.
+    assert pred.predict(X[10], 0.0).kind == "all"
+    observe(X[10], 10)
+    assert pred.predict(X[11], 1.0).kind == "empty"
+    observe(X[11], 11)
+    predict(X[12], "blocks")
+    # A boundary predict of the same row leaves the interior one's distances.
+    assert pred.predict(X[12], 1.0).kind == "empty"
+    observe(X[12], 12)
+    predict(X[13], "reuse")
+    # A predict that raises leaves the last distances and the caches as
+    # they were.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too large for distances"):
+            pred.predict(far, 0.1)
+    observe(X[13], 13)
+    predict(X[14], "reuse")
+    # predict(x1), then observe(x2).
+    observe(X[15], 15)
+    predict(X[16], "blocks")
+    # A predict that catches up and then raises: the last distances were
+    # taken against fewer cached rows, so the observed row does not reuse.
+    observe(X[22], 22)
+    with pytest.raises(ValueError, match="too large for distances"):
+        pred.predict(far, 0.1)
+    observe(X[16], 16)
+    predict(X[17], "blocks")
+    # Two predicts of different rows, then one observe: only the last
+    # predict's row reuses.
+    predict(X[18])
+    observe(X[17], 17)
+    predict(X[18], "blocks")
+    predict(X[19])
+    observe(X[19], 19)
+    predict(X[20], "reuse")
+    # Equal in value, not in bytes.
+    x = X[20].copy()
+    x[0] = 0.0
+    x_neg = x.copy()
+    x_neg[0] = -0.0
+    predict(x)
+    observe(x_neg, 20)
+    predict(X[21], "blocks")
+    for i in range(21, 59):
+        observe(X[i], i)
+        predict(X[i + 1], "reuse")
+
+
+def test_steady_step_screens_once_per_predict(monkeypatch):
+    # after the first fill, a predict -> observe -> predict cycle makes one
+    # gram_screen call per predict and no paired distances call: the
+    # catch-up takes the observed row's distances from the predict before
+    calls, real_screen, real_distances = [], cp_online.gram_screen, cp_online.distances
+
+    def screen(A, sq, x):
+        calls.append("screen")
+        return real_screen(A, sq, x)
+
+    def dist(A, x):
+        if x.ndim == 2:
+            calls.append("paired")
+        return real_distances(A, x)
+    X, y, label_space = _edge_stream("3-labels", 60)
+    pred = KnnConformalClassifier(k=3, label_space=label_space)
+    for i in range(40):
+        pred.observe(X[i], int(y[i]))
+    pred.predict(X[40], 0.1)
+    monkeypatch.setattr(cp_online, "gram_screen", screen)
+    monkeypatch.setattr(cp_online, "distances", dist)
+    for i in range(40, 50):
+        pred.observe(X[i], int(y[i]))
+        pred.predict(X[i + 1], 0.1)
+    assert calls == ["screen"] * 10
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 9, 20, 33])
+def test_kept_row_scores_match_a_full_rescoring(k):
+    # The kept row scores, refreshed only for the rows each catch-up
+    # touches, equal the ratio of every row's cache means recomputed at
+    # once, bit for bit, after a first fill, one-row reuses
+    # and a burst.  k >= 9 sums a row in numpy's 8-wide pairwise blocks,
+    # and at 60 rows of 3 labels k = 20 and 33 leave short rows too.
+    X, y, label_space = _edge_stream("3-labels", 150)
+    pred = KnnConformalClassifier(k=k, label_space=label_space)
+    for i in range(60):
+        pred.observe(X[i], int(y[i]))
+    for i in range(60, 64):
+        pred.predict(X[i], 0.2)
+        _check_caches(pred, X[:i], y[:i], k)
+        pred.observe(X[i], int(y[i]))
+    for i in range(64, 149):
+        pred.observe(X[i], int(y[i]))
+    pred.predict(X[149], 0.2)
+    _check_caches(pred, X[:149], y[:149], k)
+
+
 def test_cached_class_catch_up_refuses_overflow():
     # rows whose squared differences overflow raise the distances
     # ValueError at every predict after they arrive, whether they come
@@ -379,14 +538,13 @@ def test_cached_class_catch_up_refuses_overflow():
             if warm:
                 pred.observe(np.array([0.0, 3.0]), 1)
                 pred.predict(np.array([0.0, 2.0]), 0.1)
-            cached = pred._same.copy(), pred._diff.copy()
+            cached = pred._near.copy()
             for row, lab in zip(far, (0, 1, 0)):
                 pred.observe(row, lab)
             for _ in range(2):
                 with pytest.raises(ValueError, match="too large for distances"):
                     pred.predict(np.array([0.0, 2.0]), 0.1)
-                assert np.array_equal(pred._same, cached[0])
-                assert np.array_equal(pred._diff, cached[1])
+                assert np.array_equal(pred._near, cached)
         pred = KnnConformalClassifier(k=1, label_space=[0, 1])
         for row, lab in zip(near, (0, 1, 0)):
             pred.observe(row, lab)

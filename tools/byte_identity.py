@@ -87,15 +87,25 @@ def commands():
                                                "--n-classes", "10", "--class-sep", "3.5",
                                                "--n", "2200", "--warmup", "2000",
                                                "--k", k]))
-    # knn-cp after a long warm-up, so its first predict fills the kept
-    # matrix through the pairwise screen, at both summation forms of a
-    # distance row and with k = 1 and 3
+    # knn-cp after a long warm-up, so its first predict fills the
+    # neighbour caches through the pairwise screen, at both summation forms
+    # of a distance row and with k = 1 and 3; then at k = 20 with 10
+    # labels, where every later step reuses its predict's distances and
+    # the label passes group 10 labels; and with 10 labels at gamma 0.6,
+    # where boundary steps (no predict) interleave with that reuse
     for p in ("20", "130"):
         for k in ("1", "3"):
             cmds.append((f"knn-cp-warm-p{p}-k{k}", ["online", "--dataset", "synth-class",
                                                     "--predictor", "knn-cp", "--p", p,
                                                     "--k", k, "--n", "460",
                                                     "--warmup", "400", "--gamma", "0.05"]))
+    cmds.append(("knn-cp-warm-p130-k20-l10", ["online", "--dataset", "synth-class",
+                                              "--predictor", "knn-cp", "--p", "130",
+                                              "--k", "20", "--n-classes", "10", "--n", "460",
+                                              "--warmup", "400", "--gamma", "0.05"]))
+    cmds.append(("boundary-knn-cp-l10", ["online", "--dataset", "synth-class",
+                                         "--predictor", "knn-cp", "--n-classes", "10",
+                                         "--p", "20", *BOUNDARY]))
     return cmds
 
 
