@@ -172,16 +172,34 @@ class SetPredictor(ABC):
     def _observe(self, x: np.ndarray, y) -> None: ...
 
     def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("feature vector contains non-finite values")
-        if self._dim is None:
-            self._dim = x.shape[0]
-        elif x.shape[0] != self._dim:
-            raise ValueError(f"expected {self._dim} features, got {x.shape[0]}")
+        x = check_features(x, self._dim)
+        self._dim = x.shape[0]
         return x
+
+
+def check_features(x, dim: int | None = None) -> np.ndarray:
+    """``x`` as a 1-D array of finite features (``dim`` of them if given)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("feature vector contains non-finite values")
+    if dim is not None and x.shape[0] != dim:
+        raise ValueError(f"expected {dim} features, got {x.shape[0]}")
+    return x
+
+
+def knn_inputs(hist_X, hist_y, x, k: int):
+    """A one-shot k-NN route's checked ``(hist_X, hist_y, x)`` and k."""
+    hist_X = np.asarray(hist_X, dtype=float)
+    hist_y = np.asarray(hist_y)
+    if hist_X.ndim != 2 or hist_X.shape[0] == 0:
+        raise ValueError(f"history must be a non-empty 2-D array, got shape {hist_X.shape}")
+    if hist_y.shape != (hist_X.shape[0],):
+        raise ValueError("history labels do not match history rows")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return hist_X, hist_y, check_features(x, hist_X.shape[1])
 
 
 class ExampleBuffer:

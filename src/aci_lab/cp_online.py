@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
-                   PredictionSet, RidgeHistoryPredictor, boundary_set)
+from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor, PredictionSet,
+                   RidgeHistoryPredictor, boundary_set, knn_inputs)
 from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_index,
-                       gram_screen, k_smallest, kth_bound, screened_distances, within)
+                       gram_screen, k_smallest, kth_bound, reach, screened_distances, within)
 
 
 def p_value(scores, candidate_score: float) -> float:
@@ -45,106 +45,57 @@ def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
     No same-label members at all makes the example maximally strange
     (+inf); no different-label members makes it maximally conforming (0).
     """
-    bag_X = np.asarray(bag_X, dtype=float)
-    bag_y = np.asarray(bag_y)
-    if bag_X.ndim != 2 or bag_X.shape[0] == 0:
-        raise ValueError("bag must be a non-empty 2-D array")
-    if bag_y.shape != (bag_X.shape[0],):
-        raise ValueError("history labels do not match history rows")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    d = distances(bag_X, np.asarray(x, dtype=float))
+    bag_X, bag_y, x = knn_inputs(bag_X, bag_y, x, k)
+    d = distances(bag_X, x)
     same = bag_y == y
-    return float(_ratio(*_list_means(k_smallest(np.where([same, ~same], d, np.inf), k))))
+    return float(_ratio(*_finite_mean(k_smallest(np.where([same, ~same], d, np.inf), k))))
 
 
 def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:
     """Full conformal k-NN classifier: keep labels whose completion has
-    p-value above eps.
-
-    Runs one candidate completion per label.  Distances are computed once
-    (all pairs within the history, directly, plus the candidate row) and
-    shared across candidates, so a call costs O(n^2) distance evaluations
-    however many labels there are.
-    """
-    hist_X = np.asarray(hist_X, dtype=float)
-    hist_y = np.asarray(hist_y)
-    n_hist = hist_X.shape[0]
-    if n_hist == 0:
-        raise ValueError("history is empty")
-    if hist_y.shape != (n_hist,):
-        raise ValueError("history labels do not match history rows")
+    p-value above eps.  Every history label must be in ``label_space``.
+    The history's caches are the catch-up of an empty
+    :class:`KnnConformalClassifier`, and one row of candidate distances
+    serves every label."""
+    hist_X, hist_y, x = knn_inputs(hist_X, hist_y, x, k)
+    labels = np.asarray(label_space)
+    is_lab = hist_y == labels[:, None]
+    outside = hist_y[~is_lab.any(axis=0)]
+    if outside.size:
+        raise ValueError(f"history label {outside[0]} outside the label space")
     forced = boundary_set(eps, CLASSIFICATION)
     if forced is not None:
         return forced
-
-    hx = distances(hist_X, np.asarray(x, dtype=float))
-    hh = np.empty((n_hist, n_hist))
-    _fill_distances(hh, hist_X)
-    # Per history point, the k nearest same-label / different-label
-    # distances within the history; the candidate only ever adds one
-    # distance to one of the two sides, and every distance is finite, so
-    # the label set rescores every point.
-    near = np.stack(_neighbor_rows(hh, hist_y, k), axis=1)
-    labels = np.asarray(label_space)
-    return _conformal_label_set(near, _row_scores(near), hist_y == labels[:, None], hx, labels,
-                                k, eps)
+    near, score = _caught_up(np.full((0, 2, k), np.inf), np.empty(0), hist_X,
+                             np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
+    # Every candidate distance is finite, so the label set rescores every
+    # point the candidate reaches.
+    return _conformal_label_set(near, score, is_lab, distances(hist_X, x), labels, k, eps)
 
 
-def _fill_distances(hh: np.ndarray, X: np.ndarray) -> None:
-    """Fill the pairwise distance matrix ``hh`` over the n rows of X: one
-    direct ``distances`` row per point, mirrored into its column, and
-    +inf on the diagonal."""
-    for j in range(X.shape[0]):
-        hh[j, :j] = hh[:j, j] = distances(X[:j], X[j])
-        hh[j, j] = np.inf
-
-
-# (row, row) pairs screened at once when rows are caught up: 2^16 Gram
-# values (512 KB) per block of rows.
+# Pairs per block of the self-join (2^16 Gram values, 512 KB), and feature
+# differences per batch of its paired distances.
 _FILL_PAIRS = 1 << 16
 
 
-def _screened_pairs(X, sq, y, k, start, floor):
-    """The pairs that rows start..n-1 of X (squared norms ``sq``, labels
-    ``y``) need for their k nearest same-label and different-label
-    distances among all n rows, in blocks of about ``_FILL_PAIRS`` pairs.
-    Per block yields ``(i, j, d)``: the kept pairs (i, j), i a row of the
-    block, and their direct distances d.
-
-    One ``gram_screen`` of the block gives each row a per-side
-    ``kth_bound`` over every other row.  A pair is kept where ``within``
-    says its direct distance may be <= that bound on the pair's side, or
-    <= ``floor[side, j]`` (0 same label, 1 different); never the self
-    pair.  So a row's k nearest on each side, ties included, are among
-    its kept pairs, and so is every distance below ``floor``.  Each kept
-    pair gets one paired ``distances`` value."""
-    n = X.shape[0]
-    step = max(1, _FILL_PAIRS // n)
-    for lo in range(start, n, step):
-        hi = min(lo + step, n)
-        g, slack = gram_screen(X, sq, X[lo:hi])
-        same = y[lo:hi, None] == y
-        own = np.arange(hi - lo), np.arange(lo, hi)
-        g_same = np.where(same, g, np.inf)
-        g_same[own] = np.inf
-        thr = np.where(same, np.maximum(kth_bound(g_same, slack, k)[:, None], floor[0]),
-                       np.maximum(kth_bound(np.where(same, np.inf, g), slack, k)[:, None],
-                                  floor[1]))
-        keep = within(g, slack, thr)
-        keep[own] = False
-        r, j = keep.nonzero()
-        # Paired distances n pairs at a time: no more memory than a direct row.
-        d = [distances(X[j[s:s + n]], X[lo + r[s:s + n]]) for s in range(0, r.shape[0], n)]
-        yield lo + r, j, np.concatenate([np.empty(0), *d])
-
-
-def _merge_pairs(flat, key, dist):
-    """Offer each distance dist[t] to row key[t] of ``flat``, whose rows
-    hold k ascending values, +inf padded: every row named keeps the k
-    smallest of its values and its offers.  Returns the rows named."""
-    k = flat.shape[1]
-    order = np.lexsort((dist, key))
+def _caught_up(near, score, X, sq, y, pairs=None):
+    """New caches ``near`` (rows, 2, k) and row scores ``score`` of the first
+    c rows of X caught up with rows c..n-1, from the pairs ``(i, j, d)``
+    given (i from c on) or else the screened self-join's.  Row i takes
+    each pair; row j too where j >= c or d is below j's cached k-th value
+    on the pair's side.  Only the rows that take one are rescored."""
+    n, c, k = X.shape[0], near.shape[0], near.shape[2]
+    i, j, dist = pairs if pairs is not None else _screened_join(X, sq, y, k, c, near[:, :, -1])
+    near = np.concatenate([near, np.full((n - c, 2, k), np.inf)])
+    # Side 0 (same label) or 1 (different) of row r is row 2r + side here.
+    flat = near.reshape(-1, k)
+    side = y[i] != y[j]
+    key_j = 2 * j + side
+    take = (j >= c) | (dist < flat[key_j, -1])
+    key, dist = np.concatenate([2 * i + side, key_j[take]]), np.concatenate([dist, dist[take]])
+    # Sorted by key, then by distance, each key's first k offers merge in.
+    order = np.argsort(dist)
+    order = order[np.argsort(key[order], kind="stable")]
     key, dist = key[order], dist[order]
     rank = np.arange(key.shape[0]) - np.searchsorted(key, key)
     head, first = rank == 0, rank < k
@@ -152,28 +103,96 @@ def _merge_pairs(flat, key, dist):
     offers[(np.cumsum(head) - 1)[first], rank[first]] = dist[first]
     touched = key[head]
     flat[touched] = k_smallest(np.concatenate([flat[touched], offers], axis=1), k)
-    return touched
+    rows = np.concatenate([touched[touched < 2 * c] // 2, np.arange(c, n)])
+    score = np.concatenate([score, np.empty(n - c)])
+    score[rows] = _row_scores(near[rows])
+    return near, score
+
+
+def _screened_join(X, sq, y, k, c, floor):
+    """``(i, j, d)``: each pair once that rows i >= c of X (squared norms
+    ``sq``, labels ``y``) need for their k nearest of either side (0 same
+    label, 1 different), or where i may come within ``floor[j, side]`` of
+    a row j < c, with its direct distance d.
+
+    The new rows, sorted by label, are screened in blocks of one label
+    against themselves and the rows after them (``gram_screen`` without a
+    query), so each side is a few label-sorted slices.  A running k
+    smallest of g + slack per row and side, fed by each block's rows and
+    columns, is exact after the row's own block.  A block records the
+    pairs ``within`` may keep under the larger running bound of their
+    rows; those left by the exact bounds get a paired distance."""
+    n, m = X.shape[0], X.shape[0] - c
+    # The new rows first, then the cached ones, each run sorted by label.
+    order = np.concatenate([c + np.argsort(y[c:], kind="stable"),
+                            np.argsort(y[:c], kind="stable")])
+    X, sq, y = X[order], sq[order], y[order]
+    top = np.full((m, 2, k), np.inf)
+    # Per row and side, within's reach for its running bound or its floor.
+    bound = np.empty((n, 2))
+    bound[m:] = reach(floor[order[m:]])
+    labels, starts = np.unique(y[:m], return_index=True)
+    step = max(1, _FILL_PAIRS // n)
+    kept = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
+    # Each label's run of new rows [s, e) and of cached rows [o0, o1).
+    for s, e, o0, o1 in zip(starts, np.append(starts[1:], m), m + np.searchsorted(y[m:], labels),
+                            m + np.searchsorted(y[m:], labels, "right")):
+        for lo in range(s, e, step):
+            hi = min(lo + step, e)
+            b = hi - lo
+            g, slack = gram_screen(X[lo:], sq[lo:], rows=b)
+            t = g + slack
+            t[:, :b] = np.minimum(t[:, :b], t[:, :b].T)
+            # Columns from lo: the block [0, b), same label [0, a) and
+            # [q0, q1), different [a, q0) and [q1, n - lo); new rows end at w.
+            a, w, q0, q1 = e - lo, m - lo, o0 - lo, o1 - lo
+            _fold(top[hi:e, 0], t[:, b:a].T, k)
+            _fold(top[e:m, 1], t[:, a:w].T, k)
+            _fold(top[lo:hi, 0], np.concatenate([t[:, :a], t[:, q0:q1]], 1), k)
+            _fold(top[lo:hi, 1], np.concatenate([t[:, a:q0], t[:, q1:]], 1), k)
+            bound[lo:m] = reach(np.sqrt(top[lo:, :, -1]))
+            # A pair is recorded under the larger bound of its two rows.
+            row, col = bound[lo:hi], bound[lo:, 1].copy()
+            col[:a], col[q0:q1] = bound[lo:e, 0], bound[o0:o1, 0]
+            lim = np.maximum(row[:, 1, None], col)
+            for p0, p1 in ((0, a), (q0, q1)):
+                np.maximum(row[:, 0, None], col[p0:p1], out=lim[:, p0:p1])
+            g -= slack
+            hit = g <= lim
+            hit[:, :b] &= ~np.tri(b, dtype=bool)
+            r, j = np.divmod(np.flatnonzero(hit), n - lo)
+            kept.append((lo + r, lo + j, g[r, j]))
+    i, j, low = (np.concatenate(v) for v in zip(*kept))
+    thr = np.concatenate([np.sqrt(top[:, :, -1]), floor[order[m:]]]).reshape(-1)
+    side = y[i] != y[j]
+    hit = within(low, 0.0, np.maximum(thr[2 * i + side], thr[2 * j + side]))
+    i, j = i[hit], j[hit]
+    batch = max(1, _FILL_PAIRS // max(1, X.shape[1]))
+    d = [distances(X[j[s:s + batch]], X[i[s:s + batch]]) for s in range(0, i.shape[0], batch)]
+    return order[i], order[j], np.concatenate([np.empty(0), *d])
+
+
+def _fold(top, values, k):
+    """Each row of ``top`` (rows, k) keeps the k smallest of it and of that
+    row of ``values``, unordered but for the k-th, which comes last."""
+    if k == 1:
+        np.minimum(top[:, 0], values.min(axis=-1, initial=np.inf), out=top[:, 0])
+    else:
+        top[:] = np.partition(np.concatenate([top, values], axis=-1), k - 1, axis=-1)[:, :k]
 
 
 def _conformal_label_set(near, score, is_lab, d, labels, k, eps) -> PredictionSet:
     """Labels whose candidate completion has p-value above eps.
 
-    ``near`` holds each history point's smallest (up to k) same-label and
-    different-label distances within the history, (n, 2, width)
-    ascending and +inf where there are fewer; ``score`` each point's
-    strangeness from them (``_row_scores``); ``is_lab`` (labels, n) which
-    points carry each of ``labels``; and ``d`` the candidate's distances
-    to the history.  d[i] may be +inf where the candidate can neither
-    displace one of point i's neighbours nor be among its own k nearest
-    of i's label (``knn_cp_predict`` passes every distance finite).
-
-    The candidate adds d[i] to one side of point i, depending on its
-    label, so only the points where d[i] is below a k-th value are
-    rescored, both merges at once, and every other point keeps
-    ``score``.  The candidate's own scores come from its finite
-    distances, and the counts from one comparison, for all labels at
-    once.  The p-value counts the candidate itself:
-    (#{alpha_i >= alpha_n} + 1) / (n + 1).
+    ``near`` holds each history point's k smallest same-label and
+    different-label distances, (n, 2, k) ascending and +inf padded;
+    ``score`` each point's strangeness (``_row_scores``); ``is_lab``
+    (labels, n) which points carry each of ``labels``; ``d`` the
+    candidate's distances, +inf where it can neither displace one of
+    point i's neighbours nor be among its own k nearest of i's label.
+    Only the points where d[i] is below a k-th value are rescored, and
+    every label is counted in one comparison.  The p-value counts the
+    candidate itself: (#{alpha_i >= alpha_n} + 1) / (n + 1).
     """
     # The points whose score the candidate can change.
     reach = np.flatnonzero(d < np.maximum(near[:, 0, -1], near[:, 1, -1]))
@@ -186,7 +205,7 @@ def _conformal_label_set(near, score, is_lab, d, labels, k, eps) -> PredictionSe
     fin = np.flatnonzero(np.isfinite(d))
     own = is_lab[:, fin]
     nearest = k_smallest(np.where(np.stack([own, ~own]), d[fin], np.inf), k)
-    own_means = _list_means(nearest.reshape(-1, nearest.shape[2]))
+    own_means = _finite_mean(nearest.reshape(-1, nearest.shape[2]))
     # One ratio pass: point i's score when the candidate shares its label
     # and when it does not, then the candidate's score for each label.
     m, n_labels = reach.shape[0], labels.shape[0]
@@ -196,14 +215,6 @@ def _conformal_label_set(near, score, is_lab, d, labels, k, eps) -> PredictionSe
     alphas[:, reach] = np.where(is_lab[:, reach], alpha[:m], alpha[m:2 * m])
     n_ge = (alphas >= alpha[2 * m:, None]).sum(axis=1) + 1
     return PredictionSet.label_set(labels[n_ge / (d.shape[0] + 1) > eps].tolist())
-
-
-def _neighbor_rows(hh: np.ndarray, y: np.ndarray, k: int):
-    """Per row of a pairwise distance matrix with +inf on its diagonal, the
-    k smallest distances to same-label and to different-label points."""
-    same = y[None, :] == y[:, None]
-    return (k_smallest(np.where(same, hh, np.inf), k),
-            k_smallest(np.where(same, np.inf, hh), k))
 
 
 def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
@@ -268,25 +279,16 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     """Online full-CP k-NN classifier over incremental neighbour caches.
 
     Per history point the k smallest same-label and different-label
-    distances (within the history) are cached, with the point's score
-    from them, so scoring a
-    candidate completion only has to merge the candidate's distance into
-    the points it can reach: O(n*k) per step at most instead of the
-    O(n^2) rescoring of :func:`knn_cp_predict`.  ``observe`` only
-    appends; the next ``predict`` first catches the caches up with the
-    rows that arrived since (``_catch_up``).  One new row that the last
-    ``predict`` screened as its candidate, against the same caches,
-    takes that predict's distances; other arrivals go through screened
-    row blocks (``_screened_pairs``).  Both feed one sparse merge
-    (``_merge_pairs``), and only the rows it touches are rescored, so
-    every cached value is a direct one.  ``predict`` screens
-    the candidate through the Gram screen (``gram_screen``), every
-    label's ``kth_bound`` in one partition, and the label set
-    (``_conformal_label_set``) rescores only the rows the candidate
-    reaches.  Features whose distances overflow therefore raise the
-    ``distances`` ValueError at that ``predict``, not at ``observe``, and
-    leave the caches as they were.  Predictions agree exactly with
-    rescoring the bag from direct distances, ties included.
+    distances are cached with the point's score, so a candidate only
+    rescores the points it can reach: O(n*k) per step at most.
+    ``observe`` only appends; the next ``predict`` catches the caches up
+    (``_catch_up``, through ``_caught_up``), then screens the candidate
+    through ``gram_screen`` and every label's ``kth_bound`` in one
+    partition, and the label set (``_conformal_label_set``) rescores the
+    rows it reaches.  Features whose distances overflow raise the
+    ``distances`` ValueError at that ``predict`` and leave the caches as
+    they were.  Predictions agree exactly with rescoring the bag from
+    direct distances, ties included.
     """
 
     def __init__(self, k: int, label_space):
@@ -318,45 +320,20 @@ class KnnConformalClassifier(KnnHistoryPredictor):
         return _conformal_label_set(near, self._score, is_lab, d, self._labels, k, eps)
 
     def _catch_up(self):
-        """Cache rows for the examples that arrived since the last call, and
-        merge their distances into the rows cached before it.
-
-        When exactly one row arrived, with the bytes of the last predict's
-        candidate and against the caches that predict used, its distances
-        there are reused: they hold the row's k nearest of every label
-        (that covers its different-label side too, since each of its k
-        nearest different-label rows is among the k nearest of its own
-        label), and every distance within an older row's cached k-th
-        value.  Otherwise the new rows are screened in row blocks.  Works
-        on copies, so a ValueError from ``distances`` changes nothing."""
-        X, y, k = self._hist.X, self._hist.y, self.k
-        n, c = X.shape[0], self._near.shape[0]
-        near = np.concatenate([self._near, np.full((n - c, 2, k), np.inf)])
-        if n == c + 1 and self._last is not None and self._last[:2] == (c, X[c].tobytes()):
+        """Cache the rows that arrived since the last call.  One row with the
+        bytes of the last predict's candidate, against the caches that
+        predict used, reuses its distances: they hold the row's k nearest
+        of every label (so of the other labels too) and every distance
+        within an older row's cached k-th value.  Other arrivals go through
+        the screened self-join.  A ValueError from ``distances`` changes
+        nothing."""
+        X, c, pairs = self._hist.X, self._near.shape[0], None
+        if X.shape[0] == c + 1 and self._last is not None and self._last[:2] == (c, X[c].tobytes()):
             d = self._last[2]
             j = np.flatnonzero(np.isfinite(d))
-            blocks = [(np.full(j.shape, c), j, d[j])]
-        else:
-            # A row cached before the call changes only where a new row
-            # comes nearer than its cached k-th value on the pair's side.
-            floor = np.zeros((2, n))
-            floor[:, :c] = near[:c, :, -1].T
-            blocks = _screened_pairs(X, self._row_norms(), y, k, c, floor)
-        # Side 0 (same label) or 1 (different) of row r is row 2r + side here.
-        flat = near.reshape(-1, k)
-        touched = [np.arange(c, n)]
-        for i, j, dist in blocks:
-            # Row i takes every pair on its side; an older row j takes one
-            # where it comes nearer than j's k-th value there.
-            side = y[i] != y[j]
-            key_j = 2 * j + side
-            old = (j < c) & (dist < flat[key_j, -1])
-            touched.append(_merge_pairs(flat, np.concatenate([2 * i + side, key_j[old]]),
-                                        np.concatenate([dist, dist[old]])) // 2)
-        rows = np.concatenate(touched)
-        score = np.concatenate([self._score, np.empty(n - c)])
-        score[rows] = _row_scores(near[rows])
-        self._near, self._score = near, score
+            pairs = np.full(j.shape, c), j, d[j]
+        self._near, self._score = _caught_up(self._near, self._score, X, self._row_norms(),
+                                             self._hist.y, pairs)
 
 
 # The cached class's earlier name, kept as a plain alias for the code that
@@ -372,24 +349,19 @@ def _row_scores(near):
 
 
 def _finite_mean(rows: np.ndarray) -> np.ndarray:
-    """Row means over the finite entries; NaN where a row has none."""
+    """``np.mean`` of each ascending, +inf padded row's finite prefix (NaN
+    if empty).  numpy sums 8 or more values pairwise, so a short row sums
+    its prefix alone: a sum over zeroed padding may round otherwise."""
     finite = np.isfinite(rows)
+    count = finite.sum(axis=1)
+    sums = np.where(finite, rows, 0.0).sum(axis=1)
+    short = (count > 0) & (count < rows.shape[1])
+    if short.any():
+        for m in np.unique(count[short]):
+            at = count == m
+            sums[at] = rows[at, :m].sum(axis=1)
     with np.errstate(invalid="ignore"):
-        return np.where(finite, rows, 0.0).sum(axis=1) / finite.sum(axis=1)
-
-
-def _list_means(lists: np.ndarray) -> np.ndarray:
-    """``np.mean`` of each ascending, +inf padded row's finite entries;
-    NaN where a row has none.  A full row takes one row sum, which gives
-    the same value; a shorter one (a label with fewer than k examples)
-    takes ``np.mean`` of its finite prefix, since a sum over the padded
-    row may round differently."""
-    means = _finite_mean(lists)
-    count = np.isfinite(lists).sum(axis=1)
-    for i in np.flatnonzero(count < lists.shape[1]):
-        if count[i]:
-            means[i] = np.mean(lists[i, :count[i]])
-    return means
+        return sums / count
 
 
 def _ratio(same_mean, diff_mean):

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor,
-                   PredictionSet, RidgeHistoryPredictor, boundary_set)
+from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor, PredictionSet,
+                   RidgeHistoryPredictor, boundary_set, knn_inputs)
 from .inductive import _labels_above
 from .numerics import (NumericError, RidgeSystem, distances, k_nearest, screened_nearest,
                        student_t_quantile, vote_shares)
@@ -29,15 +29,8 @@ def knn_vote_shares(hist_X, hist_y, x, k: int, label_space) -> np.ndarray:
     Euclidean distances; ties broken by example index (earlier wins).
     A history shorter than k votes with everything it has.
     """
-    hist_X = np.asarray(hist_X, dtype=float)
-    hist_y = np.asarray(hist_y)
-    if hist_X.shape[0] == 0:
-        raise ValueError("history is empty")
-    if hist_y.shape != (hist_X.shape[0],):
-        raise ValueError("history labels do not match history rows")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    d = distances(hist_X, np.asarray(x, dtype=float))
+    hist_X, hist_y, x = knn_inputs(hist_X, hist_y, x, k)
+    d = distances(hist_X, x)
     return vote_shares(hist_y[k_nearest(d, k)], label_space)
 
 

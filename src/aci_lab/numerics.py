@@ -6,13 +6,12 @@ quantiles come from scipy's ``stdtrit``; empirical quantiles use the
 ceiling (worst-case) convention throughout the package.  Every k-NN
 route finds neighbours through the same kernels: ``distances``, the
 one distance definition (one query row against every row, or paired
-rows; ``knn_cp_predict``'s pairwise matrix uses the first, the screened
-row blocks of the online full-CP k-NN class the second), the Gram screen
-(``gram_screen``, ``kth_bound``, ``within``, ``screened_distances`` and
-``screened_nearest``: one matrix product and a rounding-error bound
-rule out the rows that cannot matter, and the rest get the direct
-``distances`` value, so every value that reaches an output is the
-direct one), ``k_smallest`` values or ``k_nearest`` indices, and
+rows), the Gram screen (``gram_screen``, also of rows against each
+other, each pair once; ``kth_bound``, ``within``, ``reach``,
+``screened_distances`` and ``screened_nearest``: one matrix product and
+a rounding-error bound rule out the rows that cannot matter, and the
+rest get the direct ``distances`` value, so every value that reaches an
+output is the direct one), ``k_smallest`` values or ``k_nearest`` indices, and
 ``vote_shares``.  ``screened_nearest`` searches one query row (the
 online predictors) or a matrix of them in blocks of about 2^14 (query,
 row) pairs (the offline scorers' tables).  ``k_nearest`` selects by
@@ -24,6 +23,7 @@ finite input, which every distance kernel here guarantees.
 import math
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import stdtrit
 
@@ -133,7 +133,8 @@ def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d
 
 
-def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray):
+def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray | None = None,
+                rows: int | None = None):
     """Certified bounds on the direct distances from ``x`` to the rows of
     ``A`` from one matrix product: ``(g, slack)`` with g = sq + x.x - 2 A x,
     where ``sq`` holds the rows' squared norms (summed in any order), such
@@ -141,6 +142,10 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray):
     root of lies within g -/+ slack, with room to spare for the roundings
     of the tests made from them.  A matrix of queries gives one row of g
     and slack per query.
+
+    Without ``x``, A's first ``rows`` rows are the queries against all of
+    A's rows, each pair once: only cells (i, j) with j > i are formed (the
+    square by BLAS ``syrk``); the others hold g = +inf and slack = 0.
 
     The bound.  Let u = 2^-53, gamma_m = m u / (1 - m u) and s the exact
     squared distance |a - x|^2.  For any summation order (BLAS blocking
@@ -163,18 +168,25 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray):
     every row takes the direct route (and its ValueError).  Below that
     limit g is finite.
     """
+    q = A[:rows] if x is None else x
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = sq + np.einsum("...j,...j->...", x, x)[..., None]
-        if not norms.max() < 2.0 ** 1020:
-            return np.zeros(norms.shape), np.full(norms.shape, np.inf)
-        # norms - 2 A x, in place: doubling and negation are exact.
-        g = x @ A.T
-        g *= -2.0
-        g += norms
-    c = 16.0 * (A.shape[1] + 4)
-    norms *= c * _U
-    norms += c * 2.0 ** -1022
-    return g, norms
+        norms = sq + np.einsum("...j,...j->...", q, q)[..., None]
+        if not norms.max(initial=0.0) < 2.0 ** 1020:
+            g, slack = np.zeros(norms.shape), np.full(norms.shape, np.inf)
+        else:
+            # norms - 2 A x: doubling and negation are exact.
+            g = (q * -2.0) @ A.T if x is not None else np.empty(norms.shape)
+            if x is None:
+                g[:, :rows] = dsyrk(-2.0, q.T, trans=1)
+                np.matmul(q * -2.0, A[rows:].T, out=g[:, rows:])
+            g += norms
+            c = 16.0 * (A.shape[1] + 4)
+            slack = np.multiply(norms, c * _U, out=norms)
+            slack += c * 2.0 ** -1022
+    if x is None:
+        below = np.tri(rows, dtype=bool)
+        g[:, :rows][below], slack[:, :rows][below] = np.inf, 0.0
+    return g, slack
 
 
 def kth_bound(g: np.ndarray, slack: np.ndarray, k: int):
@@ -194,9 +206,14 @@ def kth_bound(g: np.ndarray, slack: np.ndarray, k: int):
 
 def within(g: np.ndarray, slack: np.ndarray, thr) -> np.ndarray:
     """Rows whose direct distance may be <= ``thr``: the others have
-    g - slack > thr^2 (1 + 4u), enough that even the rounded square
-    root of their direct sum exceeds thr.  A NaN keeps its row."""
-    return ~(g - slack > thr * thr * (1.0 + 4.0 * _U))
+    g - slack > ``reach(thr)``, enough that even the rounded square root
+    of their direct sum exceeds thr.  A NaN keeps its row."""
+    return ~(g - slack > reach(thr))
+
+
+def reach(thr):
+    """The largest g - slack that ``within`` keeps for thr: thr^2 (1 + 4u)."""
+    return thr * thr * (1.0 + 4.0 * _U)
 
 
 def screened_distances(A: np.ndarray, x: np.ndarray, g: np.ndarray, slack: np.ndarray,

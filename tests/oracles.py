@@ -10,6 +10,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from aci_lab.numerics import distances, k_smallest
+
 
 def crr_grid_oracle(hist_X, hist_y, x, eps, a=0.0):
     """Ridge-regression conformal interval by brute force: score candidate
@@ -84,3 +86,23 @@ def t_quantile_by_integration(p: float, dof: int) -> float:
         hi *= 2.0
     return float(brentq(lambda t: t_cdf_by_integration(t, dof) - p,
                         lo, hi, xtol=1e-10))
+
+
+def fill_distances(X):
+    """The direct pairwise distance matrix over the rows of X: one
+    ``distances`` row per point, mirrored into its column, and +inf on
+    the diagonal."""
+    n = X.shape[0]
+    hh = np.empty((n, n))
+    for j in range(n):
+        hh[j, :j] = hh[:j, j] = distances(X[:j], X[j])
+        hh[j, j] = np.inf
+    return hh
+
+
+def neighbor_rows(hh, y, k):
+    """Per row of a pairwise distance matrix with +inf on its diagonal, the
+    k smallest distances to same-label and to different-label points."""
+    same = y[None, :] == y[:, None]
+    return (k_smallest(np.where(same, hh, np.inf), k),
+            k_smallest(np.where(same, np.inf, hh), k))

@@ -9,13 +9,12 @@ import aci_lab
 from aci_lab import cp_online, harness, nccp_online
 from aci_lab.core import derive_rng
 from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
-                               KnnConformalClassifier, _fill_distances, _finite_mean,
-                               _neighbor_rows, _ratio, crr_predict, knn_cp_predict,
-                               knn_nonconformity, p_value)
+                               KnnConformalClassifier, _finite_mean, _ratio, crr_predict,
+                               knn_cp_predict, knn_nonconformity, p_value)
 from aci_lab.data import StreamSpec, make_stream
 from aci_lab.nccp_online import KnnThresholdClassifier
 from aci_lab.numerics import NumericError
-from oracles import crr_grid_oracle
+from oracles import crr_grid_oracle, fill_distances, neighbor_rows
 
 # the worked 4-point instance: two tight clusters on a line
 BAG_X = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -187,15 +186,54 @@ def test_knn_cp_routes_match_bruteforce_on_grid_ties(scale, route):
     assert misses == []
 
 
+def test_finite_mean_does_not_depend_on_the_padding():
+    # each ascending row's mean is np.mean of its finite prefix, whatever
+    # the row's width: numpy sums 8 or more values pairwise, so a sum over
+    # the padding may round otherwise; NaN where the prefix is empty
+    rng = derive_rng(13, "finite-mean")
+    for width in range(1, 41):
+        rows = np.sort(rng.integers(1, 40, size=(3 * (width + 1), width)) * 0.1, axis=1)
+        counts = np.repeat(np.arange(width + 1), 3)
+        rows[np.arange(width)[None, :] >= counts[:, None]] = np.inf
+        means = _finite_mean(rows)
+        for row, m, got in zip(rows, counts, means):
+            assert (math.isnan(got) if m == 0 else got == np.mean(row[:m])), (width, m)
+
+
+@functools.cache
+def _short_list_cases():
+    """200 (hist_X, hist_y, x, eps, k, brute-force set) cases on a 0.1
+    grid with k from 8 to 13 over 4 to 15 rows of 2 labels, so every
+    neighbour list is shorter than k, and the candidate copies a row."""
+    rng = derive_rng(12, "knn-short-lists")
+    cases = []
+    for _ in range(200):
+        n, k = int(rng.integers(4, 16)), int(rng.integers(8, 14))
+        X = rng.integers(0, 4, size=(n, 2)) * 0.1
+        y = rng.integers(0, 2, size=n)
+        x = X[rng.integers(n)].copy()
+        eps = float(rng.uniform(0.02, 0.9))
+        cases.append((X, y, x, eps, k, _ref_knn_cp(X, y, x, eps, k, [0, 1])))
+    return cases
+
+
+@pytest.mark.parametrize("route", ["knn_cp_predict", "KnnConformalClassifier"])
+def test_knn_cp_routes_match_bruteforce_on_short_lists(route):
+    # a copied row ties the candidate's score with its own exactly, so
+    # both sides of the p-value must average equal short lists alike
+    predict = _KNN_CP_ROUTES[route]
+    misses = [case for case, (hX, hy, x, eps, k, want) in enumerate(_short_list_cases())
+              if set(predict(hX, hy, x, eps, k, [0, 1]).labels) != want]
+    assert misses == []
+
+
 def _check_caches(pred, X, y, k):
     """The online class's caches over the n rows of X hold, bit for bit,
     the neighbour rows of the fully direct distance matrix, and its kept
     row scores equal those of every cached row recomputed at once, though
     each was computed with only the rows a catch-up touched."""
     n = X.shape[0]
-    direct = np.empty((n, n))
-    _fill_distances(direct, X)
-    same, diff = _neighbor_rows(direct, y, k)
+    same, diff = neighbor_rows(fill_distances(X), y, k)
     width = same.shape[1]
     assert pred._near.shape == (n, 2, k)
     assert np.array_equal(pred._near[:, 0, :width], same), n
@@ -221,8 +259,8 @@ def _digits_shape_stream(labels, offset, n):
 
 @pytest.mark.parametrize("dup", [False, True])
 @pytest.mark.parametrize("offset", [0.0, 1e8])
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("labels", ["digits", "one-rare", "one-class"])
+@pytest.mark.parametrize("labels, k", [(labels, k) for labels in ("digits", "one-rare", "one-class")
+                                       for k in (1, 3)] + [("digits", 20)])
 def test_screened_first_fill_at_digits_shape(labels, k, offset, dup):
     # 256 features: the first predict after a warm-up of 1, 2 or 60
     # observes fills the empty caches through the pairwise Gram screen,
@@ -231,7 +269,8 @@ def test_screened_first_fill_at_digits_shape(labels, k, offset, dup):
     # and every set equals the one-shot knn_cp_predict.  Label mixes cover
     # 10 labels, a label with fewer than k examples and a single class; a
     # 1e8 offset makes the slack admit every pair, and duplicated rows tie
-    # at distance 0.
+    # at distance 0.  At k = 20 the running bounds of the later rows are
+    # loose for most of the join.
     X, y, label_space = _digits_shape_stream(labels, offset, 90)
     if dup:
         X[20:40] = X[:20]
@@ -267,6 +306,42 @@ def test_screened_first_fill_rules_out_far_pairs(monkeypatch):
     assert 0 < sum(paired) < 10 * 299
     monkeypatch.undo()
     _check_caches(pred, X[:299], y[:299], 1)
+
+
+def test_self_join_forms_each_pair_once(monkeypatch):
+    # every gram_screen call of a catch-up is counted by the Gram cells it
+    # forms and the row pairs they cover: a first fill over n rows covers
+    # each pair once in at most n(n + 1)/2 cells, and a burst covers each
+    # pair of a new row with any row once, and no pair of two older rows
+    X = derive_rng(14, "self-join").normal(size=(800, 20))
+    y = np.arange(800) % 3
+    index = {row.tobytes(): i for i, row in enumerate(X)}
+    cells, pairs, screen = [], [], cp_online.gram_screen
+
+    def counted(A, sq, x=None, rows=None):
+        assert x is None, "a catch-up screens rows against each other"
+        ids = np.array([index[row.tobytes()] for row in A])
+        cells.append(rows * (rows + 1) // 2 + rows * (A.shape[0] - rows))
+        for r in range(rows):
+            pairs.append(np.sort(np.stack(np.broadcast_arrays(ids[r], ids[r + 1:])), axis=0))
+        return screen(A, sq, x, rows)
+    pred = KnnConformalClassifier(k=3, label_space=[0, 1, 2])
+    for n0, n in ((0, 600), (600, 800)):
+        for i in range(n0, n):
+            pred.observe(X[i], int(y[i]))
+        cells.clear()
+        pairs.clear()
+        monkeypatch.setattr(cp_online, "gram_screen", counted)
+        pred._catch_up()
+        monkeypatch.undo()
+        got = np.concatenate(pairs, axis=1)
+        i, j = np.triu_indices(n, 1)
+        new = j >= n0
+        want = np.stack([i[new], j[new]])
+        assert got.shape == want.shape, n
+        assert np.array_equal(got[:, np.lexsort(got[::-1])], want), n
+        assert sum(cells) <= n * (n + 1) // 2 - n0 * (n0 + 1) // 2, n
+    _check_caches(pred, X, y, 3)
 
 
 def test_harness_knn_cp_keeps_no_square_array():
@@ -323,8 +398,7 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
     # every row.
     X, y, label_space = _digits_shape_stream(labels, offset, 70)
     pred = KnnConformalClassifier(k=k, label_space=label_space)
-    dist = np.empty((70, 70))
-    _fill_distances(dist, X)
+    dist = fill_distances(X)
     for i in range(70):
         if i >= 5:
             for eps in (0.05, 0.3):
@@ -332,22 +406,23 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
                 assert pred.predict(X[i], eps).labels == want.labels, (i, eps)
         pred.observe(X[i], int(y[i]))
         pred._catch_up()
-        same, diff = _neighbor_rows(dist[:i + 1, :i + 1], y[:i + 1], k)
+        same, diff = neighbor_rows(dist[:i + 1, :i + 1], y[:i + 1], k)
         width = same.shape[1]
         assert np.array_equal(pred._near[:i + 1, 0, :width], same), i
         assert np.array_equal(pred._near[:i + 1, 1, :width], diff), i
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 20])
 @pytest.mark.parametrize("data", ["digits", "one-rare", "one-class", "grid-ties"])
 def test_cached_class_catches_up_in_bursts(data, k, monkeypatch):
     # irregular bursts of observes between predicts (uneven runs of 3, 7
-    # and 12, then 37 and 200), each caught up in several screened row
-    # blocks: after every burst the caches equal the neighbour rows of the
-    # direct matrix bit for bit, and every set the one-shot
-    # knn_cp_predict.  Rows caught up in an earlier block of a burst must
-    # take no merge again, and rows cached before it must take every new
-    # value that displaces one of theirs.
+    # and 12, then 37 and 200), each caught up by the self-join in several
+    # row blocks (small ones here): after every burst the caches equal the
+    # neighbour rows of the direct matrix bit for bit, and every set the
+    # one-shot knn_cp_predict.  A later new row must keep the values that
+    # earlier blocks offer it, and rows cached before the burst must take
+    # every new value that displaces one of theirs; at k = 20 the later
+    # rows' running bounds stay loose for many blocks.
     monkeypatch.setattr(cp_online, "_FILL_PAIRS", 1 << 10)
     bursts = (1, 2, 3, 7, 12, 3, 7, 12, 3, 7, 37, 200)
     m = sum(bursts) + 1
@@ -400,9 +475,9 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
     # predicted.  After every catch-up the caches equal the direct
     # matrix's neighbour rows, and every set equals knn_cp_predict.
     X, y, label_space = _edge_stream(data, 60)
-    blocks, screened_pairs = [], cp_online._screened_pairs
-    monkeypatch.setattr(cp_online, "_screened_pairs",
-                        lambda *args: blocks.append(1) or screened_pairs(*args))
+    blocks, screened_join = [], cp_online._screened_join
+    monkeypatch.setattr(cp_online, "_screened_join",
+                        lambda *args: blocks.append(1) or screened_join(*args))
     pred = KnnConformalClassifier(k=k, label_space=label_space)
     hist = []
     far = np.full(X.shape[1], 1e200)
@@ -412,12 +487,13 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
         hist.append((x, y[i]))
 
     def predict(x, path=None):
-        # path: the catch-up this predict makes, "reuse", "blocks" or None
-        before = len(blocks)
+        # path: the catch-up this predict makes, "reuse", "blocks" or None;
+        # knn_cp_predict, which joins too, runs before the count starts
         hX, hy = np.array([h[0] for h in hist]), np.array([h[1] for h in hist])
+        want = {eps: knn_cp_predict(hX, hy, x, eps, k, label_space).labels for eps in (0.3, 0.05)}
+        before = len(blocks)
         for eps in (0.3, 0.05):
-            want = knn_cp_predict(hX, hy, x, eps, k, label_space)
-            assert pred.predict(x, eps).labels == want.labels, (len(hist), eps)
+            assert pred.predict(x, eps).labels == want[eps], (len(hist), eps)
         assert len(blocks) - before == (path == "blocks"), (len(hist), path)
         _check_caches(pred, hX, hy, k)
 

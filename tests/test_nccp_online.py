@@ -199,15 +199,19 @@ def test_ridge_routes_reject_non_finite_input(predict, bad):
         predict(X, y, x, 0.2)
 
 
-# Every one-shot k-NN route and both scorers, from history (X, y) and query x.
+# Every one-shot k-NN route and both scorers, from history (X, y), query x
+# and neighbour count k.
 _KNN_ROUTES = {
-    "knn_nonconformity": lambda X, y, x: knn_nonconformity(X, y, x, 1, 3),
-    "knn_cp_predict": lambda X, y, x: knn_cp_predict(X, y, x, 0.2, 3, [0, 1]),
-    "knn_vote_shares": lambda X, y, x: knn_vote_shares(X, y, x, 3, [0, 1]),
-    "knn_threshold_predict": lambda X, y, x: knn_threshold_predict(X, y, x, 0.2, 3, [0, 1]),
-    "KnnClassScorer": lambda X, y, x: KnnClassScorer(3).fit(X, y).class_scores(x),
-    "KnnQuantileScorer": lambda X, y, x: KnnQuantileScorer(3).fit(X, y).point(x),
+    "knn_nonconformity": lambda X, y, x, k=3: knn_nonconformity(X, y, x, 1, k),
+    "knn_cp_predict": lambda X, y, x, k=3: knn_cp_predict(X, y, x, 0.2, k, [0, 1]),
+    "knn_vote_shares": lambda X, y, x, k=3: knn_vote_shares(X, y, x, k, [0, 1]),
+    "knn_threshold_predict": lambda X, y, x, k=3: knn_threshold_predict(X, y, x, 0.2, k,
+                                                                        [0, 1]),
+    "KnnClassScorer": lambda X, y, x, k=3: KnnClassScorer(k).fit(X, y).class_scores(x),
+    "KnnQuantileScorer": lambda X, y, x, k=3: KnnQuantileScorer(k).fit(X, y).point(x),
 }
+_ONE_SHOT_KNN = ["knn_cp_predict", "knn_nonconformity", "knn_threshold_predict",
+                 "knn_vote_shares"]
 
 
 @pytest.mark.parametrize("route", sorted(_KNN_ROUTES))
@@ -225,8 +229,7 @@ def test_knn_routes_reject_non_finite_input(route, bad):
         _KNN_ROUTES[route](X, y, x)
 
 
-@pytest.mark.parametrize("route", ["knn_cp_predict", "knn_nonconformity",
-                                   "knn_threshold_predict", "knn_vote_shares"])
+@pytest.mark.parametrize("route", _ONE_SHOT_KNN)
 @pytest.mark.parametrize("n_labels", [4, 16])
 def test_knn_routes_reject_mismatched_history_labels(route, n_labels):
     rng = derive_rng(8, "knn-labels")
@@ -234,3 +237,39 @@ def test_knn_routes_reject_mismatched_history_labels(route, n_labels):
     y = rng.integers(0, 2, size=n_labels)
     with pytest.raises(ValueError, match="history labels do not match history rows"):
         _KNN_ROUTES[route](X, y, rng.normal(size=2))
+
+
+@pytest.mark.parametrize("route", _ONE_SHOT_KNN)
+@pytest.mark.parametrize("bad, message", [
+    ("x of shape (1, p)", "feature vector must be 1-D"),
+    ("x too wide", "expected 2 features, got 3"),
+    ("1-D history", "history must be a non-empty 2-D array"),
+    ("k = 0", "k must be >= 1"),
+])
+def test_knn_routes_reject_bad_shapes(route, bad, message):
+    # one input check for the one-shot routes: a ValueError that names the
+    # fault, never a set from a mis-shaped x or a raw numpy error
+    rng = derive_rng(9, "knn-shapes")
+    X, y, x, k = rng.normal(size=(12, 2)), rng.integers(0, 2, size=12), rng.normal(size=2), 3
+    if bad == "x of shape (1, p)":
+        x = x[None, :]
+    elif bad == "x too wide":
+        x = rng.normal(size=3)
+    elif bad == "1-D history":
+        X = X[:, 0]
+    else:
+        k = 0
+    with pytest.raises(ValueError, match=message):
+        _KNN_ROUTES[route](X, y, x, k)
+
+
+def test_knn_cp_predict_rejects_labels_outside_the_label_space():
+    # a history label the label space lacks raises, in place of a set that
+    # silently leaves it out
+    rng = derive_rng(10, "knn-outside")
+    X, x = rng.normal(size=(12, 2)), rng.normal(size=2)
+    y = np.array([0, 1] * 5 + [2, 0])
+    with pytest.raises(ValueError, match="history label 2 outside the label space"):
+        knn_cp_predict(X, y, x, 0.2, 3, [0, 1])
+    with pytest.raises(ValueError, match="outside the label space"):
+        knn_cp_predict(X, y, x, 0.2, 3, [])

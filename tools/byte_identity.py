@@ -106,6 +106,16 @@ def commands():
     cmds.append(("boundary-knn-cp-l10", ["online", "--dataset", "synth-class",
                                          "--predictor", "knn-cp", "--n-classes", "10",
                                          "--p", "20", *BOUNDARY]))
+    # knn-cp at the benchmark's digits shape (256 features, 10 labels,
+    # history 2000), where the self-join's row blocks are largest and each
+    # side of a block is a few label-sorted slices; k = 20 keeps the later
+    # rows' running bounds loose for most of the join
+    for k in ("1", "20"):
+        cmds.append((f"knn-cp-digits-k{k}", ["online", "--dataset", "synth-class",
+                                             "--predictor", "knn-cp", "--p", "256",
+                                             "--n-classes", "10", "--class-sep", "3.5",
+                                             "--warmup", "2000", "--n", "2008",
+                                             "--gamma", "0.05", "--k", k]))
     return cmds
 
 
