@@ -313,8 +313,8 @@ def test_self_join_forms_each_pair_once(monkeypatch):
     # forms and the row pairs they cover: a first fill over n rows covers
     # each pair once in at most n(n + 1)/2 cells, and a burst covers each
     # pair of a new row with any row once, and no pair of two older rows
-    X = derive_rng(14, "self-join").normal(size=(800, 20))
-    y = np.arange(800) % 3
+    X = derive_rng(14, "self-join").normal(size=(620, 20))
+    y = np.arange(620) % 3
     index = {row.tobytes(): i for i, row in enumerate(X)}
     cells, pairs, screen = [], [], cp_online.gram_screen
 
@@ -326,7 +326,7 @@ def test_self_join_forms_each_pair_once(monkeypatch):
             pairs.append(np.sort(np.stack(np.broadcast_arrays(ids[r], ids[r + 1:])), axis=0))
         return screen(A, sq, x, rows)
     pred = KnnConformalClassifier(k=3, label_space=[0, 1, 2])
-    for n0, n in ((0, 600), (600, 800)):
+    for n0, n in ((0, 500), (500, 620)):
         for i in range(n0, n):
             pred.observe(X[i], int(y[i]))
         cells.clear()
