@@ -94,8 +94,7 @@ def _caught_up(near, score, X, sq, y, pairs=None):
     take = (j >= c) | (dist < flat[key_j, -1])
     key, dist = np.concatenate([2 * i + side, key_j[take]]), np.concatenate([dist, dist[take]])
     # Sorted by key, then by distance, each key's first k offers merge in.
-    order = np.argsort(dist)
-    order = order[np.argsort(key[order], kind="stable")]
+    order = np.lexsort((dist, key))
     key, dist = key[order], dist[order]
     rank = np.arange(key.shape[0]) - np.searchsorted(key, key)
     head, first = rank == 0, rank < k
@@ -352,10 +351,9 @@ def _finite_mean(rows: np.ndarray) -> np.ndarray:
     """``np.mean`` of each ascending, +inf padded row's finite prefix (NaN
     if empty).  numpy sums 8 or more values pairwise, so a short row sums
     its prefix alone: a sum over zeroed padding may round otherwise."""
-    finite = np.isfinite(rows)
-    count = finite.sum(axis=1)
-    sums = np.where(finite, rows, 0.0).sum(axis=1)
-    short = (count > 0) & (count < rows.shape[1])
+    count = np.isfinite(rows).sum(axis=1)
+    sums = rows.sum(axis=1)
+    short = count < rows.shape[1]
     if short.any():
         for m in np.unique(count[short]):
             at = count == m
