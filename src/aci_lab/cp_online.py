@@ -102,7 +102,7 @@ def _caught_up(near, score, X, sq, y, pairs=None):
     offers[(np.cumsum(head) - 1)[first], rank[first]] = dist[first]
     touched = key[head]
     flat[touched] = k_smallest(np.concatenate([flat[touched], offers], axis=1), k)
-    rows = np.concatenate([touched[touched < 2 * c] // 2, np.arange(c, n)])
+    rows = np.concatenate([touched // 2, np.arange(c, n)])
     score = np.concatenate([score, np.empty(n - c)])
     score[rows] = _row_scores(near[rows])
     return near, score
@@ -132,6 +132,7 @@ def _screened_join(X, sq, y, k, c, floor):
     bound[m:] = reach(floor[order[m:]])
     labels, starts = np.unique(y[:m], return_index=True)
     step = max(1, _FILL_PAIRS // n)
+    upper = ~np.tri(min(step, m), dtype=bool)
     kept = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
     # Each label's run of new rows [s, e) and of cached rows [o0, o1).
     for s, e, o0, o1 in zip(starts, np.append(starts[1:], m), m + np.searchsorted(y[m:], labels),
@@ -158,7 +159,7 @@ def _screened_join(X, sq, y, k, c, floor):
                 np.maximum(row[:, 0, None], col[p0:p1], out=lim[:, p0:p1])
             g -= slack
             hit = g <= lim
-            hit[:, :b] &= ~np.tri(b, dtype=bool)
+            hit[:, :b] &= upper[:b, :b]
             r, j = np.divmod(np.flatnonzero(hit), n - lo)
             kept.append((lo + r, lo + j, g[r, j]))
     i, j, low = (np.concatenate(v) for v in zip(*kept))

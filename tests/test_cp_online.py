@@ -263,7 +263,7 @@ def _digits_shape_stream(labels, offset, n):
                                        for k in (1, 3)] + [("digits", 20)])
 def test_screened_first_fill_at_digits_shape(labels, k, offset, dup):
     # 256 features: the first predict after a warm-up of 1, 2 or 60
-    # observes fills the empty caches through the pairwise Gram screen,
+    # observes fills the empty caches through the screened self-join,
     # and the next ones catch up one row each.  After every predict the
     # caches equal the neighbour rows of the direct matrix bit for bit,
     # and every set equals the one-shot knn_cp_predict.  Label mixes cover
