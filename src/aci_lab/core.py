@@ -190,7 +190,7 @@ def check_features(x, dim: int | None = None) -> np.ndarray:
 
 
 def knn_inputs(hist_X, hist_y, x, k: int):
-    """A one-shot k-NN route's checked ``(hist_X, hist_y, x)`` and k."""
+    """Check a one-shot k-NN route's inputs; ``(hist_X, hist_y, x)`` as arrays."""
     hist_X = np.asarray(hist_X, dtype=float)
     hist_y = np.asarray(hist_y)
     if hist_X.ndim != 2 or hist_X.shape[0] == 0:
