@@ -165,6 +165,11 @@ class SetPredictor(ABC):
             raise ValueError(f"label {y!r} is not finite")
         self._observe(x, y)
 
+    def reserve(self, rows: int) -> None:
+        """Room for ``rows`` examples in the history, if the predictor keeps one."""
+        if hasattr(self, "_hist"):
+            self._hist.reserve(rows)
+
     @abstractmethod
     def _predict(self, x: np.ndarray, eps: float) -> PredictionSet: ...
 
@@ -207,7 +212,7 @@ class ExampleBuffer:
 
     Online predictors read the whole history every step, so the store
     hands out zero-copy views: ``X`` and ``y`` slice the underlying
-    buffers and stay valid until the next ``append``.
+    buffers and stay valid until the next ``append`` or ``reserve``.
     """
 
     def __init__(self, label_dtype=float):
@@ -233,16 +238,27 @@ class ExampleBuffer:
         if x.ndim != 1:
             raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
         if self._X is None:
-            self._X = np.empty((8, x.shape[0]))
+            self._X = np.empty((self._y.shape[0], x.shape[0]))
         elif self._X.shape[1] != x.shape[0]:
             raise ValueError(f"expected {self._X.shape[1]} features, got {x.shape[0]}")
-        if self._n == self._X.shape[0]:
-            self._X = np.concatenate([self._X, np.empty_like(self._X)])
         if self._n == self._y.shape[0]:
-            self._y = np.concatenate([self._y, np.empty_like(self._y)])
+            self.reserve(2 * self._n)
         self._X[self._n] = x
         self._y[self._n] = y
         self._n += 1
+
+    def reserve(self, rows: int) -> None:
+        """Room for ``rows`` examples, so that appends up to then copy nothing."""
+        if rows > self._y.shape[0]:
+            self._y = _grown(self._y, self._n, rows)
+            self._X = None if self._X is None else _grown(self._X, self._n, rows)
+
+
+def _grown(a: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """A's first ``n`` rows atop ``rows - n`` unwritten ones."""
+    out = np.empty((rows, *a.shape[1:]), a.dtype)
+    out[:n] = a[:n]
+    return out
 
 
 class KnnHistoryPredictor(SetPredictor):
@@ -274,9 +290,7 @@ class KnnHistoryPredictor(SetPredictor):
         X = self._hist.X
         n, done = X.shape[0], self._normed
         if n > self._sq.shape[0]:
-            grown = np.empty(max(8, 1 << (n - 1).bit_length()))
-            grown[:done] = self._sq[:done]
-            self._sq = grown
+            self._sq = _grown(self._sq, done, max(8, 1 << (n - 1).bit_length()))
         self._sq[done:n] = np.einsum("ij,ij->i", X[done:], X[done:])
         self._normed = n
         return self._sq[:n]

@@ -302,6 +302,7 @@ def run_online(cfg: ExperimentConfig) -> RunResult:
     if not 1 <= cfg.warmup < len(ds):
         raise ConfigError(f"warmup {cfg.warmup} outside [1, {len(ds) - 1}]")
     predictor = make_online_predictor(cfg, ds)
+    predictor.reserve(len(ds))
     for i in range(cfg.warmup):
         predictor.observe(ds.X[i], ds.y[i])
     n_steps = len(ds) - cfg.warmup

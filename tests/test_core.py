@@ -215,6 +215,29 @@ def test_example_buffer_views_and_growth():
     assert buf.y.dtype.kind == "i"
 
 
+def test_example_buffer_reserve_keeps_rows_and_stops_copies():
+    from aci_lab.core import ExampleBuffer
+    buf = ExampleBuffer(label_dtype=int)
+    buf.reserve(30)  # before the first append fixes the width
+    buf.append(np.array([0.0, 0.5]), 0)
+    first = buf.X
+    for i in range(1, 30):
+        buf.append(np.array([float(i), i + 0.5]), i % 4)
+    # No append up to the reserved rows moved the store.
+    assert np.shares_memory(buf.X, first)
+    held = buf.X.copy(), buf.y.copy()
+    buf.reserve(10)  # below the rows held: nothing changes
+    assert np.shares_memory(buf.X, first)
+    buf.reserve(100)
+    assert not np.shares_memory(buf.X, first)
+    assert np.array_equal(buf.X, held[0]) and np.array_equal(buf.y, held[1])
+    moved = buf.X
+    for i in range(30, 100):
+        buf.append(np.array([float(i), i + 0.5]), i % 4)
+    assert np.shares_memory(buf.X, moved)
+    assert buf.X[99, 1] == 99.5 and buf.y[99] == 3 and buf.y.dtype.kind == "i"
+
+
 def test_example_buffer_rejects_mismatched_rows():
     from aci_lab.core import ExampleBuffer
     buf = ExampleBuffer()

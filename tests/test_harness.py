@@ -94,6 +94,24 @@ def test_run_online_classification_smoke():
     assert result.summary.bound_satisfied
 
 
+@pytest.mark.parametrize("predictor", ["knn-nccp", "knn-cp", "crr", "ols-nccp"])
+def test_run_online_sizes_the_history_once(monkeypatch, predictor):
+    # The stream's length is known before the warm-up, so no observe of
+    # the run copies the history into a larger store.
+    from aci_lab.core import ExampleBuffer
+    stores = []
+    append = ExampleBuffer.append
+
+    def recorded(self, x, y):
+        append(self, x, y)
+        stores.append(self.X.__array_interface__["data"][0])
+
+    monkeypatch.setattr(ExampleBuffer, "append", recorded)
+    base = FAST_CLASS if predictor.startswith("knn") else FAST_REG
+    run_online(build_config(dict(base, predictor=predictor, n=300)))
+    assert len(stores) == 300 and len(set(stores)) == 1
+
+
 def test_run_online_validation():
     with pytest.raises(ConfigError, match="online predictor"):
         run_online(build_config(dict(FAST_REG, predictor="icp-reg")))
