@@ -210,65 +210,65 @@ def knn_inputs(hist_X, hist_y, x, k: int):
 class ExampleBuffer:
     """Append-only history store with amortised-doubling growth.
 
-    Online predictors read the whole history every step, so the store
-    hands out zero-copy views: ``X`` and ``y`` slice the underlying
-    buffers and stay valid until the next ``append`` or ``reserve``.
+    Every per-row array grows here, at one capacity: X, y and the float
+    ``columns`` named at construction (name -> row shape), which their
+    owners fill.  The store hands out zero-copy views of the rows held,
+    ``X``, ``y`` and ``buf[name]``, valid until the next ``append`` or
+    ``reserve``.
     """
 
-    def __init__(self, label_dtype=float):
-        self._X: np.ndarray | None = None
-        self._y = np.empty(8, dtype=label_dtype)
+    def __init__(self, label_dtype=float, **columns):
+        self._rows = {"y": np.empty(8, dtype=label_dtype),
+                      **{name: np.empty((8, *shape)) for name, shape in columns.items()}}
         self._n = 0
 
     def __len__(self) -> int:
         return self._n
 
+    def __getitem__(self, name) -> np.ndarray:
+        return self._rows[name][:self._n]
+
     @property
     def X(self) -> np.ndarray:
-        if self._X is None:
+        if "X" not in self._rows:
             raise ValueError("history is empty")
-        return self._X[:self._n]
+        return self["X"]
 
     @property
     def y(self) -> np.ndarray:
-        return self._y[:self._n]
+        return self["y"]
 
     def append(self, x, y) -> None:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
-        if self._X is None:
-            self._X = np.empty((self._y.shape[0], x.shape[0]))
-        elif self._X.shape[1] != x.shape[0]:
-            raise ValueError(f"expected {self._X.shape[1]} features, got {x.shape[0]}")
-        if self._n == self._y.shape[0]:
+        if "X" not in self._rows:
+            self._rows["X"] = np.empty((self._rows["y"].shape[0], x.shape[0]))
+        elif self._rows["X"].shape[1] != x.shape[0]:
+            raise ValueError(f"expected {self._rows['X'].shape[1]} features, got {x.shape[0]}")
+        if self._n == self._rows["y"].shape[0]:
             self.reserve(2 * self._n)
-        self._X[self._n] = x
-        self._y[self._n] = y
+        self._rows["X"][self._n] = x
+        self._rows["y"][self._n] = y
         self._n += 1
 
     def reserve(self, rows: int) -> None:
-        """Room for ``rows`` examples, so that appends up to then copy nothing."""
-        if rows > self._y.shape[0]:
-            self._y = _grown(self._y, self._n, rows)
-            self._X = None if self._X is None else _grown(self._X, self._n, rows)
-
-
-def _grown(a: np.ndarray, n: int, rows: int) -> np.ndarray:
-    """A's first ``n`` rows atop ``rows - n`` unwritten ones."""
-    out = np.empty((rows, *a.shape[1:]), a.dtype)
-    out[:n] = a[:n]
-    return out
+        """Room for ``rows`` examples in every per-row array, so appends copy nothing."""
+        if rows > self._rows["y"].shape[0]:
+            for name, a in self._rows.items():
+                self._rows[name] = np.empty((rows, *a.shape[1:]), a.dtype)
+                self._rows[name][:self._n] = a[:self._n]
 
 
 class KnnHistoryPredictor(SetPredictor):
     """Online k-NN classifier plumbing: neighbour count, declared label
     space, an integer-labelled history and its rows' squared norms for
-    the Gram screen (``_row_norms``).  Subclasses supply ``_predict``."""
+    the Gram screen (``_row_norms``).  Subclasses supply ``_predict`` and
+    name their own per-row ``columns`` of the history."""
 
     task = CLASSIFICATION
 
-    def __init__(self, k: int, label_space):
+    def __init__(self, k: int, label_space, **columns):
         super().__init__()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -276,9 +276,8 @@ class KnnHistoryPredictor(SetPredictor):
         self.label_space = [int(c) for c in label_space]
         if not self.label_space:
             raise ValueError("label space is empty")
-        self._hist = ExampleBuffer(label_dtype=int)
-        # Entries [0, _normed) hold squared row norms; capacity doubles.
-        self._sq = np.empty(0)
+        self._hist = ExampleBuffer(label_dtype=int, sq=(), **columns)
+        # Rows [0, _normed) of the history's "sq" hold squared row norms.
         self._normed = 0
 
     def _observe(self, x, y):
@@ -287,19 +286,18 @@ class KnnHistoryPredictor(SetPredictor):
     def _row_norms(self) -> np.ndarray:
         """Squared norms of the history rows, filled for the rows appended
         since the last call only, so ``observe`` stays a plain append."""
-        X = self._hist.X
-        n, done = X.shape[0], self._normed
-        if n > self._sq.shape[0]:
-            self._sq = _grown(self._sq, done, max(8, 1 << (n - 1).bit_length()))
-        self._sq[done:n] = np.einsum("ij,ij->i", X[done:], X[done:])
-        self._normed = n
-        return self._sq[:n]
+        X, sq, done = self._hist.X, self._hist["sq"], self._normed
+        sq[done:] = np.einsum("ij,ij->i", X[done:], X[done:])
+        self._normed = X.shape[0]
+        return sq
 
     def _check_label(self, y) -> int:
-        y = int(y)
-        if y not in self.label_space:
-            raise ValueError(f"label {y} outside the declared label space")
-        return y
+        yi = int(y)
+        if yi != y:
+            raise ValueError(f"label {y!r} is not an integer")
+        if yi not in self.label_space:
+            raise ValueError(f"label {yi} outside the declared label space")
+        return yi
 
 
 class RidgeHistoryPredictor(SetPredictor):

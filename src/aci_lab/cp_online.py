@@ -66,8 +66,8 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     forced = boundary_set(eps, CLASSIFICATION)
     if forced is not None:
         return forced
-    near, score = _caught_up(np.full((0, 2, k), np.inf), np.empty(0), hist_X,
-                             np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
+    near, score = np.empty((hist_X.shape[0], 2, k)), np.empty(hist_X.shape[0])
+    _caught_up(near, score, 0, hist_X, np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
     # Every candidate distance is finite, so the label set rescores every
     # point the candidate reaches.
     return _conformal_label_set(near, score, is_lab, distances(hist_X, x), labels, k, eps)
@@ -78,15 +78,16 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
 _FILL_PAIRS = 1 << 16
 
 
-def _caught_up(near, score, X, sq, y, pairs=None):
-    """New caches ``near`` (rows, 2, k) and row scores ``score`` of the first
-    c rows of X caught up with rows c..n-1, from the pairs ``(i, j, d)``
-    given (i from c on) or else the screened self-join's.  Row i takes
-    each pair; row j too where j >= c or d is below j's cached k-th value
-    on the pair's side.  Only the rows that take one are rescored."""
-    n, c, k = X.shape[0], near.shape[0], near.shape[2]
-    i, j, dist = pairs if pairs is not None else _screened_join(X, sq, y, k, c, near[:, :, -1])
-    near = np.concatenate([near, np.full((n - c, 2, k), np.inf)])
+def _caught_up(near, score, c, X, sq, y, pairs=None):
+    """Catch the caches ``near`` (n, 2, k) and row scores ``score`` (n) of
+    the first c rows of X up with rows c..n-1, in place, from the pairs
+    ``(i, j, d)`` given (i from c on) or else the screened self-join's.
+    Row i takes each pair; row j too where j >= c or d is below j's cached
+    k-th value on the pair's side.  Only the rows that take one are
+    rescored.  Nothing is written before every pair is found."""
+    n, k = X.shape[0], near.shape[2]
+    i, j, dist = pairs if pairs is not None else _screened_join(X, sq, y, k, c, near[:c, :, -1])
+    near[c:] = np.inf
     # Side 0 (same label) or 1 (different) of row r is row 2r + side here.
     flat = near.reshape(-1, k)
     side = y[i] != y[j]
@@ -103,9 +104,7 @@ def _caught_up(near, score, X, sq, y, pairs=None):
     touched = key[head]
     flat[touched] = k_smallest(np.concatenate([flat[touched], offers], axis=1), k)
     rows = np.concatenate([touched // 2, np.arange(c, n)])
-    score = np.concatenate([score, np.empty(n - c)])
     score[rows] = _row_scores(near[rows])
-    return near, score
 
 
 def _screened_join(X, sq, y, k, c, floor):
@@ -292,20 +291,20 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     """
 
     def __init__(self, k: int, label_space):
-        super().__init__(k, label_space)
+        # Per history row, once cached: its k smallest same-label and
+        # different-label distances, "near" (2, k) ascending and +inf where
+        # fewer exist, and its "score" from them.
+        super().__init__(k, label_space, near=(2, int(k)), score=())
         self._labels = np.unique(self.label_space)
-        # Per cached row: its k smallest same-label and different-label
-        # distances, (rows, 2, k) ascending and +inf where fewer exist, and
-        # the row's score from them.
-        self._near = np.full((0, 2, self.k), np.inf)
-        self._score = np.empty(0)
+        # Rows [0, _cached) of the history's caches are filled.
+        self._cached = 0
         # (cached rows, candidate bytes, its distances) of the last predict.
         self._last = None
 
     def _predict(self, x, eps):
-        if self._near.shape[0] < len(self._hist):
+        if self._cached < len(self._hist):
             self._catch_up()
-        X, y, near, k = self._hist.X, self._hist.y, self._near, self.k
+        X, y, near, k = self._hist.X, self._hist.y, self._hist["near"], self.k
         is_lab = y == self._labels[:, None]
         # d[i] matters where x could come nearer than row i's cached k-th
         # value on either side, or be among x's own k nearest of row i's
@@ -317,7 +316,7 @@ class KnnConformalClassifier(KnnHistoryPredictor):
                          bound[np.searchsorted(self._labels, y)])
         d = screened_distances(X, x, g, slack, thr)
         self._last = X.shape[0], x.tobytes(), d
-        return _conformal_label_set(near, self._score, is_lab, d, self._labels, k, eps)
+        return _conformal_label_set(near, self._hist["score"], is_lab, d, self._labels, k, eps)
 
     def _catch_up(self):
         """Cache the rows that arrived since the last call.  One row with the
@@ -327,13 +326,14 @@ class KnnConformalClassifier(KnnHistoryPredictor):
         within an older row's cached k-th value.  Other arrivals go through
         the screened self-join.  A ValueError from ``distances`` changes
         nothing."""
-        X, c, pairs = self._hist.X, self._near.shape[0], None
+        h, c, pairs = self._hist, self._cached, None
+        X = h.X
         if X.shape[0] == c + 1 and self._last is not None and self._last[:2] == (c, X[c].tobytes()):
             d = self._last[2]
             j = np.flatnonzero(np.isfinite(d))
             pairs = np.full(j.shape, c), j, d[j]
-        self._near, self._score = _caught_up(self._near, self._score, X, self._row_norms(),
-                                             self._hist.y, pairs)
+        _caught_up(h["near"], h["score"], c, X, self._row_norms(), h.y, pairs)
+        self._cached = X.shape[0]
 
 
 # The cached class's earlier name, kept as a plain alias for the code that

@@ -234,12 +234,12 @@ def _check_caches(pred, X, y, k):
     each was computed with only the rows a catch-up touched."""
     n = X.shape[0]
     same, diff = neighbor_rows(fill_distances(X), y, k)
-    width = same.shape[1]
-    assert pred._near.shape == (n, 2, k)
-    assert np.array_equal(pred._near[:, 0, :width], same), n
-    assert np.array_equal(pred._near[:, 1, :width], diff), n
-    means = _finite_mean(pred._near[:, 0]), _finite_mean(pred._near[:, 1])
-    assert np.array_equal(pred._score, _ratio(*means)), n
+    width, near = same.shape[1], pred._hist["near"]
+    assert pred._cached == n and near.shape == (n, 2, k)
+    assert np.array_equal(near[:, 0, :width], same), n
+    assert np.array_equal(near[:, 1, :width], diff), n
+    means = _finite_mean(near[:, 0]), _finite_mean(near[:, 1])
+    assert np.array_equal(pred._hist["score"], _ratio(*means)), n
 
 
 def _digits_shape_stream(labels, offset, n):
@@ -355,13 +355,15 @@ def test_harness_knn_cp_keeps_no_square_array():
         pred.observe(ds.X[i], int(ds.y[i]))
     pred.predict(ds.X[300], 0.1)
 
-    def arrays(obj):
-        for value in vars(obj).values():
+    def arrays(values):
+        for value in values:
             if isinstance(value, np.ndarray):
                 yield value
+            elif isinstance(value, dict):
+                yield from arrays(value.values())
             elif hasattr(value, "__dict__"):
-                yield from arrays(value)
-    sizes = [a.size for a in arrays(pred)]
+                yield from arrays(vars(value).values())
+    sizes = [a.size for a in arrays([pred])]
     assert sizes and max(sizes) < 300 ** 2
 
 
@@ -407,9 +409,10 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
         pred.observe(X[i], int(y[i]))
         pred._catch_up()
         same, diff = neighbor_rows(dist[:i + 1, :i + 1], y[:i + 1], k)
-        width = same.shape[1]
-        assert np.array_equal(pred._near[:i + 1, 0, :width], same), i
-        assert np.array_equal(pred._near[:i + 1, 1, :width], diff), i
+        width, near = same.shape[1], pred._hist["near"]
+        assert pred._cached == i + 1 and near.shape == (i + 1, 2, k)
+        assert np.array_equal(near[:, 0, :width], same), i
+        assert np.array_equal(near[:, 1, :width], diff), i
 
 
 @pytest.mark.parametrize("k", [1, 3, 20])
@@ -602,25 +605,29 @@ def test_kept_row_scores_match_a_full_rescoring(k):
 def test_cached_class_catch_up_refuses_overflow():
     # rows whose squared differences overflow raise the distances
     # ValueError at every predict after they arrive, whether they come
-    # before the first catch-up or after one, and leave the caches as they
-    # were; where none overflows the set agrees with knn_cp_predict; no
-    # numpy warning either way
+    # before the first catch-up or after one (of 1 row, or of 7, so that
+    # the far rows cross a doubling of the store), and leave the cached
+    # rows and their count as they were; where none overflows the set
+    # agrees with knn_cp_predict; no numpy warning either way
     far = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
     near = np.array([[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for warm in (0, 1):
+        for warm in (0, 1, 7):
             pred = KnnConformalClassifier(k=1, label_space=[0, 1])
+            for i in range(warm):
+                pred.observe(np.array([0.0, 3.0 + i]), 1 - i % 2)
             if warm:
-                pred.observe(np.array([0.0, 3.0]), 1)
                 pred.predict(np.array([0.0, 2.0]), 0.1)
-            cached = pred._near.copy()
+            cached = pred._hist["near"].copy(), pred._hist["score"].copy()
             for row, lab in zip(far, (0, 1, 0)):
                 pred.observe(row, lab)
             for _ in range(2):
                 with pytest.raises(ValueError, match="too large for distances"):
                     pred.predict(np.array([0.0, 2.0]), 0.1)
-                assert np.array_equal(pred._near, cached)
+                assert pred._cached == warm
+                assert np.array_equal(pred._hist["near"][:warm], cached[0])
+                assert np.array_equal(pred._hist["score"][:warm], cached[1])
         pred = KnnConformalClassifier(k=1, label_space=[0, 1])
         for row, lab in zip(near, (0, 1, 0)):
             pred.observe(row, lab)
@@ -655,9 +662,20 @@ def test_online_knn_observe_only_appends(name, monkeypatch):
 
 
 def test_online_class_rejects_unknown_label():
-    pred = KnnConformalClassifier(k=1, label_space=[0, 1])
-    with pytest.raises(ValueError):
-        pred.observe(np.array([0.0]), 7)
+    # a label outside the space, or one that is not an integer, is refused
+    # (as PredictionSet.contains refuses it); integral floats and numpy
+    # integers are taken as the integer
+    for cls in (KnnConformalClassifier, KnnThresholdClassifier):
+        pred = cls(k=1, label_space=[0, 1])
+        with pytest.raises(ValueError, match="outside"):
+            pred.observe(np.array([0.0]), 7)
+        for label in (1.7, -0.5):
+            with pytest.raises(ValueError, match="not an integer"):
+                pred.observe(np.array([0.0]), label)
+        assert len(pred._hist) == 0
+        pred.observe(np.array([0.0]), 1.0)
+        pred.observe(np.array([1.0]), np.int64(1))
+        assert pred._hist.y.tolist() == [1, 1]
 
 
 def test_knn_cp_nested_in_eps():

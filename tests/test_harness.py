@@ -97,19 +97,31 @@ def test_run_online_classification_smoke():
 @pytest.mark.parametrize("predictor", ["knn-nccp", "knn-cp", "crr", "ols-nccp"])
 def test_run_online_sizes_the_history_once(monkeypatch, predictor):
     # The stream's length is known before the warm-up, so no observe of
-    # the run copies the history into a larger store.
-    from aci_lab.core import ExampleBuffer
-    stores = []
-    append = ExampleBuffer.append
+    # the run copies the history into a larger store, and no predict moves
+    # a per-row array the predictor fills itself: the k-NN classes' row
+    # norms, and knn-cp's neighbour caches and row scores.
+    from aci_lab.core import ExampleBuffer, SetPredictor
+    stores, rows = [], []
+    append, predict = ExampleBuffer.append, SetPredictor.predict
 
     def recorded(self, x, y):
         append(self, x, y)
         stores.append(self.X.__array_interface__["data"][0])
 
+    def addresses(self, x, eps):
+        out = predict(self, x, eps)
+        rows.append({name: a.__array_interface__["data"][0]
+                     for name, a in self._hist._rows.items()})
+        return out
+
     monkeypatch.setattr(ExampleBuffer, "append", recorded)
+    monkeypatch.setattr(SetPredictor, "predict", addresses)
     base = FAST_CLASS if predictor.startswith("knn") else FAST_REG
     run_online(build_config(dict(base, predictor=predictor, n=300)))
     assert len(stores) == 300 and len(set(stores)) == 1
+    own = {"knn-cp": {"sq", "near", "score"}, "knn-nccp": {"sq"}}.get(predictor, set())
+    assert len(rows) == 300 - base["warmup"] and set(rows[0]) == {"X", "y"} | own
+    assert all(r == rows[0] for r in rows)
 
 
 def test_run_online_validation():

@@ -159,7 +159,8 @@ def test_threshold_classifier_at_digits_shape_matches_function(k, offset):
             assert pred.predict(X[i], eps).labels == want.labels, (i, eps)
         assert pred._normed == i
         pred.observe(X[i], int(y[i]))
-    assert pred._sq.shape == (128,)
+    rows = pred._hist._rows
+    assert rows["sq"].shape == rows["X"].shape[:1] == (128,)
 
 
 def test_ols_predictor_class_matches_function():
