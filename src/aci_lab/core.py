@@ -232,24 +232,25 @@ class ExampleBuffer:
     def X(self) -> np.ndarray:
         if "X" not in self._rows:
             raise ValueError("history is empty")
-        return self["X"]
+        return self._rows["X"][:self._n]
 
     @property
     def y(self) -> np.ndarray:
-        return self["y"]
+        return self._rows["y"][:self._n]
 
     def append(self, x, y) -> None:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
-        if "X" not in self._rows:
-            self._rows["X"] = np.empty((self._rows["y"].shape[0], x.shape[0]))
-        elif self._rows["X"].shape[1] != x.shape[0]:
-            raise ValueError(f"expected {self._rows['X'].shape[1]} features, got {x.shape[0]}")
-        if self._n == self._rows["y"].shape[0]:
+        rows = self._rows  # reserve replaces the arrays, not the dict
+        if "X" not in rows:
+            rows["X"] = np.empty((rows["y"].shape[0], x.shape[0]))
+        elif rows["X"].shape[1] != x.shape[0]:
+            raise ValueError(f"expected {rows['X'].shape[1]} features, got {x.shape[0]}")
+        if self._n == rows["y"].shape[0]:
             self.reserve(2 * self._n)
-        self._rows["X"][self._n] = x
-        self._rows["y"][self._n] = y
+        rows["X"][self._n] = x
+        rows["y"][self._n] = y
         self._n += 1
 
     def reserve(self, rows: int) -> None:
