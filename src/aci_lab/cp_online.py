@@ -70,7 +70,7 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     _caught_up(near, score, 0, hist_X, np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
     # Every candidate distance is finite, so the label set rescores every
     # point the candidate reaches.
-    return _conformal_label_set(near, score, is_lab, distances(hist_X, x), labels, k, eps)
+    return _conformal_label_set(near, score, is_lab, distances(hist_X, x), labels, k, eps)[0]
 
 
 # Pairs per block of the self-join (2^16 Gram values, 512 KB), and feature
@@ -78,15 +78,15 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
 _FILL_PAIRS = 1 << 16
 
 
-def _caught_up(near, score, c, X, sq, y, pairs=None):
+def _caught_up(near, score, c, X, sq, y):
     """Catch the caches ``near`` (n, 2, k) and row scores ``score`` (n) of
     the first c rows of X up with rows c..n-1, in place, from the pairs
-    ``(i, j, d)`` given (i from c on) or else the screened self-join's.
-    Row i takes each pair; row j too where j >= c or d is below j's cached
-    k-th value on the pair's side.  Only the rows that take one are
-    rescored.  Nothing is written before every pair is found."""
+    ``(i, j, d)`` of the screened self-join (i from c on).  Row i takes
+    each pair; row j too where j >= c or d is below j's cached k-th value
+    on the pair's side.  Only the rows that take one are rescored.
+    Nothing is written before every pair is found."""
     n, k = X.shape[0], near.shape[2]
-    i, j, dist = pairs if pairs is not None else _screened_join(X, sq, y, k, c, near[:c, :, -1])
+    i, j, dist = _screened_join(X, sq, y, k, c, near[:c, :, -1])
     near[c:] = np.inf
     # Side 0 (same label) or 1 (different) of row r is row 2r + side here.
     flat = near.reshape(-1, k)
@@ -180,8 +180,9 @@ def _fold(top, values, k):
         top[:] = np.partition(np.concatenate([top, values], axis=-1), k - 1, axis=-1)[:, :k]
 
 
-def _conformal_label_set(near, score, is_lab, d, labels, k, eps) -> PredictionSet:
-    """Labels whose candidate completion has p-value above eps.
+def _conformal_label_set(near, score, is_lab, d, labels, k, eps):
+    """Labels whose candidate completion has p-value above eps, and the
+    rescoring ``(reach, grown, alpha, nearest)`` behind them.
 
     ``near`` holds each history point's k smallest same-label and
     different-label distances, (n, 2, k) ascending and +inf padded;
@@ -191,29 +192,31 @@ def _conformal_label_set(near, score, is_lab, d, labels, k, eps) -> PredictionSe
     point i's neighbours nor be among its own k nearest of i's label.
     Only the points where d[i] is below a k-th value are rescored, and
     every label is counted in one comparison.  The p-value counts the
-    candidate itself: (#{alpha_i >= alpha_n} + 1) / (n + 1).
+    candidate itself: (#{alpha_i >= alpha_n} + 1) / (n + 1).  The
+    rescoring is the caches after observing the candidate under any label.
     """
-    # The points whose score the candidate can change.
+    # The points whose score the candidate can change; d goes into their
+    # lists ahead of the first entry at or above it, pushing the last out.
     reach = np.flatnonzero(d < np.maximum(near[:, 0, -1], near[:, 1, -1]))
-    held = near[reach]
-    grown = k_smallest(np.concatenate([held, np.repeat(d[reach, None, None], 2, axis=1)],
-                                      axis=2), k)
-    means = _finite_mean(held.reshape(-1, held.shape[2])).reshape(-1, 2)
-    with_d = _finite_mean(grown.reshape(-1, grown.shape[2])).reshape(-1, 2)
-    # The candidate's k nearest of each label and of the other labels.
+    held, at = near[reach], d[reach, None, None]
+    shifted = np.concatenate([np.full((*held.shape[:2], 1), -np.inf), held[..., :-1]], axis=2)
+    grown = np.where(held < at, held, np.maximum(shifted, at))
+    # The candidate's k nearest of each label and of the other labels,
+    # padded to k: a mean takes the finite prefix alone.
     fin = np.flatnonzero(np.isfinite(d))
     own = is_lab[:, fin]
     nearest = k_smallest(np.where(np.stack([own, ~own]), d[fin], np.inf), k)
-    own_means = _finite_mean(nearest.reshape(-1, nearest.shape[2]))
-    # One ratio pass: point i's score when the candidate shares its label
-    # and when it does not, then the candidate's score for each label.
-    m, n_labels = reach.shape[0], labels.shape[0]
-    alpha = _ratio(np.concatenate([with_d[:, 0], means[:, 0], own_means[:n_labels]]),
-                   np.concatenate([means[:, 1], with_d[:, 1], own_means[n_labels:]]))
-    alphas = np.repeat(score[None], n_labels, axis=0)
+    nearest = np.concatenate([nearest, np.full((2, len(own), k - nearest.shape[2]), np.inf)], 2)
+    # One mean and ratio pass.  alpha: point i's score when the candidate
+    # shares its label, when it does not, then the candidate's per label.
+    means = _finite_mean(np.concatenate([grown[:, 0], held[:, 0], nearest[0],
+                                         held[:, 1], grown[:, 1], nearest[1]]))
+    alpha, m = _ratio(*means.reshape(2, -1)), reach.shape[0]
+    alphas = np.repeat(score[None], labels.shape[0], axis=0)
     alphas[:, reach] = np.where(is_lab[:, reach], alpha[:m], alpha[m:2 * m])
     n_ge = (alphas >= alpha[2 * m:, None]).sum(axis=1) + 1
-    return PredictionSet.label_set(labels[n_ge / (d.shape[0] + 1) > eps].tolist())
+    return (PredictionSet.label_set(labels[n_ge / (d.shape[0] + 1) > eps].tolist()),
+            (reach, grown, alpha, nearest))
 
 
 def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
@@ -281,10 +284,12 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     distances are cached with the point's score, so a candidate only
     rescores the points it can reach: O(n*k) per step at most.
     ``observe`` only appends; the next ``predict`` catches the caches up
-    (``_catch_up``, through ``_caught_up``), then screens the candidate
-    through ``gram_screen`` and every label's ``kth_bound`` in one
-    partition, and the label set (``_conformal_label_set``) rescores the
-    rows it reaches.  Features whose distances overflow raise the
+    (``_catch_up``), then screens the candidate through ``gram_screen``
+    and every label's ``kth_bound`` in one partition, and the label set
+    (``_conformal_label_set``) rescores the rows it reaches under every
+    label.  The usual step, predict(x) then observe(x, y), commits that
+    rescoring under y; any other arrival goes through the screened
+    self-join (``_caught_up``).  Features whose distances overflow raise the
     ``distances`` ValueError at that ``predict`` and leave the caches as
     they were.  Predictions agree exactly with rescoring the bag from
     direct distances, ties included.
@@ -298,7 +303,7 @@ class KnnConformalClassifier(KnnHistoryPredictor):
         self._labels = np.unique(self.label_space)
         # Rows [0, _cached) of the history's caches are filled.
         self._cached = 0
-        # (cached rows, candidate bytes, its distances) of the last predict.
+        # (cached rows, candidate bytes, its rescoring) of the last predict.
         self._last = None
 
     def _predict(self, x, eps):
@@ -315,24 +320,29 @@ class KnnConformalClassifier(KnnHistoryPredictor):
         thr = np.maximum(np.maximum(near[:, 0, -1], near[:, 1, -1]),
                          bound[np.searchsorted(self._labels, y)])
         d = screened_distances(X, x, g, slack, thr)
-        self._last = X.shape[0], x.tobytes(), d
-        return _conformal_label_set(near, self._hist["score"], is_lab, d, self._labels, k, eps)
+        kept, rescoring = _conformal_label_set(near, self._hist["score"], is_lab, d,
+                                               self._labels, k, eps)
+        self._last = X.shape[0], x.tobytes(), rescoring
+        return kept
 
     def _catch_up(self):
         """Cache the rows that arrived since the last call.  One row with the
         bytes of the last predict's candidate, against the caches that
-        predict used, reuses its distances: they hold the row's k nearest
-        of every label (so of the other labels too) and every distance
-        within an older row's cached k-th value.  Other arrivals go through
-        the screened self-join.  A ValueError from ``distances`` changes
-        nothing."""
-        h, c, pairs = self._hist, self._cached, None
-        X = h.X
+        predict used, commits that predict's rescoring under the row's
+        label, in place.  Other arrivals go through the screened self-join
+        (``_caught_up``).  A ValueError from ``distances`` changes nothing."""
+        h, c = self._hist, self._cached
+        X, y, near, score = h.X, h.y, h["near"], h["score"]
         if X.shape[0] == c + 1 and self._last is not None and self._last[:2] == (c, X[c].tobytes()):
-            d = self._last[2]
-            j = np.flatnonzero(np.isfinite(d))
-            pairs = np.full(j.shape, c), j, d[j]
-        _caught_up(h["near"], h["score"], c, X, self._row_norms(), h.y, pairs)
+            reach, grown, alpha, nearest = self._last[2]
+            # Side 0 (same label) or 1 (different) of each reached row.
+            at, side = np.arange(reach.shape[0]), (y[reach] != y[c]).astype(np.intp)
+            near[reach, side] = grown[at, side]
+            score[reach] = alpha[side * at.shape[0] + at]
+            li = np.searchsorted(self._labels, y[c])
+            near[c], score[c] = nearest[:, li], alpha[2 * at.shape[0] + li]
+        else:
+            _caught_up(near, score, c, X, self._row_norms(), y)
         self._cached = X.shape[0]
 
 
@@ -344,20 +354,20 @@ CachedKnnConformalClassifier = KnnConformalClassifier
 def _row_scores(near):
     """Each row's strangeness ratio from its (same, different) neighbour
     distances ``near``, (rows, 2, width)."""
-    means = _finite_mean(near.reshape(-1, near.shape[2])).reshape(-1, 2)
-    return _ratio(means[:, 0], means[:, 1])
+    return _ratio(*_finite_mean(near.reshape(-1, near.shape[2])).reshape(-1, 2).T)
 
 
 def _finite_mean(rows: np.ndarray) -> np.ndarray:
     """``np.mean`` of each ascending, +inf padded row's finite prefix (NaN
     if empty).  numpy sums 8 or more values pairwise, so a short row sums
-    its prefix alone: a sum over zeroed padding may round otherwise."""
-    count = np.isfinite(rows).sum(axis=1)
-    sums = rows.sum(axis=1)
-    short = count < rows.shape[1]
-    if short.any():
+    its prefix alone: a sum over zeroed padding may round otherwise.
+    Only a row that ends in +inf is short."""
+    sums, count = rows.sum(axis=1), np.full(rows.shape[0], rows.shape[1])
+    short = np.flatnonzero(np.isinf(rows[:, -1]))
+    if short.size:
+        count[short] = np.isfinite(rows[short]).sum(axis=1)
         for m in np.unique(count[short]):
-            at = count == m
+            at = short[count[short] == m]
             sums[at] = rows[at, :m].sum(axis=1)
     with np.errstate(invalid="ignore"):
         return sums / count
@@ -365,12 +375,10 @@ def _finite_mean(rows: np.ndarray) -> np.ndarray:
 
 def _ratio(same_mean, diff_mean):
     """Strangeness ratio with the missing-side conventions, vectorised.
-    NaN means the side had no members at all."""
+    NaN means the side had no members at all.  Means are never negative,
+    so a positive one over a zero one is already +inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = same_mean / diff_mean
-    r = np.where(diff_mean == 0.0, np.inf, r)
-    r = np.where(same_mean == 0.0, 0.0, r)
-    r = np.where(np.isnan(diff_mean), 0.0, r)
+        r = np.where((same_mean == 0.0) | np.isnan(diff_mean), 0.0, same_mean / diff_mean)
     return np.where(np.isnan(same_mean), np.inf, r)
 
 

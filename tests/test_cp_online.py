@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aci_lab
 from aci_lab import cp_online, harness, nccp_online
@@ -448,7 +449,7 @@ def test_cached_class_catches_up_in_bursts(data, k, monkeypatch):
 
 
 def _edge_stream(data, n):
-    """(X, y, label space) with n rows for the reuse-path tests: 3 or 10
+    """(X, y, label space) with n rows for the commit-path tests: 3 or 10
     labels, one class, a label on two rows only, or integer-grid ties."""
     if data == "grid-ties":
         rng = derive_rng(9, "knn-reuse")
@@ -469,18 +470,22 @@ def _edge_stream(data, n):
 @pytest.mark.parametrize("data", ["3-labels", "10-labels", "one-class", "one-rare",
                                   "grid-ties"])
 def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch):
-    # The catch-up takes the last predict's distances only for exactly one
-    # new row with that candidate's bytes, against the caches that predict
-    # used; every other arrival is screened in row blocks.  Sequences:
+    # The catch-up commits the last predict's rescoring only for exactly
+    # one new row with that candidate's bytes, against the caches that
+    # predict used, and then makes neither a self-join nor a merge; every
+    # other arrival is screened in row blocks and merged.  Sequences:
     # boundary levels (no _predict) between predicts, a predict that
     # raises the overflow ValueError, predict(x1) then observe(x2), two
     # predicts then one observe, and a row observed as -0.0 where 0.0 was
     # predicted.  After every catch-up the caches equal the direct
     # matrix's neighbour rows, and every set equals knn_cp_predict.
     X, y, label_space = _edge_stream(data, 60)
-    blocks, screened_join = [], cp_online._screened_join
+    blocks, merges = [], []
+    screened_join, caught_up = cp_online._screened_join, cp_online._caught_up
     monkeypatch.setattr(cp_online, "_screened_join",
                         lambda *args: blocks.append(1) or screened_join(*args))
+    monkeypatch.setattr(cp_online, "_caught_up",
+                        lambda *args: merges.append(1) or caught_up(*args))
     pred = KnnConformalClassifier(k=k, label_space=label_space)
     hist = []
     far = np.full(X.shape[1], 1e200)
@@ -490,21 +495,23 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
         hist.append((x, y[i]))
 
     def predict(x, path=None):
-        # path: the catch-up this predict makes, "reuse", "blocks" or None;
-        # knn_cp_predict, which joins too, runs before the count starts
+        # path: the catch-up this predict makes, "commit", "blocks" or None;
+        # knn_cp_predict, which joins and merges too, runs before the count
+        # starts
         hX, hy = np.array([h[0] for h in hist]), np.array([h[1] for h in hist])
         want = {eps: knn_cp_predict(hX, hy, x, eps, k, label_space).labels for eps in (0.3, 0.05)}
-        before = len(blocks)
+        before = len(blocks), len(merges)
         for eps in (0.3, 0.05):
             assert pred.predict(x, eps).labels == want[eps], (len(hist), eps)
-        assert len(blocks) - before == (path == "blocks"), (len(hist), path)
+        made = len(blocks) - before[0], len(merges) - before[1]
+        assert made == (int(path == "blocks"),) * 2, (len(hist), path)
         _check_caches(pred, hX, hy, k)
 
     for i in range(8):
         observe(X[i], i)
     predict(X[8], "blocks")
     observe(X[8], 8)
-    predict(X[9], "reuse")
+    predict(X[9], "commit")
     observe(X[9], 9)
     # Boundary levels skip _predict, so two rows arrive unscreened.
     assert pred.predict(X[10], 0.0).kind == "all"
@@ -512,35 +519,35 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
     assert pred.predict(X[11], 1.0).kind == "empty"
     observe(X[11], 11)
     predict(X[12], "blocks")
-    # A boundary predict of the same row leaves the interior one's distances.
+    # A boundary predict of the same row leaves the interior one's rescoring.
     assert pred.predict(X[12], 1.0).kind == "empty"
     observe(X[12], 12)
-    predict(X[13], "reuse")
-    # A predict that raises leaves the last distances and the caches as
+    predict(X[13], "commit")
+    # A predict that raises leaves the last rescoring and the caches as
     # they were.
     for _ in range(2):
         with pytest.raises(ValueError, match="too large for distances"):
             pred.predict(far, 0.1)
     observe(X[13], 13)
-    predict(X[14], "reuse")
+    predict(X[14], "commit")
     # predict(x1), then observe(x2).
     observe(X[15], 15)
     predict(X[16], "blocks")
-    # A predict that catches up and then raises: the last distances were
-    # taken against fewer cached rows, so the observed row does not reuse.
+    # A predict that catches up and then raises: the last rescoring was
+    # made against fewer cached rows, so the observed row does not commit.
     observe(X[22], 22)
     with pytest.raises(ValueError, match="too large for distances"):
         pred.predict(far, 0.1)
     observe(X[16], 16)
     predict(X[17], "blocks")
     # Two predicts of different rows, then one observe: only the last
-    # predict's row reuses.
+    # predict's row commits.
     predict(X[18])
     observe(X[17], 17)
     predict(X[18], "blocks")
     predict(X[19])
     observe(X[19], 19)
-    predict(X[20], "reuse")
+    predict(X[20], "commit")
     # Equal in value, not in bytes.
     x = X[20].copy()
     x[0] = 0.0
@@ -551,13 +558,69 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
     predict(X[21], "blocks")
     for i in range(21, 59):
         observe(X[i], i)
-        predict(X[i + 1], "reuse")
+        predict(X[i + 1], "commit")
+
+
+@st.composite
+def _online_sessions(draw):
+    """(k, label space, ops) for the online class: k from 1 to 5, 2 to 4
+    labels (some on fewer than k rows), rows on a 0.3 grid of 1 to 3
+    features with -0.0 and 0.0 both drawn, and up to 24 ("observe", x,
+    label) or ("predict", x, eps) ops, eps interior or 0 or 1.  Each x is
+    new, the last predict's candidate (so predict-then-observe, repeated
+    predicts and predict(x1)-then-observe(x2) all occur), an observed
+    row again, or the last candidate with the sign of each zero flipped."""
+    k, n_labels, p = draw(st.integers(1, 5)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    cells = st.lists(st.sampled_from([0.0, -0.0, 0.3, 0.6, 0.9]), min_size=p, max_size=p)
+    ops, seen, last = [], [], None
+    for i in range(draw(st.integers(1, 24))):
+        source = draw(st.sampled_from(["new", "new", "last", "last", "last", "seen", "flipped"]))
+        if source == "seen" and seen:
+            x = seen[draw(st.integers(0, len(seen) - 1))]
+        elif source in ("last", "flipped") and last is not None:
+            x = last.copy()
+            if source == "flipped":
+                x[x == 0.0] *= -1.0
+        else:
+            x = np.array(draw(cells))
+        if i and draw(st.booleans()):
+            last = x
+            ops.append(("predict", x, draw(st.sampled_from([0.0, 1.0, 0.05, 0.3, 0.7]))))
+        else:
+            seen.append(x)
+            ops.append(("observe", x, draw(st.integers(0, n_labels - 1))))
+    return k, list(range(n_labels)), ops
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_online_sessions())
+def test_online_class_matches_the_direct_oracle(session):
+    # Differential test of the online class: after every interior predict,
+    # whichever catch-up it made (a commit, a burst or a first fill), the
+    # caches equal the direct matrix's neighbour rows and the set equals
+    # knn_cp_predict's; a boundary level gives its forced set.
+    k, label_space, ops = session
+    pred = KnnConformalClassifier(k=k, label_space=label_space)
+    hist_X, hist_y = [], []
+    for op, x, arg in ops:
+        if op == "observe":
+            pred.observe(x, arg)
+            hist_X.append(x)
+            hist_y.append(arg)
+            continue
+        got = pred.predict(x, arg)
+        if arg in (0.0, 1.0):
+            assert got.kind == ("all" if arg == 0.0 else "empty")
+            continue
+        X, y = np.array(hist_X), np.array(hist_y)
+        assert got.labels == knn_cp_predict(X, y, x, arg, k, label_space).labels
+        _check_caches(pred, X, y, k)
 
 
 def test_steady_step_screens_once_per_predict(monkeypatch):
     # after the first fill, a predict -> observe -> predict cycle makes one
     # gram_screen call per predict and no paired distances call: the
-    # catch-up takes the observed row's distances from the predict before
+    # catch-up commits the observed row's rescoring from the predict before
     calls, real_screen, real_distances = [], cp_online.gram_screen, cp_online.distances
 
     def screen(A, sq, x):
@@ -585,7 +648,7 @@ def test_steady_step_screens_once_per_predict(monkeypatch):
 def test_kept_row_scores_match_a_full_rescoring(k):
     # The kept row scores, refreshed only for the rows each catch-up
     # touches, equal the ratio of every row's cache means recomputed at
-    # once, bit for bit, after a first fill, one-row reuses
+    # once, bit for bit, after a first fill, one-row commits
     # and a burst.  k >= 9 sums a row in numpy's 8-wide pairwise blocks,
     # and at 60 rows of 3 labels k = 20 and 33 leave short rows too.
     X, y, label_space = _edge_stream("3-labels", 150)

@@ -116,6 +116,13 @@ def commands():
                                              "--n-classes", "10", "--class-sep", "3.5",
                                              "--warmup", "2000", "--n", "2008",
                                              "--gamma", "0.05", "--k", k]))
+    # knn-cp at the benchmark's knn-stream shape, where nearly every step
+    # after the warm-up commits its predict's rescoring
+    for k in ("1", "20"):
+        cmds.append((f"knn-cp-stream-k{k}", ["online", "--dataset", "synth-class",
+                                             "--predictor", "knn-cp", "--n", "500", "--p", "6",
+                                             "--class-sep", "3.0", "--drift", "1.5",
+                                             "--warmup", "50", "--delta", "0.02", "--k", k]))
     return cmds
 
 
