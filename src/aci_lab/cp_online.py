@@ -198,9 +198,9 @@ def _conformal_label_set(near, score, is_lab, d, labels, k, eps):
     # The points whose score the candidate can change; d goes into their
     # lists ahead of the first entry at or above it, pushing the last out.
     reach = np.flatnonzero(d < np.maximum(near[:, 0, -1], near[:, 1, -1]))
-    held, at = near[reach], d[reach, None, None]
+    held, dist = near[reach], d[reach, None, None]
     shifted = np.concatenate([np.full((*held.shape[:2], 1), -np.inf), held[..., :-1]], axis=2)
-    grown = np.where(held < at, held, np.maximum(shifted, at))
+    grown = np.where(held < dist, held, np.maximum(shifted, dist))
     # The candidate's k nearest of each label and of the other labels,
     # padded to k: a mean takes the finite prefix alone.
     fin = np.flatnonzero(np.isfinite(d))
