@@ -187,7 +187,7 @@ def check_features(x, dim: int | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("feature vector contains non-finite values")
     if dim is not None and x.shape[0] != dim:
         raise ValueError(f"expected {dim} features, got {x.shape[0]}")
@@ -210,16 +210,16 @@ def knn_inputs(hist_X, hist_y, x, k: int):
 class ExampleBuffer:
     """Append-only history store with amortised-doubling growth.
 
-    Every per-row array grows here, at one capacity: X, y and the float
-    ``columns`` named at construction (name -> row shape), which their
-    owners fill.  The store hands out zero-copy views of the rows held,
-    ``X``, ``y`` and ``buf[name]``, valid until the next ``append`` or
-    ``reserve``.
+    Every per-row array grows here, at one capacity: X, y and the
+    ``columns`` named at construction (name -> row dtype, ``(float,
+    shape)`` for a row of that shape), which their owners fill.  The
+    store hands out zero-copy views of the rows held, ``X``, ``y`` and
+    ``buf[name]``, valid until the next ``append`` or ``reserve``.
     """
 
     def __init__(self, label_dtype=float, **columns):
         self._rows = {"y": np.empty(8, dtype=label_dtype),
-                      **{name: np.empty((8, *shape)) for name, shape in columns.items()}}
+                      **{name: np.empty(8, dtype) for name, dtype in columns.items()}}
         self._n = 0
 
     def __len__(self) -> int:
@@ -263,9 +263,10 @@ class ExampleBuffer:
 
 class KnnHistoryPredictor(SetPredictor):
     """Online k-NN classifier plumbing: neighbour count, declared label
-    space, an integer-labelled history and its rows' squared norms for
-    the Gram screen (``_row_norms``).  Subclasses supply ``_predict`` and
-    name their own per-row ``columns`` of the history."""
+    space, an integer-labelled history with each row's index into the
+    sorted labels ``_labels`` ("lab") and squared norm for the Gram screen
+    (``_row_norms``).  Subclasses supply ``_predict`` and name their own
+    per-row ``columns`` of the history."""
 
     task = CLASSIFICATION
 
@@ -277,28 +278,34 @@ class KnnHistoryPredictor(SetPredictor):
         self.label_space = [int(c) for c in label_space]
         if not self.label_space:
             raise ValueError("label space is empty")
-        self._hist = ExampleBuffer(label_dtype=int, sq=(), **columns)
+        self._labels = np.unique(self.label_space)
+        self._index = {int(c): i for i, c in enumerate(self._labels)}
+        self._hist = ExampleBuffer(label_dtype=int, lab=np.intp, sq=float, **columns)
         # Rows [0, _normed) of the history's "sq" hold squared row norms.
         self._normed = 0
 
     def _observe(self, x, y):
-        self._hist.append(x, self._check_label(y))
+        yi, li = self._check_label(y)
+        self._hist.append(x, yi)
+        self._hist["lab"][-1] = li
 
     def _row_norms(self) -> np.ndarray:
         """Squared norms of the history rows, filled for the rows appended
         since the last call only, so ``observe`` stays a plain append."""
-        X, sq, done = self._hist.X, self._hist["sq"], self._normed
-        sq[done:] = np.einsum("ij,ij->i", X[done:], X[done:])
-        self._normed = X.shape[0]
+        sq, done, X = self._hist["sq"], self._normed, self._hist.X
+        if done < sq.shape[0]:
+            sq[done:] = np.einsum("ij,ij->i", X[done:], X[done:])
+            self._normed = sq.shape[0]
         return sq
 
-    def _check_label(self, y) -> int:
+    def _check_label(self, y) -> tuple[int, int]:
+        """The label as an integer and its index into ``_labels``."""
         yi = int(y)
         if yi != y:
             raise ValueError(f"label {y!r} is not an integer")
-        if yi not in self.label_space:
+        if yi not in self._index:
             raise ValueError(f"label {yi} outside the declared label space")
-        return yi
+        return yi, self._index[yi]
 
 
 class RidgeHistoryPredictor(SetPredictor):

@@ -58,7 +58,7 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     :class:`KnnConformalClassifier`, and one row of candidate distances
     serves every label."""
     hist_X, hist_y, x = knn_inputs(hist_X, hist_y, x, k)
-    labels = np.asarray(label_space)
+    labels = np.unique(label_space)
     is_lab = hist_y == labels[:, None]
     outside = hist_y[~is_lab.any(axis=0)]
     if outside.size:
@@ -70,7 +70,8 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     _caught_up(near, score, 0, hist_X, np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
     # Every candidate distance is finite, so the label set rescores every
     # point the candidate reaches.
-    return _conformal_label_set(near, score, is_lab, distances(hist_X, x), labels, k, eps)[0]
+    return _conformal_label_set(near, score, is_lab.argmax(axis=0), distances(hist_X, x),
+                                labels, k, eps)[0]
 
 
 # Pairs per block of the self-join (2^16 Gram values, 512 KB), and feature
@@ -180,14 +181,14 @@ def _fold(top, values, k):
         top[:] = np.partition(np.concatenate([top, values], axis=-1), k - 1, axis=-1)[:, :k]
 
 
-def _conformal_label_set(near, score, is_lab, d, labels, k, eps):
+def _conformal_label_set(near, score, lab, d, labels, k, eps):
     """Labels whose candidate completion has p-value above eps, and the
     rescoring ``(reach, grown, alpha, nearest)`` behind them.
 
     ``near`` holds each history point's k smallest same-label and
     different-label distances, (n, 2, k) ascending and +inf padded;
-    ``score`` each point's strangeness (``_row_scores``); ``is_lab``
-    (labels, n) which points carry each of ``labels``; ``d`` the
+    ``score`` each point's strangeness (``_row_scores``); ``lab`` each
+    point's label as an index into the sorted ``labels``; ``d`` the
     candidate's distances, +inf where it can neither displace one of
     point i's neighbours nor be among its own k nearest of i's label.
     Only the points where d[i] is below a k-th value are rescored, and
@@ -203,8 +204,8 @@ def _conformal_label_set(near, score, is_lab, d, labels, k, eps):
     grown = np.where(held < dist, held, np.maximum(shifted, dist))
     # The candidate's k nearest of each label and of the other labels,
     # padded to k: a mean takes the finite prefix alone.
-    fin = np.flatnonzero(np.isfinite(d))
-    own = is_lab[:, fin]
+    fin, at = np.flatnonzero(np.isfinite(d)), np.arange(labels.shape[0])[:, None]
+    own = lab[fin] == at
     nearest = k_smallest(np.where(np.stack([own, ~own]), d[fin], np.inf), k)
     nearest = np.concatenate([nearest, np.full((2, len(own), k - nearest.shape[2]), np.inf)], 2)
     # One mean and ratio pass.  alpha: point i's score when the candidate
@@ -213,7 +214,7 @@ def _conformal_label_set(near, score, is_lab, d, labels, k, eps):
                                          held[:, 1], grown[:, 1], nearest[1]]))
     alpha, m = _ratio(*means.reshape(2, -1)), reach.shape[0]
     alphas = np.repeat(score[None], labels.shape[0], axis=0)
-    alphas[:, reach] = np.where(is_lab[:, reach], alpha[:m], alpha[m:2 * m])
+    alphas[:, reach] = np.where(lab[reach] == at, alpha[:m], alpha[m:2 * m])
     n_ge = (alphas >= alpha[2 * m:, None]).sum(axis=1) + 1
     return (PredictionSet.label_set(labels[n_ge / (d.shape[0] + 1) > eps].tolist()),
             (reach, grown, alpha, nearest))
@@ -299,8 +300,7 @@ class KnnConformalClassifier(KnnHistoryPredictor):
         # Per history row, once cached: its k smallest same-label and
         # different-label distances, "near" (2, k) ascending and +inf where
         # fewer exist, and its "score" from them.
-        super().__init__(k, label_space, near=(2, int(k)), score=())
-        self._labels = np.unique(self.label_space)
+        super().__init__(k, label_space, near=(float, (2, int(k))), score=float)
         # Rows [0, _cached) of the history's caches are filled.
         self._cached = 0
         # (cached rows, candidate bytes, its rescoring) of the last predict.
@@ -309,18 +309,18 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     def _predict(self, x, eps):
         if self._cached < len(self._hist):
             self._catch_up()
-        X, y, near, k = self._hist.X, self._hist.y, self._hist["near"], self.k
-        is_lab = y == self._labels[:, None]
+        X, lab, near, k = self._hist.X, self._hist["lab"], self._hist["near"], self.k
         # d[i] matters where x could come nearer than row i's cached k-th
         # value on either side, or be among x's own k nearest of row i's
-        # label (that label's kth_bound, for all labels in one partition);
-        # every other row gets +inf.
+        # label (that label's kth_bound, for all labels in one partition
+        # of g spread over one row per label); every other row gets +inf.
         g, slack = gram_screen(X, self._row_norms(), x)
-        bound = kth_bound(np.where(is_lab, g + slack, np.inf), 0.0, k)
+        by_label = np.full((self._labels.shape[0], X.shape[0]), np.inf)
+        by_label[lab, np.arange(X.shape[0])] = g
         thr = np.maximum(np.maximum(near[:, 0, -1], near[:, 1, -1]),
-                         bound[np.searchsorted(self._labels, y)])
+                         kth_bound(by_label, slack, k)[lab])
         d = screened_distances(X, x, g, slack, thr)
-        kept, rescoring = _conformal_label_set(near, self._hist["score"], is_lab, d,
+        kept, rescoring = _conformal_label_set(near, self._hist["score"], lab, d,
                                                self._labels, k, eps)
         self._last = X.shape[0], x.tobytes(), rescoring
         return kept
@@ -339,7 +339,7 @@ class KnnConformalClassifier(KnnHistoryPredictor):
             at, side = np.arange(reach.shape[0]), (y[reach] != y[c]).astype(np.intp)
             near[reach, side] = grown[at, side]
             score[reach] = alpha[side * at.shape[0] + at]
-            li = np.searchsorted(self._labels, y[c])
+            li = h["lab"][c]
             near[c], score[c] = nearest[:, li], alpha[2 * at.shape[0] + li]
         else:
             _caught_up(near, score, c, X, self._row_norms(), y)

@@ -96,13 +96,13 @@ def _ols_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
 class KnnThresholdClassifier(KnnHistoryPredictor):
     """Online vote-share thresholding over the full history: the sets of
     :func:`knn_threshold_predict`, with the k nearest found through the
-    Gram screen (``screened_nearest``)."""
+    Gram screen (``screened_nearest``) and their votes counted by label
+    index."""
 
     def _predict(self, x, eps):
-        X = self._hist.X
-        near = screened_nearest(X, self._row_norms(), x, self.k)
-        shares = vote_shares(self._hist.y[near], self.label_space)
-        return _labels_above(shares, self.label_space, eps)
+        near = screened_nearest(self._hist.X, self._row_norms(), x, self.k)
+        votes = np.bincount(self._hist["lab"][near], minlength=self._labels.shape[0])
+        return _labels_above(votes / near.shape[0], self._labels, eps)
 
 
 class OlsIntervalPredictor(RidgeHistoryPredictor):

@@ -9,9 +9,10 @@ one distance definition (one query row against every row, or paired
 rows), the Gram screen (``gram_screen``, also of rows against each
 other, each pair once; ``kth_bound``, ``within``, ``reach``,
 ``screened_distances`` and ``screened_nearest``: one matrix product and
-a rounding-error bound rule out the rows that cannot matter, and the
-rest get the direct ``distances`` value, so every value that reaches an
-output is the direct one), ``k_smallest`` values or ``k_nearest`` indices, and
+a rounding-error bound, one slack per query from the largest squared
+row norm, rule out the rows that cannot matter, and the rest get the
+direct ``distances`` value, so every value that reaches an output is
+the direct one), ``k_smallest`` values or ``k_nearest`` indices, and
 ``vote_shares``.  ``screened_nearest`` searches one query row (the
 online predictors) or a matrix of them in blocks of about 2^14 (query,
 row) pairs (the offline scorers' tables).  ``k_nearest`` selects by
@@ -126,8 +127,8 @@ def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     into a ValueError (and no numpy warning).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.sqrt(np.sum((A - x) ** 2, axis=1))
-    if not np.isfinite(d.sum()):
+        d = np.sqrt(((A - x) ** 2).sum(axis=1))
+    if not math.isfinite(d.sum()):
         raise ValueError("features contain non-finite values or values too large "
                          "for distances")
     return d
@@ -140,12 +141,12 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray | None = None,
     where ``sq`` holds the rows' squared norms (summed in any order), such
     that the sum of squared differences D that ``distances`` takes the
     root of lies within g -/+ slack, with room to spare for the roundings
-    of the tests made from them.  A matrix of queries gives one row of g
-    and slack per query.
+    of the tests made from them.  One slack per query: a scalar for one
+    query row, a column for a matrix of them (a row of g per query).
 
     Without ``x``, A's first ``rows`` rows are the queries against all of
     A's rows, each pair once: only cells (i, j) with j > i are formed (the
-    square by BLAS ``syrk``); the others hold g = +inf and slack = 0.
+    square by BLAS ``syrk``); the others hold g = +inf (0 in the fallback).
 
     The bound.  Let u = 2^-53, gamma_m = m u / (1 - m u) and s the exact
     squared distance |a - x|^2.  For any summation order (BLAS blocking
@@ -157,58 +158,64 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray | None = None,
 
         |D - g| <= 8 (p + 4) u (|a|^2 + |x|^2).
 
-    slack = 16 (p + 4) (u (sq + x.x) + 2^-1022) is twice that (|a|^2 +
-    |x|^2 exceeds sq + x.x by a factor 1 + gamma_p at most).  The spare
-    half covers the roundings of slack, of g -/+ slack and of the
-    threshold tests in ``screened_distances`` and ``kth_bound``; the
-    2^-1022 term covers the absolute error of results that underflow.
+    A query's slack, 16 (p + 4) (u (max sq + x.x) + 2^-1022), is at least
+    twice that for each of its rows (|a|^2 + |x|^2 exceeds sq + x.x by a
+    factor 1 + gamma_p at most).  The spare half, about 8 (p + 4) u (max
+    sq + x.x), covers the roundings of the slack, of g -/+ slack and of
+    the tests folded from them (``kth_bound`` adds the slack to the k-th
+    smallest g, ``within`` to the squared threshold): g < 3 (max sq +
+    x.x), so wherever a test can rule a row out each of its roundings is
+    a few u (max sq + x.x) at most.  The 2^-1022 term covers the absolute
+    error of results that underflow.
 
-    Fallback.  When some sq + x.x >= 2^1020 a direct squared difference
-    may overflow; then every slack is +inf, no row is ruled out, and
-    every row takes the direct route (and its ValueError).  Below that
-    limit g is finite.
+    Fallback.  When max sq or some x.x reaches 2^1020 a direct squared
+    difference may overflow; then every g is 0 and every slack +inf, so
+    no row is ruled out and every row takes the direct route (and its
+    ValueError).  Below that limit g is finite.
     """
     q = A[:rows] if x is None else x
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = sq + np.einsum("...j,...j->...", q, q)[..., None]
-        if not norms.max(initial=0.0) < 2.0 ** 1020:
-            g, slack = np.zeros(norms.shape), np.full(norms.shape, np.inf)
-        else:
-            # norms - 2 A x: doubling and negation are exact.
-            g = (q * -2.0) @ A.T if x is not None else np.empty(norms.shape)
-            if x is None:
-                g[:, :rows] = dsyrk(-2.0, q.T, trans=1)
-                np.matmul(q * -2.0, A[rows:].T, out=g[:, rows:])
-            g += norms
-            c = 16.0 * (A.shape[1] + 4)
-            slack = np.multiply(norms, c * _U, out=norms)
-            slack += c * 2.0 ** -1022
+    # Neither form warns on overflow; an infinite x.x takes the fallback.
+    qq = np.einsum("ij,ij->i", q, q)[:, None] if q.ndim == 2 else np.vdot(q, q)
+    top = sq.max(initial=0.0)
+    shape = (q.shape[0], A.shape[0]) if q.ndim == 2 else (A.shape[0],)
+    if not max(top, qq.max()) < 2.0 ** 1020:
+        return np.zeros(shape), np.full(qq.shape, np.inf)
+    slack = 16.0 * (A.shape[1] + 4) * (_U * (top + qq) + 2.0 ** -1022)
+    if x is not None:
+        # sq + x.x - 2 A x: doubling and negation are exact.
+        g = (q * -2.0) @ A.T
+    else:
+        g = np.empty(shape)
+        g[:, :rows] = dsyrk(-2.0, q.T, trans=1)
+        np.matmul(q * -2.0, A[rows:].T, out=g[:, rows:])
+    g += sq
+    g += qq
     if x is None:
-        below = np.tri(rows, dtype=bool)
-        g[:, :rows][below], slack[:, :rows][below] = np.inf, 0.0
+        g[:, :rows][np.tri(rows, dtype=bool)] = np.inf
     return g, slack
 
 
-def kth_bound(g: np.ndarray, slack: np.ndarray, k: int):
+def kth_bound(g: np.ndarray, slack, k: int):
     """A distance T >= the k-th smallest direct distance over the rows
     screened by ``(g, slack)`` of :func:`gram_screen`, one per query along
-    the last axis: the square root of the k-th smallest g + slack.  Each
-    of those k rows has a direct sum D <= g + slack even after that sum
-    is rounded (the slack's spare half), and a rounded square root is
-    monotone.  +inf with fewer than k rows.  A row certified farther than
-    T can neither be among the k nearest nor tie with the k-th."""
+    the last axis: the square root of the k-th smallest g plus the
+    query's slack, which (rounding being monotone) is the k-th smallest
+    g + slack.  Each of those k rows has a direct sum D <= g + slack even
+    after that sum is rounded (the slack's spare half), and a rounded
+    square root is monotone.  +inf with fewer than k rows.  A row
+    certified farther than T can neither be among the k nearest nor tie
+    with the k-th."""
     if g.shape[-1] < k:
         return np.full(g.shape[:-1], np.inf)
-    if k == 1:
-        return np.sqrt(np.min(g + slack, axis=-1))
-    return np.sqrt(np.partition(g + slack, k - 1, axis=-1)[..., k - 1])
+    kth = g.min(-1, keepdims=True) if k == 1 else np.partition(g, k - 1)[..., k - 1:k]
+    return np.sqrt(kth + slack)[..., 0]
 
 
-def within(g: np.ndarray, slack: np.ndarray, thr) -> np.ndarray:
+def within(g: np.ndarray, slack, thr) -> np.ndarray:
     """Rows whose direct distance may be <= ``thr``: the others have
-    g - slack > ``reach(thr)``, enough that even the rounded square root
-    of their direct sum exceeds thr.  A NaN keeps its row."""
-    return ~(g - slack > reach(thr))
+    g > ``reach(thr)`` + slack, enough that even the rounded square root
+    of their direct sum exceeds thr."""
+    return g <= reach(thr) + slack
 
 
 def reach(thr):
@@ -246,7 +253,7 @@ def screened_nearest(A: np.ndarray, sq: np.ndarray, x: np.ndarray, k: int) -> np
     """
     if x.ndim == 1:
         g, slack = gram_screen(A, sq, x)
-        cand = within(g, slack, kth_bound(g, slack, k)).nonzero()[0]
+        cand = np.flatnonzero(within(g, slack, kth_bound(g, slack, k)))
         return cand[k_nearest(distances(A[cand], x), k)]
     n = A.shape[0]
     near = np.empty((x.shape[0], min(k, n)), dtype=np.intp)

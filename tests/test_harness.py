@@ -98,8 +98,8 @@ def test_run_online_classification_smoke():
 def test_run_online_sizes_the_history_once(monkeypatch, predictor):
     # The stream's length is known before the warm-up, so no observe of
     # the run copies the history into a larger store, and no predict moves
-    # a per-row array the predictor fills itself: the k-NN classes' row
-    # norms, and knn-cp's neighbour caches and row scores.
+    # a per-row array the predictor fills itself: the k-NN classes' label
+    # indices and row norms, and knn-cp's neighbour caches and row scores.
     from aci_lab.core import ExampleBuffer, SetPredictor
     stores, rows = [], []
     append, predict = ExampleBuffer.append, SetPredictor.predict
@@ -119,7 +119,8 @@ def test_run_online_sizes_the_history_once(monkeypatch, predictor):
     base = FAST_CLASS if predictor.startswith("knn") else FAST_REG
     run_online(build_config(dict(base, predictor=predictor, n=300)))
     assert len(stores) == 300 and len(set(stores)) == 1
-    own = {"knn-cp": {"sq", "near", "score"}, "knn-nccp": {"sq"}}.get(predictor, set())
+    own = {"knn-cp": {"lab", "sq", "near", "score"},
+           "knn-nccp": {"lab", "sq"}}.get(predictor, set())
     assert len(rows) == 300 - base["warmup"] and set(rows[0]) == {"X", "y"} | own
     assert all(r == rows[0] for r in rows)
 

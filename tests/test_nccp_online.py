@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aci_lab.core import derive_rng
 from aci_lab.data import StreamSpec, make_stream
@@ -10,7 +11,8 @@ from aci_lab.inductive import KnnClassScorer, KnnQuantileScorer
 from aci_lab.nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
                                  knn_threshold_predict, knn_vote_shares,
                                  ols_interval_predict)
-from aci_lab.numerics import student_t_quantile
+from aci_lab.numerics import (distances, k_nearest, screened_nearest,
+                              student_t_quantile)
 
 HIST_X = np.array([[0.0], [1.0], [10.0], [11.0]])
 HIST_Y = np.array([0, 0, 1, 1])
@@ -161,6 +163,67 @@ def test_threshold_classifier_at_digits_shape_matches_function(k, offset):
         pred.observe(X[i], int(y[i]))
     rows = pred._hist._rows
     assert rows["sq"].shape == rows["X"].shape[:1] == (128,)
+
+
+@st.composite
+def _threshold_sessions(draw):
+    """(k, label space, ops) for the online threshold class: k from 1 to
+    33, 2 to 5 distinct labels in drawn order (some on fewer than k rows,
+    some on none), rows on a 0.3 grid of 1 to 3 features with -0.0 and
+    0.0 both drawn, at one scale (1, 1e-160 or 1e150), and up to 60
+    ("observe", x, label) or ("predict", x, eps) ops after a first
+    observe, eps interior or 0 or 1.  Each x is new, an observed row
+    again, or the last candidate with the sign of each zero flipped."""
+    k, p = draw(st.integers(1, 33)), draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(-3, 9), min_size=2, max_size=5, unique=True))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e150]))
+    cells = st.lists(st.sampled_from([0.0, -0.0, 0.3, 0.6, 0.9]), min_size=p, max_size=p)
+    ops, seen, last = [], [], None
+    for i in range(draw(st.integers(1, 60))):
+        source = draw(st.sampled_from(["new", "new", "seen", "flipped"]))
+        if source == "seen" and seen:
+            x = seen[draw(st.integers(0, len(seen) - 1))]
+        elif source == "flipped" and last is not None:
+            x = last.copy()
+            x[x == 0.0] *= -1.0
+        else:
+            x = scale * np.array(draw(cells))
+        if i and draw(st.booleans()):
+            last = x
+            ops.append(("predict", x, draw(st.sampled_from([0.0, 1.0, 0.02, 0.1, 0.3, 0.5]))))
+        else:
+            seen.append(x)
+            ops.append(("observe", x, draw(st.sampled_from(labels))))
+    return k, labels, ops
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_threshold_sessions())
+def test_threshold_class_matches_the_direct_oracle(session):
+    # Differential test of the online threshold class and of the screened
+    # search it runs: every predict's set equals knn_threshold_predict's
+    # on the history so far, and the screened k nearest of each candidate,
+    # alone and as rows of one query matrix, equal k_nearest of its direct
+    # distances, ties included
+    k, label_space, ops = session
+    pred = KnnThresholdClassifier(k=k, label_space=label_space)
+    hist_X, hist_y, queries = [], [], []
+    for op, x, arg in ops:
+        if op == "observe":
+            pred.observe(x, arg)
+            hist_X.append(x)
+            hist_y.append(arg)
+            continue
+        X, y = np.array(hist_X), np.array(hist_y)
+        got, want = pred.predict(x, arg), knn_threshold_predict(X, y, x, arg, k, label_space)
+        assert (got.kind, got.labels) == (want.kind, want.labels)
+        sq = np.einsum("ij,ij->i", X, X)
+        assert np.array_equal(screened_nearest(X, sq, x, k), k_nearest(distances(X, x), k))
+        queries.append(x)
+    if queries:  # against the history of the last predict
+        Q = np.array(queries)
+        assert np.array_equal(screened_nearest(X, sq, Q, k),
+                              [k_nearest(distances(X, q), k) for q in Q])
 
 
 def test_ols_predictor_class_matches_function():

@@ -235,3 +235,30 @@ def test_screen_rules_out_far_rows():
     A = rng.normal(size=(50, 256)) + 1e8
     g, slack = gram_screen(A, np.einsum("ij,ij->i", A, A), A[0] + 1.0)
     assert np.all(screened_distances(A, A[0] + 1.0, g, slack, kth_bound(g, slack, 1)) < np.inf)
+
+
+def test_screen_with_one_far_row_stays_exact_and_prunes():
+    # the slack is one per query, from the largest squared row norm, so a
+    # row 1e3 times the others' norm loosens it for every row.  The search
+    # stays exact, and the screen still rules out every row but those
+    # within about two slacks of the 5th value: a ladder of rows at
+    # distance 1 + j 1e-8 from the query, about a tenth of a slack apart,
+    # so the pinned count moves with the slack
+    rng = derive_rng(10, "gram-screen-mixed-norms")
+    x, e = rng.normal(size=8), rng.normal(size=8)
+    ladder = x + (1.0 + 1e-8 * np.arange(40))[:, None] * (e / np.linalg.norm(e))
+    A = np.vstack([x + 3.0 + rng.random((150, 8)), ladder, 1e3 * rng.normal(size=(1, 8))])
+    sq = np.einsum("ij,ij->i", A, A)
+    d = distances(A, x)
+    g, slack = gram_screen(A, sq, x)
+    got = screened_distances(A, x, g, slack, kth_bound(g, slack, 5))
+    kept = got < np.inf
+    assert np.array_equal(got[kept], d[kept])
+    assert np.array_equal(np.flatnonzero(kept), 150 + np.arange(28))
+    assert np.array_equal(screened_nearest(A, sq, x, 5), k_nearest(d, 5))
+    Q = np.vstack([x, ladder[::7], A[:3] - 0.5])
+    assert np.array_equal(screened_nearest(A, sq, Q, 5), [k_nearest(distances(A, q), 5) for q in Q])
+    # without the far row the slack is about 1e5 times smaller: only the 5 nearest stay
+    g, slack = gram_screen(A[:-1], sq[:-1], x)
+    assert np.count_nonzero(screened_distances(A[:-1], x, g, slack, kth_bound(g, slack, 5))
+                            < np.inf) == 5
