@@ -292,9 +292,10 @@ class KnnHistoryPredictor(SetPredictor):
     def _row_norms(self) -> np.ndarray:
         """Squared norms of the history rows, filled for the rows appended
         since the last call only, so ``observe`` stays a plain append."""
-        sq, done, X = self._hist["sq"], self._normed, self._hist.X
+        sq, done = self._hist["sq"], self._normed
         if done < sq.shape[0]:
-            sq[done:] = np.einsum("ij,ij->i", X[done:], X[done:])
+            X = self._hist.X[done:]
+            sq[done:] = np.einsum("ij,ij->i", X, X)
             self._normed = sq.shape[0]
         return sq
 
