@@ -122,6 +122,12 @@ class PredictionSet:
         raise ValueError(f"cannot compare {self.kind} set with {other.kind} set")
 
 
+def labels_above(scores, labels, eps: float) -> PredictionSet:
+    """The set of the ``labels`` whose score (same order) strictly exceeds
+    eps; nested in eps by construction."""
+    return PredictionSet.label_set(np.asarray(labels)[scores > eps].tolist())
+
+
 def boundary_set(eps: float, task: str) -> PredictionSet | None:
     """The forced output at boundary significance levels, else None.
 
@@ -194,17 +200,30 @@ def check_features(x, dim: int | None = None) -> np.ndarray:
     return x
 
 
-def knn_inputs(hist_X, hist_y, x, k: int):
-    """Check a one-shot k-NN route's inputs; ``(hist_X, hist_y, x)`` as arrays."""
+def history_inputs(hist_X, hist_y, x, k: int | None = None):
+    """Check a one-shot route's inputs: a non-empty 2-D history, labels
+    that match its rows, k >= 1 if given, and x as features at the
+    history's width; ``(hist_X, hist_y, x)`` as arrays."""
     hist_X = np.asarray(hist_X, dtype=float)
     hist_y = np.asarray(hist_y)
     if hist_X.ndim != 2 or hist_X.shape[0] == 0:
         raise ValueError(f"history must be a non-empty 2-D array, got shape {hist_X.shape}")
     if hist_y.shape != (hist_X.shape[0],):
         raise ValueError("history labels do not match history rows")
-    if k < 1:
+    if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return hist_X, hist_y, check_features(x, hist_X.shape[1])
+
+
+def label_index(hist_y, label_space):
+    """The sorted labels of ``label_space`` and each history label's index
+    into them; a history label outside the space raises."""
+    labels = np.unique(label_space)
+    is_lab = hist_y == labels[:, None]
+    outside = hist_y[~is_lab.any(axis=0)]
+    if outside.size:
+        raise ValueError(f"history label {outside[0]} outside the label space")
+    return labels, is_lab.argmax(axis=0)
 
 
 class ExampleBuffer:

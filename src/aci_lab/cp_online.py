@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor, PredictionSet,
-                   RidgeHistoryPredictor, boundary_set, knn_inputs)
+                   RidgeHistoryPredictor, boundary_set, history_inputs, label_index,
+                   labels_above)
 from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_index,
                        gram_screen, k_smallest, kth_bound, reach, screened_distances, within)
 
@@ -45,7 +46,7 @@ def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
     No same-label members at all makes the example maximally strange
     (+inf); no different-label members makes it maximally conforming (0).
     """
-    bag_X, bag_y, x = knn_inputs(bag_X, bag_y, x, k)
+    bag_X, bag_y, x = history_inputs(bag_X, bag_y, x, k)
     d = distances(bag_X, x)
     same = bag_y == y
     return float(_ratio(*_finite_mean(k_smallest(np.where([same, ~same], d, np.inf), k))))
@@ -54,24 +55,19 @@ def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
 def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:
     """Full conformal k-NN classifier: keep labels whose completion has
     p-value above eps.  Every history label must be in ``label_space``.
-    The history's caches are the catch-up of an empty
-    :class:`KnnConformalClassifier`, and one row of candidate distances
-    serves every label."""
-    hist_X, hist_y, x = knn_inputs(hist_X, hist_y, x, k)
-    labels = np.unique(label_space)
-    is_lab = hist_y == labels[:, None]
-    outside = hist_y[~is_lab.any(axis=0)]
-    if outside.size:
-        raise ValueError(f"history label {outside[0]} outside the label space")
+    The history's caches are the fill of a :class:`KnnConformalClassifier`,
+    and one row of candidate distances serves every label."""
+    hist_X, hist_y, x = history_inputs(hist_X, hist_y, x, k)
+    labels, lab = label_index(hist_y, label_space)
     forced = boundary_set(eps, CLASSIFICATION)
     if forced is not None:
         return forced
     near, score = np.empty((hist_X.shape[0], 2, k)), np.empty(hist_X.shape[0])
-    _caught_up(near, score, 0, hist_X, np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
+    _caught_up(near, score, hist_X, np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
     # Every candidate distance is finite, so the label set rescores every
     # point the candidate reaches.
-    return _conformal_label_set(near, score, is_lab.argmax(axis=0), distances(hist_X, x),
-                                labels, k, eps)[0]
+    p = _conformal_p_values(near, score, lab, distances(hist_X, x), labels.shape[0], k)[0]
+    return labels_above(p, labels, eps)
 
 
 # Pairs per block of the self-join (2^16 Gram values, 512 KB), and feature
@@ -79,91 +75,77 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
 _FILL_PAIRS = 1 << 16
 
 
-def _caught_up(near, score, c, X, sq, y):
-    """Catch the caches ``near`` (n, 2, k) and row scores ``score`` (n) of
-    the first c rows of X up with rows c..n-1, in place, from the pairs
-    ``(i, j, d)`` of the screened self-join (i from c on).  Row i takes
-    each pair; row j too where j >= c or d is below j's cached k-th value
-    on the pair's side.  Only the rows that take one are rescored.
-    Nothing is written before every pair is found."""
-    n, k = X.shape[0], near.shape[2]
-    i, j, dist = _screened_join(X, sq, y, k, c, near[:c, :, -1])
-    near[c:] = np.inf
+def _caught_up(near, score, X, sq, y):
+    """Fill the caches ``near`` (n, 2, k) and row scores ``score`` (n) of
+    the rows of X, in place, from the pairs ``(i, j, d)`` of the screened
+    self-join: each pair is offered to both its rows, and each row and
+    side keeps its k smallest offers.  Nothing is written before every
+    pair is found."""
+    k = near.shape[2]
+    i, j, dist = _screened_join(X, sq, y, k)
     # Side 0 (same label) or 1 (different) of row r is row 2r + side here.
-    flat = near.reshape(-1, k)
     side = y[i] != y[j]
-    key_j = 2 * j + side
-    take = (j >= c) | (dist < flat[key_j, -1])
-    key, dist = np.concatenate([2 * i + side, key_j[take]]), np.concatenate([dist, dist[take]])
-    # Sorted by key, then by distance, each key's first k offers merge in.
+    key, dist = np.concatenate([2 * i + side, 2 * j + side]), np.concatenate([dist, dist])
+    # Sorted by key, then by distance, each key's first k offers fill it.
     order = np.lexsort((dist, key))
     key, dist = key[order], dist[order]
     rank = np.arange(key.shape[0]) - np.searchsorted(key, key)
-    head, first = rank == 0, rank < k
-    offers = np.full((np.count_nonzero(head), k), np.inf)
-    offers[(np.cumsum(head) - 1)[first], rank[first]] = dist[first]
-    touched = key[head]
-    flat[touched] = k_smallest(np.concatenate([flat[touched], offers], axis=1), k)
-    rows = np.concatenate([touched // 2, np.arange(c, n)])
-    score[rows] = _row_scores(near[rows])
+    first = rank < k
+    near[:] = np.inf
+    near.reshape(-1, k)[key[first], rank[first]] = dist[first]
+    score[:] = _row_scores(near)
 
 
-def _screened_join(X, sq, y, k, c, floor):
-    """``(i, j, d)``: each pair once that rows i >= c of X (squared norms
-    ``sq``, labels ``y``) need for their k nearest of either side (0 same
-    label, 1 different), or where i may come within ``floor[j, side]`` of
-    a row j < c, with its direct distance d.
+def _screened_join(X, sq, y, k):
+    """``(i, j, d)``: each pair of rows of X (squared norms ``sq``, labels
+    ``y``) once that either row needs for its k nearest of that side (0
+    same label, 1 different), with its direct distance d.
 
-    The new rows, sorted by label, are screened in blocks of one label
+    The rows, sorted by label, are screened in blocks of one label
     against themselves and the rows after them (``gram_screen`` without a
-    query), so each side is a few label-sorted slices.  A running k
+    query), so each side is one or two label-sorted slices.  A running k
     smallest of g + slack per row and side, fed by each block's rows and
     columns, is exact after the row's own block.  A block records the
     pairs ``within`` may keep under the larger running bound of their
     rows; those left by the exact bounds get a paired distance."""
-    n, m = X.shape[0], X.shape[0] - c
-    # The new rows first, then the cached ones, each run sorted by label.
-    order = np.concatenate([c + np.argsort(y[c:], kind="stable"),
-                            np.argsort(y[:c], kind="stable")])
+    n = X.shape[0]
+    order = np.argsort(y, kind="stable")
     X, sq, y = X[order], sq[order], y[order]
-    top = np.full((m, 2, k), np.inf)
-    # Per row and side, within's reach for its running bound or its floor.
+    top = np.full((n, 2, k), np.inf)
+    # Per row and side, within's reach for its running bound.
     bound = np.empty((n, 2))
-    bound[m:] = reach(floor[order[m:]])
-    labels, starts = np.unique(y[:m], return_index=True)
+    starts = np.unique(y, return_index=True)[1]
     step = max(1, _FILL_PAIRS // n)
-    upper = ~np.tri(min(step, m), dtype=bool)
+    upper = ~np.tri(min(step, n), dtype=bool)
     kept = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
-    # Each label's run of new rows [s, e) and of cached rows [o0, o1).
-    for s, e, o0, o1 in zip(starts, np.append(starts[1:], m), m + np.searchsorted(y[m:], labels),
-                            m + np.searchsorted(y[m:], labels, "right")):
+    # Each label's run of rows [s, e).
+    for s, e in zip(starts, np.append(starts[1:], n)):
         for lo in range(s, e, step):
             hi = min(lo + step, e)
             b = hi - lo
             g, slack = gram_screen(X[lo:], sq[lo:], rows=b)
             t = g + slack
             t[:, :b] = np.minimum(t[:, :b], t[:, :b].T)
-            # Columns from lo: the block [0, b), same label [0, a) and
-            # [q0, q1), different [a, q0) and [q1, n - lo); new rows end at w.
-            a, w, q0, q1 = e - lo, m - lo, o0 - lo, o1 - lo
+            # Columns from lo: the block [0, b), same label [0, a),
+            # different [a, n - lo).
+            a = e - lo
             _fold(top[hi:e, 0], t[:, b:a].T, k)
-            _fold(top[e:m, 1], t[:, a:w].T, k)
-            _fold(top[lo:hi, 0], np.concatenate([t[:, :a], t[:, q0:q1]], 1), k)
-            _fold(top[lo:hi, 1], np.concatenate([t[:, a:q0], t[:, q1:]], 1), k)
-            bound[lo:m] = reach(np.sqrt(top[lo:, :, -1]))
+            _fold(top[e:, 1], t[:, a:].T, k)
+            _fold(top[lo:hi, 0], t[:, :a], k)
+            _fold(top[lo:hi, 1], t[:, a:], k)
+            bound[lo:] = reach(np.sqrt(top[lo:, :, -1]))
             # A pair is recorded under the larger bound of its two rows.
             row, col = bound[lo:hi], bound[lo:, 1].copy()
-            col[:a], col[q0:q1] = bound[lo:e, 0], bound[o0:o1, 0]
+            col[:a] = bound[lo:e, 0]
             lim = np.maximum(row[:, 1, None], col)
-            for p0, p1 in ((0, a), (q0, q1)):
-                np.maximum(row[:, 0, None], col[p0:p1], out=lim[:, p0:p1])
+            np.maximum(row[:, 0, None], col[:a], out=lim[:, :a])
             g -= slack
             hit = g <= lim
             hit[:, :b] &= upper[:b, :b]
             r, j = np.divmod(np.flatnonzero(hit), n - lo)
             kept.append((lo + r, lo + j, g[r, j]))
     i, j, low = (np.concatenate(v) for v in zip(*kept))
-    thr = np.concatenate([np.sqrt(top[:, :, -1]), floor[order[m:]]]).reshape(-1)
+    thr = np.sqrt(top[:, :, -1]).reshape(-1)
     side = y[i] != y[j]
     hit = within(low, 0.0, np.maximum(thr[2 * i + side], thr[2 * j + side]))
     i, j = i[hit], j[hit]
@@ -181,15 +163,15 @@ def _fold(top, values, k):
         top[:] = np.partition(np.concatenate([top, values], axis=-1), k - 1, axis=-1)[:, :k]
 
 
-def _conformal_label_set(near, score, lab, d, labels, k, eps):
-    """Labels whose candidate completion has p-value above eps, and the
-    rescoring ``(reach, grown, alpha, nearest)`` behind them.
+def _conformal_p_values(near, score, lab, d, n_labels, k):
+    """Each label's candidate p-value, and the rescoring ``(reach, grown,
+    alpha, nearest)`` behind them.
 
     ``near`` holds each history point's k smallest same-label and
     different-label distances, (n, 2, k) ascending and +inf padded;
     ``score`` each point's strangeness (``_row_scores``); ``lab`` each
-    point's label as an index into the sorted ``labels``; ``d`` the
-    candidate's distances, +inf where it can neither displace one of
+    point's label as an index into the ``n_labels`` sorted labels; ``d``
+    the candidate's distances, +inf where it can neither displace one of
     point i's neighbours nor be among its own k nearest of i's label.
     Only the points where d[i] is below a k-th value are rescored, and
     every label is counted in one comparison.  The p-value counts the
@@ -204,7 +186,7 @@ def _conformal_label_set(near, score, lab, d, labels, k, eps):
     grown = np.where(held < dist, held, np.maximum(shifted, dist))
     # The candidate's k nearest of each label and of the other labels,
     # padded to k: a mean takes the finite prefix alone.
-    fin, at = np.flatnonzero(np.isfinite(d)), np.arange(labels.shape[0])[:, None]
+    fin, at = np.flatnonzero(np.isfinite(d)), np.arange(n_labels)[:, None]
     own = lab[fin] == at
     nearest = k_smallest(np.where(np.stack([own, ~own]), d[fin], np.inf), k)
     nearest = np.concatenate([nearest, np.full((2, len(own), k - nearest.shape[2]), np.inf)], 2)
@@ -213,11 +195,10 @@ def _conformal_label_set(near, score, lab, d, labels, k, eps):
     means = _finite_mean(np.concatenate([grown[:, 0], held[:, 0], nearest[0],
                                          held[:, 1], grown[:, 1], nearest[1]]))
     alpha, m = _ratio(*means.reshape(2, -1)), reach.shape[0]
-    alphas = np.repeat(score[None], labels.shape[0], axis=0)
+    alphas = np.repeat(score[None], n_labels, axis=0)
     alphas[:, reach] = np.where(lab[reach] == at, alpha[:m], alpha[m:2 * m])
     n_ge = (alphas >= alpha[2 * m:, None]).sum(axis=1) + 1
-    return (PredictionSet.label_set(labels[n_ge / (d.shape[0] + 1) > eps].tolist()),
-            (reach, grown, alpha, nearest))
+    return n_ge / (d.shape[0] + 1), (reach, grown, alpha, nearest)
 
 
 def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
@@ -235,19 +216,12 @@ def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
 
     1-based, with out-of-range indices meaning an unbounded side.
     """
-    hist_X = np.asarray(hist_X, dtype=float)
-    hist_y = np.asarray(hist_y, dtype=float)
-    n_hist = hist_X.shape[0]
-    if n_hist == 0:
-        raise ValueError("history is empty")
-    if hist_y.shape != (n_hist,):
-        raise ValueError("history labels do not match history rows")
+    hist_X, hist_y, x = history_inputs(hist_X, hist_y, x)
+    hist_y = hist_y.astype(float, copy=False)
     forced = boundary_set(eps, REGRESSION)
     if forced is not None:
         return forced
-
-    return _crr_interval(hist_X, hist_y, hist_X.T @ hist_X, hist_X.T @ hist_y,
-                         np.asarray(x, dtype=float), eps, a)
+    return _crr_interval(hist_X, hist_y, hist_X.T @ hist_X, hist_X.T @ hist_y, x, eps, a)
 
 
 def _crr_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
@@ -285,15 +259,15 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     distances are cached with the point's score, so a candidate only
     rescores the points it can reach: O(n*k) per step at most.
     ``observe`` only appends; the next ``predict`` catches the caches up
-    (``_catch_up``), then screens the candidate through ``gram_screen``
-    and every label's ``kth_bound`` in one partition, and the label set
-    (``_conformal_label_set``) rescores the rows it reaches under every
-    label.  The usual step, predict(x) then observe(x, y), commits that
-    rescoring under y; any other arrival goes through the screened
-    self-join (``_caught_up``).  Features whose distances overflow raise the
-    ``distances`` ValueError at that ``predict`` and leave the caches as
-    they were.  Predictions agree exactly with rescoring the bag from
-    direct distances, ties included.
+    (``_catch_up``), then makes the label-set pass (``_rescoring``): it
+    screens the candidate through ``gram_screen`` and every label's
+    ``kth_bound`` in one partition, and rescores the rows it reaches
+    under every label (``_conformal_p_values``).  The caches are filled
+    once by the screened self-join (``_caught_up``); after that a row
+    enters them only by committing its own rescoring, which the usual
+    step, predict(x) then observe(x, y), has already made.  Predictions
+    agree exactly with rescoring the bag from direct distances, ties
+    included.
     """
 
     def __init__(self, k: int, label_space):
@@ -309,41 +283,53 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     def _predict(self, x, eps):
         if self._cached < len(self._hist):
             self._catch_up()
-        X, lab, near, k = self._hist.X, self._hist["lab"], self._hist["near"], self.k
+        n = len(self._hist)
+        p, rescoring = self._rescoring(x, n)
+        self._last = n, x.tobytes(), rescoring
+        return labels_above(p, self._labels, eps)
+
+    def _rescoring(self, x, n):
+        """The label-set pass of candidate x against the first n rows, all
+        cached: each label's p-value and the rescoring behind them."""
+        h, k = self._hist, self.k
+        X, lab, near = h.X[:n], h["lab"][:n], h["near"][:n]
         # d[i] matters where x could come nearer than row i's cached k-th
         # value on either side, or be among x's own k nearest of row i's
         # label (that label's kth_bound, for all labels in one partition
         # of g spread over one row per label); every other row gets +inf.
-        g, slack = gram_screen(X, self._row_norms(), x)
-        by_label = np.full((self._labels.shape[0], X.shape[0]), np.inf)
-        by_label[lab, np.arange(X.shape[0])] = g
+        g, slack = gram_screen(X, self._row_norms()[:n], x)
+        by_label = np.full((self._labels.shape[0], n), np.inf)
+        by_label[lab, np.arange(n)] = g
         thr = np.maximum(np.maximum(near[:, 0, -1], near[:, 1, -1]),
                          kth_bound(by_label, slack, k)[lab])
         d = screened_distances(X, x, g, slack, thr)
-        kept, rescoring = _conformal_label_set(near, self._hist["score"], lab, d,
-                                               self._labels, k, eps)
-        self._last = X.shape[0], x.tobytes(), rescoring
-        return kept
+        return _conformal_p_values(near, h["score"][:n], lab, d, self._labels.shape[0], k)
 
     def _catch_up(self):
-        """Cache the rows that arrived since the last call.  One row with the
-        bytes of the last predict's candidate, against the caches that
-        predict used, commits that predict's rescoring under the row's
-        label, in place.  Other arrivals go through the screened self-join
-        (``_caught_up``).  A ValueError from ``distances`` changes nothing."""
-        h, c = self._hist, self._cached
-        X, y, near, score = h.X, h.y, h["near"], h["score"]
-        if X.shape[0] == c + 1 and self._last is not None and self._last[:2] == (c, X[c].tobytes()):
-            reach, grown, alpha, nearest = self._last[2]
+        """Cache the rows that arrived since the last call.  When at least
+        half the history is new, one self-join (``_caught_up``) fills every
+        row.  Otherwise each new row c in turn commits its rescoring against
+        rows 0..c-1 under its label, in place: the last predict's, when
+        that predict's candidate had row c's bytes and ran against c
+        cached rows, else a fresh ``_rescoring``.  A ValueError from
+        ``distances`` leaves the rows committed before it cached, and the
+        failing row and those after it uncached."""
+        h = self._hist
+        X, y, lab, near, score = h.X, h.y, h["lab"], h["near"], h["score"]
+        if 2 * self._cached <= X.shape[0]:
+            _caught_up(near, score, X, self._row_norms(), y)
+            self._cached = X.shape[0]
+        for c in range(self._cached, X.shape[0]):
+            if self._last is not None and self._last[:2] == (c, X[c].tobytes()):
+                reach, grown, alpha, nearest = self._last[2]
+            else:
+                reach, grown, alpha, nearest = self._rescoring(X[c], c)[1]
             # Side 0 (same label) or 1 (different) of each reached row.
             at, side = np.arange(reach.shape[0]), (y[reach] != y[c]).astype(np.intp)
             near[reach, side] = grown[at, side]
             score[reach] = alpha[side * at.shape[0] + at]
-            li = h["lab"][c]
-            near[c], score[c] = nearest[:, li], alpha[2 * at.shape[0] + li]
-        else:
-            _caught_up(near, score, c, X, self._row_norms(), y)
-        self._cached = X.shape[0]
+            near[c], score[c] = nearest[:, lab[c]], alpha[2 * at.shape[0] + lab[c]]
+            self._cached = c + 1
 
 
 # The cached class's earlier name, kept as a plain alias for the code that

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CLASSIFICATION, REGRESSION, derive_rng
+from .numerics import floor_index
 
 WINE_EXPECTED_WHITE = 4898
 WINE_EXPECTED_RED = 1599
@@ -178,7 +179,7 @@ def split_train_calibration(n: int, cal_fraction: float, seed: int) -> SplitPlan
         raise ValueError("need at least two examples to split")
     if not 0.0 < cal_fraction < 1.0:
         raise ValueError(f"cal_fraction {cal_fraction} outside (0, 1)")
-    n_cal = int(math.floor(cal_fraction * n))
+    n_cal = floor_index(cal_fraction * n)
     if n_cal == 0 or n_cal == n:
         raise ValueError(
             f"cal_fraction {cal_fraction} leaves an empty part for n={n}")

@@ -18,12 +18,12 @@ import numpy as np
 from . import __version__
 from .aci import aci_init, aci_update, gamma_for_bound
 from .core import (CLASSIFICATION, REGRESSION, SetPredictor, CoinFlipPredictor,
-                   RandomSetPredictor, boundary_set, derive_rng)
+                   RandomSetPredictor, boundary_set, derive_rng, labels_above)
 from .cp_online import CrrPredictor, KnnConformalClassifier
 from .data import (Dataset, StreamSpec, load_usps, load_wine, make_stream,
                    split_train_calibration, standardize_features)
 from .inductive import (KnnClassScorer, KnnQuantileScorer, _checked_sorted, _icp_interval,
-                        _icp_set_from_scores, _labels_above, _quantile_interval,
+                        _icp_set_from_scores, _quantile_interval,
                         calibration_residuals, calibration_scores)
 from .metrics import (EPS_CLAMP_HI, EPS_CLAMP_LO, RunSummary, StepRecord,
                       classification_record, regression_record, summarize_run,
@@ -359,6 +359,7 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
     falls through only inside (0, 1)."""
     pid = cfg.predictor
     k = cfg.resolve_k()
+    labels = np.asarray(train.label_space)
     if pid in ("icp-class", "icp-reg"):
         plan = split_train_calibration(len(train), cfg.cal_fraction, cfg.seed)
         proper_X, proper_y = train.X[plan.proper_train_idx], train.y[plan.proper_train_idx]
@@ -368,7 +369,7 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
             cal_sorted = _checked_sorted(calibration_scores(scorer, cal_X, cal_y))
             score_rows = np.atleast_2d(scorer.class_scores(test.X))
             return lambda i, eps: boundary_set(eps, CLASSIFICATION) or _icp_set_from_scores(
-                score_rows[i], train.label_space, cal_sorted, eps)
+                score_rows[i], labels, cal_sorted, eps)
         scorer = KnnQuantileScorer(k).fit(proper_X, proper_y)
         cal_res = _checked_sorted(calibration_residuals(scorer, cal_X, cal_y))
         points = scorer.neighbour_labels(test.X).mean(axis=1)
@@ -377,8 +378,8 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
     if pid == "inccp-class":
         scorer = KnnClassScorer(k).fit(train.X, train.y, train.label_space)
         score_rows = np.atleast_2d(scorer.class_scores(test.X))
-        return lambda i, eps: boundary_set(eps, CLASSIFICATION) or _labels_above(
-            score_rows[i], train.label_space, eps)
+        return lambda i, eps: boundary_set(eps, CLASSIFICATION) or labels_above(
+            score_rows[i], labels, eps)
     if pid == "inccp-reg":
         labels = KnnQuantileScorer(k).fit(train.X, train.y).neighbour_labels(test.X)
         return lambda i, eps: boundary_set(eps, REGRESSION) or _quantile_interval(

@@ -14,7 +14,7 @@ produce sets nested in eps.
 
 import numpy as np
 
-from .core import CLASSIFICATION, REGRESSION, PredictionSet, boundary_set
+from .core import CLASSIFICATION, REGRESSION, PredictionSet, boundary_set, labels_above
 from .numerics import ceil_index, empirical_quantile, screened_nearest, vote_shares
 
 
@@ -151,9 +151,7 @@ def _icp_set_from_scores(scores, label_space, cal_sorted, eps) -> PredictionSet:
     n_cal = cal_sorted.shape[0]
     alphas = 1.0 - scores
     n_ge = n_cal - np.searchsorted(cal_sorted, alphas, side="left")
-    p = (n_ge + 1.0) / (n_cal + 1.0)
-    return PredictionSet.label_set(
-        lab for lab, pv in zip(label_space, p) if pv > eps)
+    return labels_above((n_ge + 1.0) / (n_cal + 1.0), label_space, eps)
 
 
 def icp_regress_predict(point_pred: float, cal_residuals, eps: float) -> PredictionSet:
@@ -181,14 +179,7 @@ def inccp_classify_predict(scorer, x, eps: float) -> PredictionSet:
     if forced is not None:
         return forced
     scores = np.asarray(scorer.class_scores(x), dtype=float)
-    return _labels_above(scores, scorer.label_space, eps)
-
-
-def _labels_above(scores, label_space, eps: float) -> PredictionSet:
-    """The labels whose score strictly exceeds eps (scores in label-space
-    order); nested in eps by construction."""
-    return PredictionSet.label_set(
-        lab for lab, s in zip(label_space, scores) if s > eps)
+    return labels_above(scores, scorer.label_space, eps)
 
 
 def inccp_regress_predict(scorer, x, eps: float) -> PredictionSet:

@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor, PredictionSet,
-                   RidgeHistoryPredictor, boundary_set, knn_inputs)
-from .inductive import _labels_above
+                   RidgeHistoryPredictor, boundary_set, history_inputs, label_index,
+                   labels_above)
 from .numerics import (NumericError, RidgeSystem, distances, k_nearest, screened_nearest,
                        student_t_quantile, vote_shares)
 
@@ -27,9 +27,11 @@ def knn_vote_shares(hist_X, hist_y, x, k: int, label_space) -> np.ndarray:
     """Fraction of the k nearest history examples carrying each label.
 
     Euclidean distances; ties broken by example index (earlier wins).
-    A history shorter than k votes with everything it has.
+    A history shorter than k votes with everything it has.  Every history
+    label must be in ``label_space``.
     """
-    hist_X, hist_y, x = knn_inputs(hist_X, hist_y, x, k)
+    hist_X, hist_y, x = history_inputs(hist_X, hist_y, x, k)
+    label_index(hist_y, label_space)
     d = distances(hist_X, x)
     return vote_shares(hist_y[k_nearest(d, k)], label_space)
 
@@ -44,7 +46,7 @@ def knn_threshold_predict(hist_X, hist_y, x, eps: float, k: int, label_space) ->
     if forced is not None:
         return forced
     shares = knn_vote_shares(hist_X, hist_y, x, k, label_space)
-    return _labels_above(shares, label_space, eps)
+    return labels_above(shares, label_space, eps)
 
 
 def ols_interval_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
@@ -57,18 +59,12 @@ def ols_interval_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> Predi
     singular, the interval degenerates to the whole line rather than
     failing: early online steps simply carry no information.
     """
-    hist_X = np.asarray(hist_X, dtype=float)
-    hist_y = np.asarray(hist_y, dtype=float)
-    m, p = hist_X.shape if hist_X.ndim == 2 else (0, 0)
-    if m == 0:
-        raise ValueError("history is empty")
-    if hist_y.shape != (m,):
-        raise ValueError("history labels do not match history rows")
+    hist_X, hist_y, x = history_inputs(hist_X, hist_y, x)
+    hist_y = hist_y.astype(float, copy=False)
     forced = boundary_set(eps, REGRESSION)
     if forced is not None:
         return forced
-    return _ols_interval(hist_X, hist_y, hist_X.T @ hist_X, hist_X.T @ hist_y,
-                         np.asarray(x, dtype=float), eps, a)
+    return _ols_interval(hist_X, hist_y, hist_X.T @ hist_X, hist_X.T @ hist_y, x, eps, a)
 
 
 def _ols_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
@@ -102,7 +98,7 @@ class KnnThresholdClassifier(KnnHistoryPredictor):
     def _predict(self, x, eps):
         near = screened_nearest(self._hist.X, self._row_norms(), x, self.k)
         votes = np.bincount(self._hist["lab"][near], minlength=self._labels.shape[0])
-        return _labels_above(votes / near.shape[0], self._labels, eps)
+        return labels_above(votes / near.shape[0], self._labels, eps)
 
 
 class OlsIntervalPredictor(RidgeHistoryPredictor):

@@ -7,7 +7,7 @@ from aci_lab import harness
 from aci_lab.core import (CLASSIFICATION, REGRESSION, CoinFlipPredictor,
                           PredictionSet, RandomSetPredictor,
                           boundary_set, coin_flip_predict, derive_rng,
-                          random_set_predict)
+                          labels_above, random_set_predict)
 from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
                                KnnConformalClassifier, crr_predict,
                                knn_cp_predict)
@@ -23,6 +23,17 @@ def test_label_set_membership():
     assert ps.contains(2) and ps.contains(5)
     assert not ps.contains(3)
     assert ps.size() == 2.0
+
+
+def test_labels_above_keeps_scores_strictly_over_eps():
+    # labels in any order (a list or an array) with their scores in the
+    # same order; a score equal to eps is dropped
+    scores = np.array([0.2, 0.5, 0.05, 0.2])
+    for labels in ([7, 3, 0, 1], np.array([7, 3, 0, 1])):
+        assert labels_above(scores, labels, 0.1).labels == {7, 3, 1}
+        assert labels_above(scores, labels, 0.2).labels == {3}
+        assert labels_above(scores, labels, 0.5).kind == "labels"
+        assert labels_above(scores, labels, 0.5).labels == frozenset()
 
 
 def test_interval_membership_closed_endpoints():

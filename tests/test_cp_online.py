@@ -311,38 +311,46 @@ def test_screened_first_fill_rules_out_far_pairs(monkeypatch):
 
 def test_self_join_forms_each_pair_once(monkeypatch):
     # every gram_screen call of a catch-up is counted by the Gram cells it
-    # forms and the row pairs they cover: a first fill over n rows covers
-    # each pair once in at most n(n + 1)/2 cells, and a burst covers each
-    # pair of a new row with any row once, and no pair of two older rows
-    X = derive_rng(14, "self-join").normal(size=(620, 20))
-    y = np.arange(620) % 3
+    # forms and the row pairs they cover: a fill over n rows (the first,
+    # or a refill when at least half the rows are new) covers each pair
+    # once in at most n(n + 1)/2 cells; a burst of fewer new rows than
+    # cached ones makes no call without a query, only one screen of each
+    # new row against the rows before it
+    X = derive_rng(14, "self-join").normal(size=(700, 20))
+    y = np.arange(700) % 3
     index = {row.tobytes(): i for i, row in enumerate(X)}
-    cells, pairs, screen = [], [], cp_online.gram_screen
+    cells, pairs, queries, screen = [], [], [], cp_online.gram_screen
 
     def counted(A, sq, x=None, rows=None):
-        assert x is None, "a catch-up screens rows against each other"
+        if x is not None:
+            queries.append((index[x.tobytes()], A.shape[0]))
+            return screen(A, sq, x)
         ids = np.array([index[row.tobytes()] for row in A])
         cells.append(rows * (rows + 1) // 2 + rows * (A.shape[0] - rows))
         for r in range(rows):
             pairs.append(np.sort(np.stack(np.broadcast_arrays(ids[r], ids[r + 1:])), axis=0))
         return screen(A, sq, x, rows)
     pred = KnnConformalClassifier(k=3, label_space=[0, 1, 2])
-    for n0, n in ((0, 500), (500, 620)):
+    for n0, n in ((0, 300), (300, 620), (620, 700)):
         for i in range(n0, n):
             pred.observe(X[i], int(y[i]))
         cells.clear()
         pairs.clear()
+        queries.clear()
         monkeypatch.setattr(cp_online, "gram_screen", counted)
         pred._catch_up()
         monkeypatch.undo()
+        _check_caches(pred, X[:n], y[:n], 3)
+        if 2 * n0 > n:
+            assert cells == [] and pairs == [], n
+            assert queries == [(c, c) for c in range(n0, n)], n
+            continue
         got = np.concatenate(pairs, axis=1)
-        i, j = np.triu_indices(n, 1)
-        new = j >= n0
-        want = np.stack([i[new], j[new]])
+        want = np.stack(np.triu_indices(n, 1))
+        assert queries == [], n
         assert got.shape == want.shape, n
         assert np.array_equal(got[:, np.lexsort(got[::-1])], want), n
-        assert sum(cells) <= n * (n + 1) // 2 - n0 * (n0 + 1) // 2, n
-    _check_caches(pred, X, y, 3)
+        assert sum(cells) <= n * (n + 1) // 2, n
 
 
 def test_harness_knn_cp_keeps_no_square_array():
@@ -420,13 +428,13 @@ def test_cached_class_screened_observe_at_digits_shape(labels, k, offset):
 @pytest.mark.parametrize("data", ["digits", "one-rare", "one-class", "grid-ties"])
 def test_cached_class_catches_up_in_bursts(data, k, monkeypatch):
     # irregular bursts of observes between predicts (uneven runs of 3, 7
-    # and 12, then 37 and 200), each caught up by the self-join in several
-    # row blocks (small ones here): after every burst the caches equal the
-    # neighbour rows of the direct matrix bit for bit, and every set the
-    # one-shot knn_cp_predict.  A later new row must keep the values that
-    # earlier blocks offer it, and rows cached before the burst must take
-    # every new value that displaces one of theirs; at k = 20 the later
-    # rows' running bounds stay loose for many blocks.
+    # and 12, then 37 and 200), each caught up by a fill through the
+    # self-join in several row blocks (small ones here) when at least half
+    # the rows are new, else row by row: after every burst the caches
+    # equal the neighbour rows of the direct matrix bit for bit, and every
+    # set the one-shot knn_cp_predict.  A later row must keep the values
+    # that earlier blocks offer it; at k = 20 the later rows' running
+    # bounds stay loose for many blocks.
     monkeypatch.setattr(cp_online, "_FILL_PAIRS", 1 << 10)
     bursts = (1, 2, 3, 7, 12, 3, 7, 12, 3, 7, 37, 200)
     m = sum(bursts) + 1
@@ -470,22 +478,27 @@ def _edge_stream(data, n):
 @pytest.mark.parametrize("data", ["3-labels", "10-labels", "one-class", "one-rare",
                                   "grid-ties"])
 def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch):
-    # The catch-up commits the last predict's rescoring only for exactly
-    # one new row with that candidate's bytes, against the caches that
-    # predict used, and then makes neither a self-join nor a merge; every
-    # other arrival is screened in row blocks and merged.  Sequences:
+    # After the first fill, the catch-up commits each new row's rescoring
+    # in order, and makes no self-join: the last predict's rescoring only
+    # for a row with that candidate's bytes, against the caches that
+    # predict used; a fresh rescoring for every other row.  Sequences:
     # boundary levels (no _predict) between predicts, a predict that
     # raises the overflow ValueError, predict(x1) then observe(x2), two
     # predicts then one observe, and a row observed as -0.0 where 0.0 was
     # predicted.  After every catch-up the caches equal the direct
     # matrix's neighbour rows, and every set equals knn_cp_predict.
     X, y, label_space = _edge_stream(data, 60)
-    blocks, merges = [], []
-    screened_join, caught_up = cp_online._screened_join, cp_online._caught_up
-    monkeypatch.setattr(cp_online, "_screened_join",
-                        lambda *args: blocks.append(1) or screened_join(*args))
+    rescorings, joins = [], []
+    rescoring, caught_up = KnnConformalClassifier._rescoring, cp_online._caught_up
+
+    def counted(self, x, n):
+        # A rescoring against fewer rows than the history holds is a
+        # catch-up's; the predict's own pass runs against all of them.
+        rescorings.append(n < len(self._hist))
+        return rescoring(self, x, n)
+    monkeypatch.setattr(KnnConformalClassifier, "_rescoring", counted)
     monkeypatch.setattr(cp_online, "_caught_up",
-                        lambda *args: merges.append(1) or caught_up(*args))
+                        lambda *args: joins.append(1) or caught_up(*args))
     pred = KnnConformalClassifier(k=k, label_space=label_space)
     hist = []
     far = np.full(X.shape[1], 1e200)
@@ -494,31 +507,32 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
         pred.observe(x, int(y[i]))
         hist.append((x, y[i]))
 
-    def predict(x, path=None):
-        # path: the catch-up this predict makes, "commit", "blocks" or None;
-        # knn_cp_predict, which joins and merges too, runs before the count
-        # starts
+    def predict(x, path=None, rows=1):
+        # path: the catch-up this predict makes, "fill", "commit", "rescore"
+        # (of that many rows) or None; knn_cp_predict, which joins too,
+        # runs before the count starts
         hX, hy = np.array([h[0] for h in hist]), np.array([h[1] for h in hist])
         want = {eps: knn_cp_predict(hX, hy, x, eps, k, label_space).labels for eps in (0.3, 0.05)}
-        before = len(blocks), len(merges)
+        before = sum(rescorings), len(joins)
         for eps in (0.3, 0.05):
             assert pred.predict(x, eps).labels == want[eps], (len(hist), eps)
-        made = len(blocks) - before[0], len(merges) - before[1]
-        assert made == (int(path == "blocks"),) * 2, (len(hist), path)
+        made = sum(rescorings) - before[0], len(joins) - before[1]
+        assert made == (rows * (path == "rescore"), int(path == "fill")), (len(hist), path)
         _check_caches(pred, hX, hy, k)
 
     for i in range(8):
         observe(X[i], i)
-    predict(X[8], "blocks")
+    predict(X[8], "fill")
     observe(X[8], 8)
     predict(X[9], "commit")
     observe(X[9], 9)
-    # Boundary levels skip _predict, so two rows arrive unscreened.
+    # Boundary levels skip _predict, so two rows arrive unscreened; the
+    # row before them commits the last rescoring.
     assert pred.predict(X[10], 0.0).kind == "all"
     observe(X[10], 10)
     assert pred.predict(X[11], 1.0).kind == "empty"
     observe(X[11], 11)
-    predict(X[12], "blocks")
+    predict(X[12], "rescore", 2)
     # A boundary predict of the same row leaves the interior one's rescoring.
     assert pred.predict(X[12], 1.0).kind == "empty"
     observe(X[12], 12)
@@ -532,19 +546,20 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
     predict(X[14], "commit")
     # predict(x1), then observe(x2).
     observe(X[15], 15)
-    predict(X[16], "blocks")
+    predict(X[16], "rescore")
     # A predict that catches up and then raises: the last rescoring was
-    # made against fewer cached rows, so the observed row does not commit.
+    # made against fewer cached rows, so the observed row does not commit
+    # it.
     observe(X[22], 22)
     with pytest.raises(ValueError, match="too large for distances"):
         pred.predict(far, 0.1)
     observe(X[16], 16)
-    predict(X[17], "blocks")
+    predict(X[17], "rescore")
     # Two predicts of different rows, then one observe: only the last
     # predict's row commits.
     predict(X[18])
     observe(X[17], 17)
-    predict(X[18], "blocks")
+    predict(X[18], "rescore")
     predict(X[19])
     observe(X[19], 19)
     predict(X[20], "commit")
@@ -555,7 +570,7 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
     x_neg[0] = -0.0
     predict(x)
     observe(x_neg, 20)
-    predict(X[21], "blocks")
+    predict(X[21], "rescore")
     for i in range(21, 59):
         observe(X[i], i)
         predict(X[i + 1], "commit")

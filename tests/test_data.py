@@ -121,6 +121,15 @@ def test_split_is_deterministic_partition():
     assert not np.array_equal(plan.calibration_idx, plan3.calibration_idx)
 
 
+def test_split_counts_floor_of_the_exact_product():
+    # 0.57 * 100 rounds to 56.99999999999999 in floats; the calibration part
+    # still holds floor(0.57 * 100) = 57 examples
+    for n, frac, want in ((100, 0.57, 57), (100, 0.29, 29), (10, 0.7, 7), (100, 0.575, 57)):
+        plan = split_train_calibration(n, frac, seed=1)
+        assert plan.calibration_idx.shape[0] == want, (n, frac)
+        assert plan.proper_train_idx.shape[0] == n - want, (n, frac)
+
+
 def test_split_rejects_empty_parts():
     with pytest.raises(ValueError):
         split_train_calibration(10, 0.05, seed=0)  # floor(0.5) = 0 cal

@@ -327,6 +327,37 @@ def test_knn_routes_reject_bad_shapes(route, bad, message):
         _KNN_ROUTES[route](X, y, x, k)
 
 
+@pytest.mark.parametrize("route", ["crr_predict", "ols_interval_predict"])
+@pytest.mark.parametrize("bad, message", [
+    ("x of shape (1, p)", "feature vector must be 1-D"),
+    ("x too narrow", "expected 3 features, got 2"),
+    ("x non-finite", "non-finite"),
+    ("1-D history", "history must be a non-empty 2-D array"),
+    ("empty history", "history must be a non-empty 2-D array"),
+    ("labels short", "history labels do not match history rows"),
+])
+def test_ridge_routes_reject_bad_shapes(route, bad, message):
+    # the one-shot ridge routes share the k-NN routes' history check: a
+    # ValueError that names the fault, never a raw numpy error
+    rng = derive_rng(11, "ridge-shapes")
+    X, y, x = rng.normal(size=(12, 3)), rng.normal(size=12), rng.normal(size=3)
+    if bad == "x of shape (1, p)":
+        x = x[None, :]
+    elif bad == "x too narrow":
+        x = x[:2]
+    elif bad == "x non-finite":
+        x[1] = math.nan
+    elif bad == "1-D history":
+        X = X[:, 0]
+    elif bad == "empty history":
+        X, y = X[:0], y[:0]
+    else:
+        y = y[:-1]
+    fn = crr_predict if route == "crr_predict" else ols_interval_predict
+    with pytest.raises(ValueError, match=message):
+        fn(X, y, x, 0.2)
+
+
 def test_knn_cp_predict_rejects_labels_outside_the_label_space():
     # a history label the label space lacks raises, in place of a set that
     # silently leaves it out
@@ -337,3 +368,16 @@ def test_knn_cp_predict_rejects_labels_outside_the_label_space():
         knn_cp_predict(X, y, x, 0.2, 3, [0, 1])
     with pytest.raises(ValueError, match="outside the label space"):
         knn_cp_predict(X, y, x, 0.2, 3, [])
+
+
+def test_vote_routes_reject_labels_outside_the_label_space():
+    # the vote routes refuse such a label too, where they dropped its votes
+    # (shares summing below 1 on a 3-label history with two labels given)
+    rng = derive_rng(10, "knn-outside")
+    X, x = rng.normal(size=(12, 2)), rng.normal(size=2)
+    y = np.array([0, 1] * 5 + [2, 0])
+    with pytest.raises(ValueError, match="history label 2 outside the label space"):
+        knn_vote_shares(X, y, x, 5, [0, 1])
+    with pytest.raises(ValueError, match="history label 2 outside the label space"):
+        knn_threshold_predict(X, y, x, 0.2, 5, [0, 1])
+    assert knn_vote_shares(X, y, x, 5, [0, 1, 2]).sum() == 1.0

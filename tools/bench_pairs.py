@@ -119,7 +119,8 @@ def main(argv=None):
                     env, got[side] = run_once(roots[side], workload, seed, args.seconds)
                     envs.setdefault(side, env)
                     print(f"{workload} seed {seed} {side}: wall_s "
-                          f"{got[side]['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
+                          f"{got[side]['metrics']['wall_s']['value']:.4g}",
+                          file=sys.stderr, flush=True)
                 pairs.append((seed, got["parent"], got["change"]))
             workloads[workload] = {
                 "seeds": [seed for seed, _, _ in pairs],
