@@ -714,6 +714,29 @@ def test_cached_class_catch_up_refuses_overflow():
                                                              [0, 1]).labels
 
 
+def test_catch_up_keeps_rows_committed_before_a_failing_row():
+    # a burst of fewer new rows than cached ones commits row by row: when
+    # a row's distances overflow, the rows before it stay cached (equal to
+    # the direct matrix's neighbour rows), and it and the rows after it
+    # stay uncached, so every later predict raises again
+    X, y, label_space = _edge_stream("3-labels", 20)
+    pred = KnnConformalClassifier(k=3, label_space=label_space)
+    for i in range(12):
+        pred.observe(X[i], int(y[i]))
+    pred.predict(X[12], 0.1)
+    for i in range(12, 15):
+        pred.observe(X[i], int(y[i]))
+    pred.observe(np.full(X.shape[1], 1e200), 0)
+    pred.observe(X[15], int(y[15]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too large for distances"):
+            pred.predict(X[16], 0.1)
+        assert pred._cached == 15
+        same, diff = neighbor_rows(fill_distances(X[:15]), y[:15], 3)
+        assert np.array_equal(pred._hist["near"][:15, 0], same)
+        assert np.array_equal(pred._hist["near"][:15, 1], diff)
+
+
 @pytest.mark.parametrize("name", ["KnnConformalClassifier", "CachedKnnConformalClassifier",
                                   "KnnThresholdClassifier"])
 def test_online_knn_observe_only_appends(name, monkeypatch):

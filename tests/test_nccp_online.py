@@ -380,4 +380,4 @@ def test_vote_routes_reject_labels_outside_the_label_space():
         knn_vote_shares(X, y, x, 5, [0, 1])
     with pytest.raises(ValueError, match="history label 2 outside the label space"):
         knn_threshold_predict(X, y, x, 0.2, 5, [0, 1])
-    assert knn_vote_shares(X, y, x, 5, [0, 1, 2]).sum() == 1.0
+    assert knn_vote_shares(X, y, x, 5, [0, 1, 2]).sum() == pytest.approx(1.0)
