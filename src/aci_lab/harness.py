@@ -23,12 +23,13 @@ from .cp_online import CrrPredictor, KnnConformalClassifier
 from .data import (Dataset, StreamSpec, load_usps, load_wine, make_stream,
                    split_train_calibration, standardize_features)
 from .inductive import (KnnClassScorer, KnnQuantileScorer, _checked_sorted, _icp_interval,
-                        _icp_set_from_scores, _quantile_interval,
+                        _icp_p_values, _quantile_interval,
                         calibration_residuals, calibration_scores)
 from .metrics import (EPS_CLAMP_HI, EPS_CLAMP_LO, RunSummary, StepRecord,
                       classification_record, regression_record, summarize_run,
                       aggregate_trials)
 from .nccp_online import KnnThresholdClassifier, OlsIntervalPredictor
+from .numerics import sorted_sample
 
 
 class ConfigError(ValueError):
@@ -320,6 +321,8 @@ def run_online(cfg: ExperimentConfig) -> RunResult:
 def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """(train pool, test stream) for offline runs.  usps keeps its file
     split; other datasets are split by a seeded shuffle."""
+    if not 0.0 < cfg.test_fraction < 1.0:
+        raise ConfigError(f"test_fraction {cfg.test_fraction} outside (0, 1)")
     if cfg.dataset == "usps":
         _check_order(cfg)
         if not (cfg.train_path and cfg.test_path):
@@ -352,11 +355,11 @@ def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
     """Fitted prediction rule (x-index, eps) -> PredictionSet for the test
-    stream.  Every rule precomputes its per-row values at fit time (class
-    scores, points or neighbour labels) and checks and sorts its
-    calibration scores once, so no step searches.  Each step goes through
-    ``boundary_set`` first; a PredictionSet is always truthy, so ``or``
-    falls through only inside (0, 1)."""
+    stream.  Every eps-free per-row value (label p-values, class scores,
+    points, checked and sorted neighbour-label rows) is built at fit time
+    in one pass over the test table, so a step only thresholds.  Each step
+    goes through ``boundary_set`` first; a PredictionSet is always truthy,
+    so ``or`` falls through only inside (0, 1)."""
     pid = cfg.predictor
     k = cfg.resolve_k()
     labels = np.asarray(train.label_space)
@@ -367,9 +370,9 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
         if pid == "icp-class":
             scorer = KnnClassScorer(k).fit(proper_X, proper_y, train.label_space)
             cal_sorted = _checked_sorted(calibration_scores(scorer, cal_X, cal_y))
-            score_rows = np.atleast_2d(scorer.class_scores(test.X))
-            return lambda i, eps: boundary_set(eps, CLASSIFICATION) or _icp_set_from_scores(
-                score_rows[i], labels, cal_sorted, eps)
+            p_rows = _icp_p_values(np.atleast_2d(scorer.class_scores(test.X)), cal_sorted)
+            return lambda i, eps: boundary_set(eps, CLASSIFICATION) or labels_above(
+                p_rows[i], labels, eps)
         scorer = KnnQuantileScorer(k).fit(proper_X, proper_y)
         cal_res = _checked_sorted(calibration_residuals(scorer, cal_X, cal_y))
         points = scorer.neighbour_labels(test.X).mean(axis=1)
@@ -381,9 +384,9 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
         return lambda i, eps: boundary_set(eps, CLASSIFICATION) or labels_above(
             score_rows[i], labels, eps)
     if pid == "inccp-reg":
-        labels = KnnQuantileScorer(k).fit(train.X, train.y).neighbour_labels(test.X)
+        rows = sorted_sample(KnnQuantileScorer(k).fit(train.X, train.y).neighbour_labels(test.X))
         return lambda i, eps: boundary_set(eps, REGRESSION) or _quantile_interval(
-            labels[i], eps)
+            rows[i], eps)
     raise ConfigError(f"{pid!r} is not an offline predictor id "
                       f"(choose from {OFFLINE_PREDICTORS})")
 
@@ -427,8 +430,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     if cfg.predictor not in ("icp-class", "icp-reg"):
         raise ConfigError("sweep needs predictor icp-class or icp-reg")
     twin = "inccp-class" if cfg.predictor == "icp-class" else "inccp-reg"
-    if len(cfg.seeds) < 2:
-        raise ConfigError("sweep needs at least two seeds")
+    if len(set(cfg.seeds)) < max(2, len(cfg.seeds)):
+        raise ConfigError(f"sweep needs at least two seeds, all distinct; got seeds {cfg.seeds}")
     if not cfg.cal_fractions:
         raise ConfigError("sweep needs a non-empty cal_fractions grid")
     cells = {}

@@ -15,7 +15,8 @@ produce sets nested in eps.
 import numpy as np
 
 from .core import CLASSIFICATION, REGRESSION, PredictionSet, boundary_set, labels_above
-from .numerics import ceil_index, empirical_quantile, screened_nearest, vote_shares
+from .numerics import (ceil_index, empirical_quantile, order_statistic, screened_nearest,
+                       sorted_sample, vote_shares)
 
 
 class _KnnScorer:
@@ -143,15 +144,15 @@ def icp_classify_predict(scorer, cal_scores, x, eps: float) -> PredictionSet:
     if forced is not None:
         return forced
     cal_sorted = _checked_sorted(cal_scores)
-    scores = np.asarray(scorer.class_scores(x), dtype=float)
-    return _icp_set_from_scores(scores, scorer.label_space, cal_sorted, eps)
+    return labels_above(_icp_p_values(scorer.class_scores(x), cal_sorted),
+                        scorer.label_space, eps)
 
 
-def _icp_set_from_scores(scores, label_space, cal_sorted, eps) -> PredictionSet:
+def _icp_p_values(scores, cal_sorted) -> np.ndarray:
+    """Label p-values of class scores, a row or a table of rows; eps-free."""
     n_cal = cal_sorted.shape[0]
-    alphas = 1.0 - scores
-    n_ge = n_cal - np.searchsorted(cal_sorted, alphas, side="left")
-    return labels_above((n_ge + 1.0) / (n_cal + 1.0), label_space, eps)
+    n_ge = n_cal - np.searchsorted(cal_sorted, 1.0 - np.asarray(scores, float), "left")
+    return (n_ge + 1.0) / (n_cal + 1.0)
 
 
 def icp_regress_predict(point_pred: float, cal_residuals, eps: float) -> PredictionSet:
@@ -196,14 +197,14 @@ def inccp_regress_predict(scorer, x, eps: float) -> PredictionSet:
     forced = boundary_set(eps, REGRESSION)
     if forced is not None:
         return forced
-    return _quantile_interval(scorer.neighbour_labels(x), eps)
+    return _quantile_interval(sorted_sample(scorer.neighbour_labels(x)), eps)
 
 
-def _quantile_interval(labels, eps: float) -> PredictionSet:
+def _quantile_interval(row, eps: float) -> PredictionSet:
     """Interval between the eps/2 and 1 - eps/2 empirical quantiles of one
-    row of neighbour labels."""
-    return PredictionSet.interval(empirical_quantile(labels, 0.5 * eps),
-                                  empirical_quantile(labels, 1.0 - 0.5 * eps))
+    ``sorted_sample`` row of neighbour labels, for eps inside (0, 1)."""
+    return PredictionSet.interval(order_statistic(row, 0.5 * eps),
+                                  order_statistic(row, 1.0 - 0.5 * eps))
 
 
 def _checked_sorted(values) -> np.ndarray:

@@ -32,8 +32,8 @@ from scipy.special import stdtrit
 class NumericError(RuntimeError):
     """Singular or hopelessly ill-conditioned system.
 
-    Carries an estimate of the condition number of the normal matrix so
-    callers can report how bad things were.
+    Carries a free estimate of the condition number of the normal matrix
+    (squared pivot ratio; inf where the factorisation stopped) for reports.
     """
 
     def __init__(self, message: str, cond: float = math.inf):
@@ -58,15 +58,14 @@ class RidgeSystem:
         M.flat[::M.shape[0] + 1] += a
         self._factor, info = dpotrf(M, lower=0, clean=0)
         if info > 0:
-            raise NumericError("normal matrix is not positive definite",
-                               cond=float(np.linalg.cond(M)))
+            raise NumericError("normal matrix is not positive definite")
         # An exactly singular M can still factor with a ~1e-15 pivot from
-        # rounding; the squared pivot ratio is a free lower bound on cond.
-        # The p pivots are few enough that plain floats beat numpy here.
+        # rounding; the squared pivot ratio is a free lower bound on cond (no
+        # SVD), and the p pivots are few enough that plain floats beat numpy.
         d = [abs(v) for v in self._factor.diagonal().tolist()]
-        if d and (min(d) <= 0.0 or (max(d) / min(d)) ** 2 > 1e12):
-            raise NumericError("normal matrix is numerically singular",
-                               cond=float(np.linalg.cond(M)))
+        if d and (min(d) <= 0.0 or max(d) > 1e6 * min(d)):
+            r = max(d) / min(d) if min(d) > 0.0 else math.inf
+            raise NumericError("normal matrix is numerically singular", cond=r * r)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (G + a*I) w = b."""
@@ -96,15 +95,22 @@ def empirical_quantile(values, q: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level {q} outside [0, 1]")
+    return order_statistic(sorted_sample(values), q)
+
+
+def sorted_sample(values) -> np.ndarray:
+    """``values`` sorted along the last axis, refused if empty or non-finite."""
     arr = np.sort(np.asarray(values, dtype=float))
-    m = arr.shape[0]
-    if m == 0:
+    if arr.shape[-1] == 0:
         raise ValueError("empty sample")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sample contains non-finite values")
-    idx = ceil_index(q * m)
-    idx = min(max(idx, 1), m)
-    return float(arr[idx - 1])
+    return arr
+
+
+def order_statistic(row: np.ndarray, q: float) -> float:
+    """``empirical_quantile`` of a row from ``sorted_sample``, unchecked."""
+    return float(row[min(max(ceil_index(q * len(row)), 1), len(row)) - 1])
 
 
 # (query, row) pairs screened at once in a matrix search: 2^14 Gram
