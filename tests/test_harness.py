@@ -4,16 +4,24 @@ import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from aci_lab import cp_online, harness, nccp_online
 from aci_lab.aci import confinement_interval
 from aci_lab.cli import main
-from aci_lab.harness import (ConfigError, ExperimentConfig, build_config,
-                             emit_sweep, emit_trace, lemma_stress_matrix,
-                             parse_config_file, parse_trace, run_offline,
-                             run_online, run_sweep, write_run_outputs)
+from aci_lab.data import split_train_calibration
+from aci_lab.harness import (OFFLINE_PREDICTORS, ConfigError, ExperimentConfig,
+                             _offline_rule, build_config, emit_sweep, emit_trace,
+                             lemma_stress_matrix, parse_config_file, parse_trace,
+                             resolve_offline_datasets, run_offline, run_online, run_sweep,
+                             write_run_outputs)
+from aci_lab.inductive import (KnnClassScorer, KnnQuantileScorer, calibration_residuals,
+                               calibration_scores, icp_classify_predict,
+                               icp_regress_predict, inccp_classify_predict,
+                               inccp_regress_predict)
 
 FAST_REG = dict(dataset="synth-reg", predictor="crr", n=260, warmup=40,
                 delta=0.05, seed=3, p=4)
@@ -206,6 +214,60 @@ def test_run_offline_smoke_and_validation():
         run_offline(replace(cfg, predictor="icp-reg"))
 
 
+@pytest.mark.parametrize("pid", OFFLINE_PREDICTORS)
+def test_offline_rule_tables_match_one_shot_routes(pid):
+    # the fit-time tables must give, for every test row, the set of the
+    # one-shot public route on the same fitted scorer: at the boundary
+    # levels and on both sides of every order-statistic edge
+    task = "class" if pid.endswith("class") else "reg"
+    cfg = build_config(dict(dataset=f"synth-{task}", predictor=pid, n=200, p=3, seed=5,
+                            cal_fraction=0.2, test_fraction=0.25))
+    train, test = resolve_offline_datasets(cfg)
+    rule = _offline_rule(cfg, train, test)
+    k = cfg.resolve_k()
+    fit_X, fit_y, edges = train.X, train.y, [j / k for j in range(k + 1)]
+    if pid.startswith("icp"):
+        plan = split_train_calibration(len(train), cfg.cal_fraction, cfg.seed)
+        fit_X, fit_y = train.X[plan.proper_train_idx], train.y[plan.proper_train_idx]
+        cal = (train.X[plan.calibration_idx], train.y[plan.calibration_idx])
+        n_cal = len(plan.calibration_idx)
+        edges += [j / (n_cal + 1) for j in range(n_cal + 2)]
+    if task == "class":
+        scorer = KnnClassScorer(k).fit(fit_X, fit_y, train.label_space)
+    else:
+        scorer = KnnQuantileScorer(k).fit(fit_X, fit_y)
+    if pid == "icp-class":
+        cal_scores = calibration_scores(scorer, *cal)
+        one_shot = lambda x, eps: icp_classify_predict(scorer, cal_scores, x, eps)
+    elif pid == "icp-reg":
+        cal_res = calibration_residuals(scorer, *cal)
+        one_shot = lambda x, eps: icp_regress_predict(scorer.point(x), cal_res, eps)
+    elif pid == "inccp-class":
+        one_shot = lambda x, eps: inccp_classify_predict(scorer, x, eps)
+    else:
+        one_shot = lambda x, eps: inccp_regress_predict(scorer, x, eps)
+    grid = [0.0, 1.0, -0.1, 1.1] + [v for e in edges for v in
+                                    (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0))]
+    for i, x in enumerate(test.X):
+        for eps in grid:
+            assert rule(i, float(eps)) == one_shot(x, float(eps)), (i, eps)
+
+
+def test_offline_rule_refuses_non_finite_neighbour_labels_at_fit_time():
+    # inccp-reg checks its neighbour-label table once, with the one-shot
+    # route's error, before any step runs (a Dataset refuses such labels
+    # itself, so a bare pool stands in for one)
+    cfg = build_config(dict(dataset="synth-reg", predictor="inccp-reg", n=200, p=3, k=3))
+    train, test = resolve_offline_datasets(cfg)
+    y = np.full(len(train), math.inf)
+    with pytest.raises(ValueError, match="non-finite") as at_fit:
+        _offline_rule(cfg, SimpleNamespace(X=train.X, y=y, label_space=[]), test)
+    scorer = KnnQuantileScorer(3).fit(train.X, y)
+    with pytest.raises(ValueError) as one_shot:
+        inccp_regress_predict(scorer, train.X[0], 0.5)
+    assert str(at_fit.value) == str(one_shot.value)
+
+
 def test_run_sweep_cell_layout():
     cfg = build_config(dict(dataset="synth-class", predictor="icp-class",
                             n=300, delta=0.05, p=4, test_fraction=0.5,
@@ -222,6 +284,9 @@ def test_run_sweep_cell_layout():
         run_sweep(replace(cfg, predictor="inccp-class"))
     with pytest.raises(ConfigError, match="two seeds"):
         run_sweep(replace(cfg, seeds=(1,)))
+    for seeds in [(1, 1), (0, 1, 0)]:   # a repeated trial would shrink the interval
+        with pytest.raises(ConfigError, match="seeds"):
+            run_sweep(replace(cfg, seeds=seeds))
 
 
 def test_emit_sweep_format(tmp_path):
@@ -303,6 +368,12 @@ _BAD_INVOCATIONS = {
                             "{tmp}/bad.dat"],
     "bad-seeds": ["sweep", "--dataset", "synth-reg", "--predictor", "icp-reg",
                   "--seeds", "0,x"],
+    "repeated-seeds": ["sweep", "--dataset", "synth-reg", "--predictor", "icp-reg",
+                       "--seeds", "1,1", "--n", "300"],
+    **{f"test-fraction-{name}": ["offline", "--dataset", "synth-reg", "--predictor",
+                                 "icp-reg", "--test-fraction", value, "--n", "300"]
+       for name, value in [("nan", "nan"), ("inf", "inf"), ("negative", "-1"),
+                           ("zero", "0"), ("above-one", "1.5")]},
     # both run to exit 0 without their --order
     "unknown-order": ["online", "--dataset", "synth-reg", "--predictor", "crr",
                       "--order", "bogus", "--n", "400", "--warmup", "20"],
@@ -323,6 +394,10 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:"), err
     if case.startswith("eps-"):
         assert "eps " in err[0] and "eps1" not in err[0]
+    if case.startswith("test-fraction-"):
+        assert "test_fraction" in err[0]
+    if case == "repeated-seeds":
+        assert "seeds" in err[0]
 
 
 @pytest.mark.parametrize("case", list(_SHORT_ROWS))

@@ -9,9 +9,10 @@ from aci_lab.core import derive_rng
 from aci_lab.inductive import KnnClassScorer
 from aci_lab import numerics
 from aci_lab.nccp_online import KnnThresholdClassifier
-from aci_lab.numerics import (ceil_index, distances, empirical_quantile, floor_index,
-                              gram_screen, k_nearest, k_smallest, kth_bound,
-                              screened_distances, screened_nearest, student_t_quantile)
+from aci_lab.numerics import (NumericError, RidgeSystem, ceil_index, distances,
+                              empirical_quantile, floor_index, gram_screen, k_nearest,
+                              k_smallest, kth_bound, screened_distances, screened_nearest,
+                              student_t_quantile)
 from oracles import t_cdf_by_integration
 
 
@@ -80,6 +81,37 @@ def test_empirical_quantile_validates():
 def test_empirical_quantile_monotone_in_q(vals, q1, q2):
     lo, hi = sorted([q1, q2])
     assert empirical_quantile(vals, lo) <= empirical_quantile(vals, hi)
+
+
+def _rank_deficient_gram(p):
+    X = derive_rng(5, "rank-deficient").normal(size=(10, p))
+    return X.T @ X
+
+
+@pytest.mark.parametrize("make_gram", [
+    _rank_deficient_gram,                          # rank 10
+    lambda p: np.zeros((p, p)),                    # dpotrf stops at the first pivot
+    lambda p: np.diag([1.0] * (p - 1) + [1e-14]),  # factors; pivot ratio 1e7
+], ids=["rank-10", "zero", "tiny-pivot"])
+def test_singular_ridge_system_raises_without_an_svd(monkeypatch, make_gram):
+    # the error reports the squared pivot ratio, or inf where the
+    # factorisation stopped; np.linalg.cond (a full SVD) is never called
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called")
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    with pytest.raises(NumericError, match="cond estimate") as info:
+        RidgeSystem(make_gram(300), 0.0)
+    assert info.value.cond >= 1e12
+
+
+def test_ridge_pivot_ratio_beyond_float_range_is_numeric_error():
+    # pivots 1e150 and 1e-150: the squared ratio overflows a float, which
+    # must read as cond = inf, not raise OverflowError
+    with pytest.raises(NumericError) as info:
+        RidgeSystem(np.diag([1e300, 1e-300]), 0.0)
+    assert info.value.cond == math.inf
+    w = RidgeSystem(np.diag([4.0, 1e-10]), 0.0).solve(np.array([8.0, 1e-10]))
+    assert w == pytest.approx([2.0, 1.0])   # pivot ratio 2e5 still factors
 
 
 def test_index_helpers_resist_float_noise():
