@@ -88,6 +88,42 @@ def t_quantile_by_integration(p: float, dof: int) -> float:
                         lo, hi, xtol=1e-10))
 
 
+def _knn_ratio(d, same, k):
+    """Strangeness ratio of one bag member from its distances ``d`` to the
+    others and which of them share its label, with the missing-side
+    conventions, one case at a time."""
+    s = np.sort(d[same])[:k]
+    f = np.sort(d[~same])[:k]
+    if s.size == 0:
+        return math.inf
+    if f.size == 0:
+        return 0.0
+    if np.mean(s) == 0.0:
+        return 0.0
+    if np.mean(f) == 0.0:
+        return math.inf
+    return float(np.mean(s)) / float(np.mean(f))
+
+
+def knn_cp_p_values(hist_X, hist_y, x, k, labels):
+    """Each label's full-CP k-NN p-value, in ``labels`` order, by brute
+    force: the bag completed by (x, label) is rescored from scratch, every
+    member against every other by direct distances, with no shared
+    distance work, and the p-value is #{alpha_i >= alpha_x} / (n + 1)."""
+    n = len(hist_y)
+    bag_X = np.vstack([hist_X, x])
+    p = []
+    for lab in labels:
+        bag_y = np.append(hist_y, lab)
+        alphas = np.empty(n + 1)
+        for i in range(n + 1):
+            d = np.sqrt(np.sum((bag_X - bag_X[i]) ** 2, axis=1))
+            mask = np.arange(n + 1) != i
+            alphas[i] = _knn_ratio(d[mask], bag_y[mask] == bag_y[i], k)
+        p.append(np.count_nonzero(alphas >= alphas[n]) / (n + 1))
+    return np.array(p)
+
+
 def fill_distances(X):
     """The direct pairwise distance matrix over the rows of X: one
     ``distances`` row per point, mirrored into its column, and +inf on

@@ -15,7 +15,7 @@ from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
 from aci_lab.data import StreamSpec, make_stream
 from aci_lab.nccp_online import KnnThresholdClassifier
 from aci_lab.numerics import NumericError
-from oracles import crr_grid_oracle, fill_distances, neighbor_rows
+from oracles import crr_grid_oracle, fill_distances, knn_cp_p_values, neighbor_rows
 
 # the worked 4-point instance: two tight clusters on a line
 BAG_X = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -89,36 +89,10 @@ def test_knn_cp_boundary_levels():
     assert knn_cp_predict(BAG_X, BAG_Y, np.array([0.5]), 1.0, 1, [0, 1]).kind == "empty"
 
 
-def _ref_score(d, same, k):
-    s = np.sort(d[same])[:k]
-    f = np.sort(d[~same])[:k]
-    if s.size == 0:
-        return math.inf
-    if f.size == 0:
-        return 0.0
-    if np.mean(s) == 0.0:
-        return 0.0
-    if np.mean(f) == 0.0:
-        return math.inf
-    return float(np.mean(s)) / float(np.mean(f))
-
-
 def _ref_knn_cp(hist_X, hist_y, x, eps, k, labels):
-    """Independent route: rebuild the augmented bag per row and rescore it
-    from scratch, no shared distance work at all."""
-    n = len(hist_y)
-    kept = set()
-    for lab in labels:
-        bag_X = np.vstack([hist_X, x])
-        bag_y = np.append(hist_y, lab)
-        alphas = np.empty(n + 1)
-        for i in range(n + 1):
-            d = np.sqrt(np.sum((bag_X - bag_X[i]) ** 2, axis=1))
-            mask = np.arange(n + 1) != i
-            alphas[i] = _ref_score(d[mask], bag_y[mask] == bag_y[i], k)
-        if np.count_nonzero(alphas >= alphas[n]) / (n + 1) > eps:
-            kept.add(lab)
-    return kept
+    """The labels whose brute-force p-value exceeds eps."""
+    p = knn_cp_p_values(hist_X, hist_y, x, k, labels)
+    return {lab for lab, p_lab in zip(labels, p) if p_lab > eps}
 
 
 def test_knn_cp_matches_bruteforce_rescoring():
@@ -630,6 +604,122 @@ def test_online_class_matches_the_direct_oracle(session):
         X, y = np.array(hist_X), np.array(hist_y)
         assert got.labels == knn_cp_predict(X, y, x, arg, k, label_space).labels
         _check_caches(pred, X, y, k)
+
+
+def _eps_grid(n):
+    """Every eps = j/(n + 1), j = 0..n+1, and the float on either side of
+    it: sets checked at all of them pin each p-value c/(n + 1) exactly."""
+    levels = [j / (n + 1) for j in range(n + 2)]
+    return [e for v in levels for e in (math.nextafter(v, -1.0), v, math.nextafter(v, 2.0))]
+
+
+def _check_set(got, eps, label_space, p):
+    """``got`` is the forced set at a boundary level, else the labels whose
+    oracle p-value ``p`` exceeds eps."""
+    if eps <= 0.0 or eps >= 1.0:
+        assert got.kind == ("all" if eps <= 0.0 else "empty"), eps
+    else:
+        assert set(got.labels) == {c for c, pc in zip(label_space, p) if pc > eps}, (eps, p)
+
+
+@st.composite
+def _oracle_rows(draw, p, scale):
+    """A row of p cells from an integer grid with -0.0 and 0.0 both
+    drawn, times ``scale``."""
+    cells = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]), min_size=p, max_size=p))
+    return np.array(cells) * scale
+
+
+@st.composite
+def _oracle_shapes(draw):
+    """(k, label count, feature count, scale): k from 1 to 33 over 2 to 4
+    labels, so labels on fewer than k rows are common, 1 to 3 features,
+    and grid scales 1, 0.3, 1e-160 (squared differences underflow to
+    subnormals) and 1e150 (near the top of the float range)."""
+    return (draw(st.integers(1, 33)), draw(st.integers(2, 4)), draw(st.integers(1, 3)),
+            draw(st.sampled_from([1.0, 0.3, 1e-160, 1e150])))
+
+
+def _new_or_seen(draw, p, scale, seen, last):
+    """A row that is new, a copy of an earlier one, or the last candidate
+    with the sign of each zero flipped (equal in value, not in bytes)."""
+    source = draw(st.sampled_from(["new", "new", "seen", "flipped"]))
+    if source == "seen" and seen:
+        return seen[draw(st.integers(0, len(seen) - 1))].copy()
+    if source == "flipped" and last is not None:
+        x = last.copy()
+        x[x == 0.0] *= -1.0
+        return x
+    return draw(_oracle_rows(p, scale))
+
+
+@st.composite
+def _knn_cp_oracle_cases(draw):
+    """(hist_X, hist_y, x, k, label space) with 1 to 16 history rows."""
+    k, n_labels, p, scale = draw(_oracle_shapes())
+    rows = []
+    for _ in range(draw(st.integers(2, 17))):
+        rows.append(_new_or_seen(draw, p, scale, rows, rows[-1] if rows else None))
+    y = draw(st.lists(st.integers(0, n_labels - 1), min_size=len(rows) - 1,
+                      max_size=len(rows) - 1))
+    return np.array(rows[:-1]), np.array(y), rows[-1], k, list(range(n_labels))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_knn_cp_oracle_cases())
+def test_knn_cp_predict_pins_every_p_value_against_the_oracle(case):
+    # Differential test of the one-shot route against the brute-force
+    # oracle at every eps = j/(n + 1) and one float either side of it.
+    hist_X, hist_y, x, k, label_space = case
+    p = knn_cp_p_values(hist_X, hist_y, x, k, label_space)
+    for eps in _eps_grid(len(hist_y)):
+        _check_set(knn_cp_predict(hist_X, hist_y, x, eps, k, label_space), eps, label_space, p)
+
+
+@st.composite
+def _oracle_sessions(draw):
+    """(k, label space, ops) for the online class: up to 20 ("observe", x,
+    label), ("sweep", x) or ("boundary", x, eps) ops, eps one of -0.5, 0, 1
+    and 1.5, with rows drawn as in ``_knn_cp_oracle_cases`` and a
+    candidate often the next observed row, so predict-then-observe,
+    boundary levels between predicts (rows that arrive unscreened) and
+    bursts all occur."""
+    k, n_labels, p, scale = draw(_oracle_shapes())
+    ops, seen, last = [], [], None
+    for i in range(draw(st.integers(1, 20))):
+        op = draw(st.sampled_from(["observe", "observe", "sweep", "boundary"])) if i else "observe"
+        x = last if op == "observe" and last is not None and draw(st.booleans()) else \
+            _new_or_seen(draw, p, scale, seen, last)
+        if op == "observe":
+            seen.append(x)
+            ops.append((op, x, draw(st.integers(0, n_labels - 1))))
+        else:
+            last = x
+            ops.append((op, x, draw(st.sampled_from([-0.5, 0.0, 1.0, 1.5]))))
+    return k, list(range(n_labels)), ops
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_oracle_sessions())
+def test_online_class_pins_every_p_value_against_the_oracle(session):
+    # Differential test of the online class against the brute-force
+    # oracle: each sweep checks the set at every eps = j/(n + 1) and one
+    # float either side of it, whichever catch-up its first interior
+    # predict made; a boundary level gives its forced set and no pass.
+    k, label_space, ops = session
+    pred = KnnConformalClassifier(k=k, label_space=label_space)
+    hist_X, hist_y = [], []
+    for op, x, arg in ops:
+        if op == "observe":
+            pred.observe(x, arg)
+            hist_X.append(x)
+            hist_y.append(arg)
+        elif op == "boundary":
+            _check_set(pred.predict(x, arg), arg, label_space, None)
+        else:
+            p = knn_cp_p_values(np.array(hist_X), np.array(hist_y), x, k, label_space)
+            for eps in _eps_grid(len(hist_y)):
+                _check_set(pred.predict(x, eps), eps, label_space, p)
 
 
 def test_steady_step_screens_once_per_predict(monkeypatch):
