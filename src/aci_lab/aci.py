@@ -17,6 +17,7 @@ Choosing gamma = max(eps_1, 1-eps_1) / (delta * N - 1) makes the bound
 equal a requested delta.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -32,8 +33,8 @@ class AciState:
     def __post_init__(self):
         if not 0.0 <= self.eps_target <= 1.0:
             raise ValueError(f"eps_target {self.eps_target} outside [0, 1]")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.step < 0:
             raise ValueError("step count cannot be negative")
 

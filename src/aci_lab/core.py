@@ -337,8 +337,8 @@ class RidgeHistoryPredictor(SetPredictor):
 
     def __init__(self, a: float = 0.0):
         super().__init__()
-        if a < 0.0:
-            raise ValueError(f"ridge coefficient must be >= 0, got {a}")
+        if not 0.0 <= a < math.inf:
+            raise ValueError(f"ridge coefficient must be finite and >= 0, got {a}")
         self.a = float(a)
         self._hist = ExampleBuffer()
         self._gram = self._xty = None

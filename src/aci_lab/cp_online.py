@@ -20,7 +20,7 @@ from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor, PredictionSe
                    RidgeHistoryPredictor, boundary_set, history_inputs, label_index,
                    labels_above)
 from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_index,
-                       gram_screen, k_smallest, kth_bound, reach, screened_distances, within)
+                       gram_screen, k_smallest, kth_bound, reach, within)
 
 
 def p_value(scores, candidate_score: float) -> float:
@@ -49,7 +49,7 @@ def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
     bag_X, bag_y, x = history_inputs(bag_X, bag_y, x, k)
     d = distances(bag_X, x)
     same = bag_y == y
-    return float(_ratio(*_finite_mean(k_smallest(np.where([same, ~same], d, np.inf), k))))
+    return float(_row_scores(k_smallest(np.where([same, ~same], d, np.inf), k)[None])[0])
 
 
 def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:
@@ -62,17 +62,22 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
     forced = boundary_set(eps, CLASSIFICATION)
     if forced is not None:
         return forced
-    near, score = np.empty((hist_X.shape[0], 2, k)), np.empty(hist_X.shape[0])
+    n = hist_X.shape[0]
+    near, score = np.empty((n, 2, k)), np.empty(n)
     _caught_up(near, score, hist_X, np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
-    # Every candidate distance is finite, so the label set rescores every
-    # point the candidate reaches.
-    p = _conformal_p_values(near, score, lab, distances(hist_X, x), labels.shape[0], k)[0]
-    return labels_above(p, labels, eps)
+    top = np.maximum(near[:, 0, -1], near[:, 1, -1])
+    rescoring = _rescored(near, top, lab, np.arange(n), distances(hist_X, x),
+                          _side_pads(labels.shape[0]))
+    return labels_above(_p_values(score, lab, rescoring), labels, eps)
 
 
 # Pairs per block of the self-join (2^16 Gram values, 512 KB), and feature
 # differences per batch of its paired distances.
 _FILL_PAIRS = 1 << 16
+# Rows up to which a fill takes every pair's direct distance: there the
+# screen's fixed cost per label block exceeds sorting all n(n - 1) offers
+# (about 4x at n = 16, even near n = 48, at p 2 and 6, one BLAS thread).
+_DIRECT_ROWS = 32
 
 
 def _caught_up(near, score, X, sq, y):
@@ -107,8 +112,13 @@ def _screened_join(X, sq, y, k):
     smallest of g + slack per row and side, fed by each block's rows and
     columns, is exact after the row's own block.  A block records the
     pairs ``within`` may keep under the larger running bound of their
-    rows; those left by the exact bounds get a paired distance."""
+    rows; those left by the exact bounds get a paired distance.  A
+    history of at most ``_DIRECT_ROWS`` rows skips the screen: every pair
+    gets its distance."""
     n = X.shape[0]
+    if n <= _DIRECT_ROWS:
+        i, j = np.triu_indices(n, 1)
+        return i, j, distances(X[j], X[i])
     order = np.argsort(y, kind="stable")
     X, sq, y = X[order], sq[order], y[order]
     top = np.full((n, 2, k), np.inf)
@@ -163,42 +173,84 @@ def _fold(top, values, k):
         top[:] = np.partition(np.concatenate([top, values], axis=-1), k - 1, axis=-1)[:, :k]
 
 
-def _conformal_p_values(near, score, lab, d, n_labels, k):
-    """Each label's candidate p-value, and the rescoring ``(reach, grown,
-    alpha, nearest)`` behind them.
+# Added to a candidate's distance, the offer of a predict's rescoring: to
+# each reached row's same-label list (the candidate shares its label),
+# then to its different-label list, as (copy, row, side, 1).
+_BOTH_SIDES = np.where(np.eye(2, dtype=bool), 0.0, np.inf)[:, None, :, None]
+# Side 0 (same label) and side 1 (different).
+_SIDES = np.array([False, True])
 
-    ``near`` holds each history point's k smallest same-label and
-    different-label distances, (n, 2, k) ascending and +inf padded;
-    ``score`` each point's strangeness (``_row_scores``); ``lab`` each
-    point's label as an index into the ``n_labels`` sorted labels; ``d``
-    the candidate's distances, +inf where it can neither displace one of
-    point i's neighbours nor be among its own k nearest of i's label.
-    Only the points where d[i] is below a k-th value are rescored, and
-    every label is counted in one comparison.  The p-value counts the
-    candidate itself: (#{alpha_i >= alpha_n} + 1) / (n + 1).  The
-    rescoring is the caches after observing the candidate under any label.
-    """
-    # The points whose score the candidate can change; d goes into their
-    # lists ahead of the first entry at or above it, pushing the last out.
-    reach = np.flatnonzero(d < np.maximum(near[:, 0, -1], near[:, 1, -1]))
-    held, dist = near[reach], d[reach, None, None]
-    shifted = np.concatenate([np.full((*held.shape[:2], 1), -np.inf), held[..., :-1]], axis=2)
-    grown = np.where(held < dist, held, np.maximum(shifted, dist))
-    # The candidate's k nearest of each label and of the other labels,
-    # padded to k: a mean takes the finite prefix alone.
-    fin, at = np.flatnonzero(np.isfinite(d)), np.arange(n_labels)[:, None]
-    own = lab[fin] == at
-    nearest = k_smallest(np.where(np.stack([own, ~own]), d[fin], np.inf), k)
-    nearest = np.concatenate([nearest, np.full((2, len(own), k - nearest.shape[2]), np.inf)], 2)
-    # One mean and ratio pass.  alpha: point i's score when the candidate
-    # shares its label, when it does not, then the candidate's per label.
-    means = _finite_mean(np.concatenate([grown[:, 0], held[:, 0], nearest[0],
-                                         held[:, 1], grown[:, 1], nearest[1]]))
-    alpha, m = _ratio(*means.reshape(2, -1)), reach.shape[0]
-    alphas = np.repeat(score[None], n_labels, axis=0)
-    alphas[:, reach] = np.where(lab[reach] == at, alpha[:m], alpha[m:2 * m])
-    n_ge = (alphas >= alpha[2 * m:, None]).sum(axis=1) + 1
-    return n_ge / (d.shape[0] + 1), (reach, grown, alpha, nearest)
+
+def _side_pads(n_labels):
+    """(candidate label, side, row label) -> 0 where a row and a candidate
+    with those labels (indices) sit on that side of each other, side 0
+    sharing their label and side 1 not; +inf elsewhere.  Added to a
+    distance, it offers the distance to that side alone."""
+    return np.where(np.eye(n_labels, dtype=bool)[:, None] != _SIDES[:, None], 0.0, np.inf)
+
+
+def _rescored(near, top, lab, rows, d, pads, label=None):
+    """A candidate's rescoring of the cached rows: ``(reach, lists, alpha)``.
+
+    ``near`` holds each history row's k smallest same-label and
+    different-label distances, (n, 2, k) ascending and +inf padded, and
+    ``top`` the larger of its two k-th values; ``lab`` each row's label as
+    an index into the sorted labels, and ``pads`` is their
+    ``_side_pads``.  ``d`` holds the candidate's direct distances to the
+    history ``rows`` (ascending), which take in every row where the
+    candidate could come nearer than that row's ``top`` or be among its
+    own k nearest of that row's label.  ``reach`` is the rows whose lists
+    the candidate changes: d goes into them ahead of the first entry at
+    or above it, pushing the last out.
+
+    With a ``label`` (an index), ``lists`` holds each reached row's lists
+    with the candidate observed under that label, then the candidate's
+    own: what a commit writes.  Without one, it holds each reached row's
+    lists with the candidate sharing its label, then with the candidate
+    under another label, then the candidate's lists under each label.
+    ``alpha`` is their scores (``_row_scores``)."""
+    k = near.shape[2]
+    hit = d < top[rows]
+    reach, dist = rows[hit], d[hit, None]
+    if label is None:
+        offer = _BOTH_SIDES + dist[:, None]
+    else:
+        pads = pads[label, None]
+        offer = (pads[0].T[lab[reach]] + dist)[None, :, :, None]
+    lists = np.empty((offer.shape[0] * reach.shape[0] + pads.shape[0], 2, k))
+    _insert(near[reach], offer, lists[:-pads.shape[0]].reshape(*offer.shape[:3], k))
+    # The candidate's k nearest of each label (side 0) and of the other
+    # labels (side 1), +inf padded.
+    nearest = k_smallest(pads[:, :, lab[rows]] + d, k)
+    lists[-pads.shape[0]:, :, :nearest.shape[2]] = nearest
+    lists[-pads.shape[0]:, :, nearest.shape[2]:] = np.inf
+    return reach, lists, _row_scores(lists)
+
+
+def _insert(held, offer, out):
+    """Write to ``out`` each ascending list of ``held`` with the value of
+    ``offer`` (a trailing axis of 1, broadcast against held) put in order
+    and the last entry pushed out; an +inf offer changes nothing."""
+    if held.shape[-1] == 1:
+        np.minimum(held, offer, out=out)
+        return
+    # Entry j becomes min(held[j], max(held[j - 1], offer)), held[-1] = -inf.
+    out[..., :1] = offer
+    np.maximum(held[..., :-1], offer, out=out[..., 1:])
+    np.minimum(held, out, out=out)
+
+
+def _p_values(score, lab, rescoring):
+    """Each label's candidate p-value from a predict's rescoring
+    (``_rescored`` without a label) and the rows' kept ``score``: every
+    label is counted in one comparison, and the candidate counts itself,
+    (#{alpha_i >= alpha_n} + 1) / (n + 1)."""
+    reach, _, alpha = rescoring
+    m = reach.shape[0]
+    alphas = np.repeat(score[None], alpha.shape[0] - 2 * m, axis=0)
+    alphas[:, reach] = alpha[m:2 * m]
+    alphas[lab[reach], reach] = alpha[:m]
+    return ((alphas >= alpha[2 * m:, None]).sum(axis=1) + 1) / (score.shape[0] + 1)
 
 
 def crr_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:
@@ -279,41 +331,44 @@ class KnnConformalClassifier(KnnHistoryPredictor):
         self._cached = 0
         # (cached rows, candidate bytes, its rescoring) of the last predict.
         self._last = None
+        self._pads = _side_pads(self._labels.shape[0])
 
     def _predict(self, x, eps):
         if self._cached < len(self._hist):
             self._catch_up()
         n = len(self._hist)
-        p, rescoring = self._rescoring(x, n)
+        rescoring = self._rescoring(x, n)
         self._last = n, x.tobytes(), rescoring
+        p = _p_values(self._hist["score"][:n], self._hist["lab"][:n], rescoring)
         return labels_above(p, self._labels, eps)
 
-    def _rescoring(self, x, n):
-        """The label-set pass of candidate x against the first n rows, all
-        cached: each label's p-value and the rescoring behind them."""
+    def _rescoring(self, x, n, label=None):
+        """``_rescored`` for candidate x against the first n rows, all
+        cached: under every label for a predict, under ``label`` (an index)
+        for a catch-up."""
         h, k = self._hist, self.k
         X, lab, near = h.X[:n], h["lab"][:n], h["near"][:n]
-        # d[i] matters where x could come nearer than row i's cached k-th
-        # value on either side, or be among x's own k nearest of row i's
-        # label (that label's kth_bound, for all labels in one partition
-        # of g spread over one row per label); every other row gets +inf.
+        # x needs a direct distance to row i where it could come nearer
+        # than row i's cached k-th value on either side, or be among x's
+        # own k nearest of row i's label (that label's kth_bound, for all
+        # labels in one partition of g spread over one row per label).
         g, slack = gram_screen(X, self._row_norms()[:n], x)
         by_label = np.full((self._labels.shape[0], n), np.inf)
         by_label[lab, np.arange(n)] = g
-        thr = np.maximum(np.maximum(near[:, 0, -1], near[:, 1, -1]),
-                         kth_bound(by_label, slack, k)[lab])
-        d = screened_distances(X, x, g, slack, thr)
-        return _conformal_p_values(near, h["score"][:n], lab, d, self._labels.shape[0], k)
+        top = np.maximum(near[:, 0, -1], near[:, 1, -1])
+        rows = np.flatnonzero(within(g, slack, np.maximum(top, kth_bound(by_label, slack, k)[lab])))
+        return _rescored(near, top, lab, rows, distances(X[rows], x), self._pads, label)
 
     def _catch_up(self):
         """Cache the rows that arrived since the last call.  When at least
         half the history is new, one self-join (``_caught_up``) fills every
         row.  Otherwise each new row c in turn commits its rescoring against
-        rows 0..c-1 under its label, in place: the last predict's, when
-        that predict's candidate had row c's bytes and ran against c
-        cached rows, else a fresh ``_rescoring``.  A ValueError from
-        ``distances`` leaves the rows committed before it cached, and the
-        failing row and those after it uncached."""
+        rows 0..c-1 under its label, in place: the slots of the last
+        predict's, when that predict's candidate had row c's bytes and ran
+        against c cached rows, else a fresh ``_rescoring`` under that label
+        alone, which makes no p-values.  A ValueError from ``distances``
+        leaves the rows committed before it cached, and the failing row and
+        those after it uncached."""
         h = self._hist
         X, y, lab, near, score = h.X, h.y, h["lab"], h["near"], h["score"]
         if 2 * self._cached <= X.shape[0]:
@@ -321,14 +376,15 @@ class KnnConformalClassifier(KnnHistoryPredictor):
             self._cached = X.shape[0]
         for c in range(self._cached, X.shape[0]):
             if self._last is not None and self._last[:2] == (c, X[c].tobytes()):
-                reach, grown, alpha, nearest = self._last[2]
+                reach, lists, alpha = self._last[2]
+                # Each reached row's slot for row c's label, and row c's.
+                m = reach.shape[0]
+                pick, own = np.arange(m) + m * (lab[reach] != lab[c]), 2 * m + lab[c]
             else:
-                reach, grown, alpha, nearest = self._rescoring(X[c], c)[1]
-            # Side 0 (same label) or 1 (different) of each reached row.
-            at, side = np.arange(reach.shape[0]), (y[reach] != y[c]).astype(np.intp)
-            near[reach, side] = grown[at, side]
-            score[reach] = alpha[side * at.shape[0] + at]
-            near[c], score[c] = nearest[:, lab[c]], alpha[2 * at.shape[0] + lab[c]]
+                reach, lists, alpha = self._rescoring(X[c], c, lab[c])
+                pick, own = slice(-1), -1
+            near[reach], score[reach] = lists[pick], alpha[pick]
+            near[c], score[c] = lists[own], alpha[own]
             self._cached = c + 1
 
 
@@ -345,13 +401,19 @@ def _row_scores(near):
 
 def _finite_mean(rows: np.ndarray) -> np.ndarray:
     """``np.mean`` of each ascending, +inf padded row's finite prefix (NaN
-    if empty).  numpy sums 8 or more values pairwise, so a short row sums
-    its prefix alone: a sum over zeroed padding may round otherwise.
-    Only a row that ends in +inf is short."""
-    sums, count = rows.sum(axis=1), np.full(rows.shape[0], rows.shape[1])
-    short = np.flatnonzero(np.isinf(rows[:, -1]))
-    if short.size:
-        count[short] = np.isfinite(rows[short]).sum(axis=1)
+    if empty).  A row is short only where its sum is +inf.  numpy adds
+    fewer than 8 values one by one in order, so there a sum over zeroed
+    padding is the prefix's own; 8 or more it sums pairwise, so a short
+    row sums its prefix alone, which the padding may round otherwise."""
+    sums, width = rows.sum(axis=1), rows.shape[1]
+    if sums.max(initial=0.0) < np.inf:
+        return sums / width
+    finite = rows < np.inf
+    count = finite.sum(axis=1)
+    if width < 8:
+        sums = np.where(finite, rows, 0.0).sum(axis=1)
+    else:
+        short = np.flatnonzero(count < width)
         for m in np.unique(count[short]):
             at = short[count[short] == m]
             sums[at] = rows[at, :m].sum(axis=1)
@@ -362,10 +424,15 @@ def _finite_mean(rows: np.ndarray) -> np.ndarray:
 def _ratio(same_mean, diff_mean):
     """Strangeness ratio with the missing-side conventions, vectorised.
     NaN means the side had no members at all.  Means are never negative,
-    so a positive one over a zero one is already +inf."""
+    so a positive one over a zero one is already +inf; a NaN quotient (a
+    side with no members, or 0/0) is +inf where the same side is empty
+    and 0 otherwise."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where((same_mean == 0.0) | np.isnan(diff_mean), 0.0, same_mean / diff_mean)
-    return np.where(np.isnan(same_mean), np.inf, r)
+        r = same_mean / diff_mean
+    bad = np.isnan(r)
+    if bad.any():
+        r[bad] = np.where(np.isnan(same_mean[bad]), np.inf, 0.0)
+    return r
 
 
 class CrrPredictor(RidgeHistoryPredictor):

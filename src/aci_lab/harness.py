@@ -241,10 +241,10 @@ def make_online_predictor(cfg: ExperimentConfig, dataset: Dataset) -> SetPredict
         return KnnConformalClassifier(cfg.resolve_k(), dataset.label_space)
     if pid == "knn-nccp":
         return KnnThresholdClassifier(cfg.resolve_k(), dataset.label_space)
-    if pid == "crr":
-        return CrrPredictor(cfg.ridge_a)
-    if pid == "ols-nccp":
-        return OlsIntervalPredictor(cfg.ridge_a)
+    if pid in ("crr", "ols-nccp"):
+        if not 0.0 <= cfg.ridge_a < math.inf:
+            raise ConfigError(f"ridge_a must be finite and >= 0, got {cfg.ridge_a}")
+        return (CrrPredictor if pid == "crr" else OlsIntervalPredictor)(cfg.ridge_a)
     if pid == "coin-flip":
         return CoinFlipPredictor(derive_rng(cfg.seed, "coin-flip"), task=dataset.task)
     return RandomSetPredictor(dataset.label_space, derive_rng(cfg.seed, "random-set"))
@@ -268,8 +268,8 @@ def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
     if not 0.0 <= cfg.eps <= 1.0:
         raise ConfigError(f"eps {cfg.eps} outside [0, 1]")
     if cfg.gamma is not None:
-        if cfg.gamma <= 0.0:
-            raise ConfigError(f"gamma must be positive, got {cfg.gamma}")
+        if not 0.0 < cfg.gamma < math.inf:
+            raise ConfigError(f"gamma must be positive and finite, got {cfg.gamma}")
         return cfg.gamma
     return gamma_for_bound(cfg.resolved_eps1(), cfg.delta, n_steps)
 

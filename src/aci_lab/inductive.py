@@ -32,8 +32,8 @@ class _KnnScorer:
         self._y = None
         self._sq = None
 
-    def _fit(self, X, y) -> None:
-        X = np.asarray(X, dtype=float)
+    def _fit(self, X, y, dtype) -> None:
+        X, y = np.asarray(X, dtype=float), np.asarray(y)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("training set must be a non-empty 2-D array")
         if y.shape != (X.shape[0],):
@@ -42,8 +42,10 @@ class _KnnScorer:
             raise ValueError(f"k={self.k} exceeds training size {X.shape[0]}")
         if not np.isfinite(X).all():
             raise ValueError("training features contain non-finite values")
+        if not np.isfinite(y.astype(float)).all():
+            raise ValueError("training labels contain non-finite values")
         self._X = X
-        self._y = y
+        self._y = y.astype(dtype)
         self._sq = np.einsum("ij,ij->i", X, X)
 
     def _nearest(self, x) -> np.ndarray:
@@ -76,7 +78,7 @@ class KnnClassScorer(_KnnScorer):
         self.label_space: list[int] = []
 
     def fit(self, X, y, label_space=None) -> "KnnClassScorer":
-        self._fit(X, np.asarray(y).astype(int))
+        self._fit(X, y, int)
         if label_space is None:
             self.label_space = sorted(int(c) for c in np.unique(self._y))
         else:
@@ -94,7 +96,7 @@ class KnnQuantileScorer(_KnnScorer):
     """
 
     def fit(self, X, y) -> "KnnQuantileScorer":
-        self._fit(X, np.asarray(y, dtype=float))
+        self._fit(X, y, float)
         return self
 
     def neighbour_labels(self, x) -> np.ndarray:

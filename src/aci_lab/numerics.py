@@ -52,8 +52,8 @@ class RidgeSystem:
             raise ValueError(f"Gram matrix must be square, got shape {G.shape}")
         if not np.isfinite(G).all():
             raise ValueError("Gram matrix contains non-finite values")
-        if a < 0.0:
-            raise ValueError(f"ridge coefficient must be >= 0, got {a}")
+        if not 0.0 <= a < math.inf:
+            raise ValueError(f"ridge coefficient must be finite and >= 0, got {a}")
         M = G.copy()
         M.flat[::M.shape[0] + 1] += a
         self._factor, info = dpotrf(M, lower=0, clean=0)

@@ -13,6 +13,13 @@ def test_update_moves_against_outcome():
     assert aci_update(s, 0).eps == pytest.approx(0.1014)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.1, float("nan"), float("inf")])
+def test_init_rejects_bad_step_sizes(gamma):
+    # an infinite step would turn the level into inf - inf = NaN
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        aci_init(0.1, gamma)
+
+
 def test_update_rejects_bad_err():
     s = aci_init(0.1, gamma=0.1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -465,11 +466,13 @@ def test_catch_up_reuses_predict_distances_only_when_exact(data, k, monkeypatch)
     rescorings, joins = [], []
     rescoring, caught_up = KnnConformalClassifier._rescoring, cp_online._caught_up
 
-    def counted(self, x, n):
+    def counted(self, x, n, label=None):
         # A rescoring against fewer rows than the history holds is a
-        # catch-up's; the predict's own pass runs against all of them.
+        # catch-up's, under the row's label; the predict's own pass runs
+        # against all of them, under every label.
         rescorings.append(n < len(self._hist))
-        return rescoring(self, x, n)
+        assert (label is None) == (n == len(self._hist))
+        return rescoring(self, x, n, label)
     monkeypatch.setattr(KnnConformalClassifier, "_rescoring", counted)
     monkeypatch.setattr(cp_online, "_caught_up",
                         lambda *args: joins.append(1) or caught_up(*args))
@@ -665,15 +668,23 @@ def _knn_cp_oracle_cases(draw):
     return np.array(rows[:-1]), np.array(y), rows[-1], k, list(range(n_labels))
 
 
+# Fills of up to _DIRECT_ROWS rows take every pair directly; at 0 every
+# fill goes through the screened self-join.
+_FILL_ROUTES = {"direct": cp_online._DIRECT_ROWS, "screened": 0}
+
+
+@pytest.mark.parametrize("fill", list(_FILL_ROUTES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(_knn_cp_oracle_cases())
-def test_knn_cp_predict_pins_every_p_value_against_the_oracle(case):
+@given(case=_knn_cp_oracle_cases())
+def test_knn_cp_predict_pins_every_p_value_against_the_oracle(fill, case):
     # Differential test of the one-shot route against the brute-force
     # oracle at every eps = j/(n + 1) and one float either side of it.
     hist_X, hist_y, x, k, label_space = case
     p = knn_cp_p_values(hist_X, hist_y, x, k, label_space)
-    for eps in _eps_grid(len(hist_y)):
-        _check_set(knn_cp_predict(hist_X, hist_y, x, eps, k, label_space), eps, label_space, p)
+    with mock.patch.object(cp_online, "_DIRECT_ROWS", _FILL_ROUTES[fill]):
+        for eps in _eps_grid(len(hist_y)):
+            got = knn_cp_predict(hist_X, hist_y, x, eps, k, label_space)
+            _check_set(got, eps, label_space, p)
 
 
 @st.composite
@@ -699,9 +710,10 @@ def _oracle_sessions(draw):
     return k, list(range(n_labels)), ops
 
 
+@pytest.mark.parametrize("fill", list(_FILL_ROUTES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(_oracle_sessions())
-def test_online_class_pins_every_p_value_against_the_oracle(session):
+@given(session=_oracle_sessions())
+def test_online_class_pins_every_p_value_against_the_oracle(fill, session):
     # Differential test of the online class against the brute-force
     # oracle: each sweep checks the set at every eps = j/(n + 1) and one
     # float either side of it, whichever catch-up its first interior
@@ -709,17 +721,18 @@ def test_online_class_pins_every_p_value_against_the_oracle(session):
     k, label_space, ops = session
     pred = KnnConformalClassifier(k=k, label_space=label_space)
     hist_X, hist_y = [], []
-    for op, x, arg in ops:
-        if op == "observe":
-            pred.observe(x, arg)
-            hist_X.append(x)
-            hist_y.append(arg)
-        elif op == "boundary":
-            _check_set(pred.predict(x, arg), arg, label_space, None)
-        else:
-            p = knn_cp_p_values(np.array(hist_X), np.array(hist_y), x, k, label_space)
-            for eps in _eps_grid(len(hist_y)):
-                _check_set(pred.predict(x, eps), eps, label_space, p)
+    with mock.patch.object(cp_online, "_DIRECT_ROWS", _FILL_ROUTES[fill]):
+        for op, x, arg in ops:
+            if op == "observe":
+                pred.observe(x, arg)
+                hist_X.append(x)
+                hist_y.append(arg)
+            elif op == "boundary":
+                _check_set(pred.predict(x, arg), arg, label_space, None)
+            else:
+                p = knn_cp_p_values(np.array(hist_X), np.array(hist_y), x, k, label_space)
+                for eps in _eps_grid(len(hist_y)):
+                    _check_set(pred.predict(x, eps), eps, label_space, p)
 
 
 def test_steady_step_screens_once_per_predict(monkeypatch):

@@ -262,9 +262,8 @@ def test_offline_rule_refuses_non_finite_neighbour_labels_at_fit_time():
     y = np.full(len(train), math.inf)
     with pytest.raises(ValueError, match="non-finite") as at_fit:
         _offline_rule(cfg, SimpleNamespace(X=train.X, y=y, label_space=[]), test)
-    scorer = KnnQuantileScorer(3).fit(train.X, y)
     with pytest.raises(ValueError) as one_shot:
-        inccp_regress_predict(scorer, train.X[0], 0.5)
+        KnnQuantileScorer(3).fit(train.X, y)
     assert str(at_fit.value) == str(one_shot.value)
 
 
@@ -344,6 +343,10 @@ _SHORT_ROWS = {
     "delta0": (_CRR_ONLINE, ["--delta", "0"]),
     "negative-gamma": (_CRR_ONLINE, ["--gamma", "-0.1"]),
     "negative-ridge-a": (_CRR_ONLINE, ["--ridge-a", "-1"]),
+    "ridge-a-nan": (_CRR_ONLINE, ["--ridge-a", "nan"]),
+    "ridge-a-inf": (_CRR_ONLINE, ["--ridge-a", "inf"]),
+    "gamma-nan": (_CRR_ONLINE, ["--gamma", "nan"]),
+    "gamma-inf": (_CRR_ONLINE, ["--gamma", "inf"]),
     "infinite-drift": (_CRR_ONLINE, ["--drift", "inf"]),
     "standardize-warmup1": ([*_CRR_ONLINE, "--standardize"], ["--warmup", "1"]),
 }
@@ -398,6 +401,10 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
         assert "test_fraction" in err[0]
     if case == "repeated-seeds":
         assert "seeds" in err[0]
+    if "ridge-a" in case:
+        assert "ridge_a" in err[0]
+    if "gamma" in case:
+        assert "gamma" in err[0]
 
 
 @pytest.mark.parametrize("case", list(_SHORT_ROWS))

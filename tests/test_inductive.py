@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ def test_scorer_k_must_fit_training_size():
         KnnClassScorer(k=6).fit(np.zeros((5, 1)), np.zeros(5, dtype=int))
     with pytest.raises(ValueError):
         KnnQuantileScorer(k=6).fit(np.zeros((5, 1)), np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls", [KnnClassScorer, KnnQuantileScorer])
+def test_scorers_refuse_non_finite_labels_at_fit(cls, bad):
+    # a named error at fit, with no cast warning, instead of a scorer whose
+    # point, quantiles or votes are inf or nan
+    X, y = _random_train(10, 2)
+    y = y.astype(float)
+    y[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="training labels contain non-finite"):
+            cls(k=3).fit(X, y)
 
 
 def test_icp_classify_worked_instance():

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from aci_lab.core import derive_rng
 from aci_lab.data import StreamSpec, make_stream
-from aci_lab.cp_online import crr_predict, knn_cp_predict, knn_nonconformity
+from aci_lab.cp_online import CrrPredictor, crr_predict, knn_cp_predict, knn_nonconformity
 from aci_lab.inductive import KnnClassScorer, KnnQuantileScorer
 from aci_lab.nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
                                  knn_threshold_predict, knn_vote_shares,
                                  ols_interval_predict)
-from aci_lab.numerics import (distances, k_nearest, screened_nearest,
+from aci_lab.numerics import (RidgeSystem, distances, k_nearest, screened_nearest,
                               student_t_quantile)
 
 HIST_X = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -381,3 +381,14 @@ def test_vote_routes_reject_labels_outside_the_label_space():
     with pytest.raises(ValueError, match="history label 2 outside the label space"):
         knn_threshold_predict(X, y, x, 0.2, 5, [0, 1])
     assert knn_vote_shares(X, y, x, 5, [0, 1, 2]).sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("a", [-1.0, math.nan, math.inf])
+def test_ridge_routes_refuse_bad_coefficients(a):
+    # a ridge coefficient that is negative, NaN or infinite is refused by
+    # name, where NaN and inf used to pass the a < 0 check
+    with pytest.raises(ValueError, match="ridge coefficient must be finite and >= 0"):
+        RidgeSystem(np.eye(2), a)
+    for cls in (CrrPredictor, OlsIntervalPredictor):
+        with pytest.raises(ValueError, match="ridge coefficient must be finite and >= 0"):
+            cls(a=a)

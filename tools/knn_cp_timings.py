@@ -1,0 +1,198 @@
+"""Time knn-cp's fixed costs under two ``src/`` trees, alternately.
+
+    python3 tools/knn_cp_timings.py PARENT_SRC CHANGE_SRC --rounds 3 --best-of 5
+
+Each round runs one worker process per tree, the parent first on even
+rounds and the change first on odd ones, so a slow drift of the host's
+speed falls on both sides alike.  A worker imports ``aci_lab`` from its
+tree with BLAS and OpenMP pinned to one thread and reports, each as the
+best of ``--best-of`` timings, in microseconds:
+
+- ``tiny``: one ``knn_cp_predict`` call, the mean over 200 small
+  histories (n 4-29, p 1-3, 3 labels, k 1-3, seeded);
+- ``steady``: one predict of the knn-stream knn-cp loop after 450
+  observed rows (p 6, 3 labels), predict(x) then observe(x), the mean
+  over 40 steps, at k 1 and k 20;
+- ``rescoring``: one catch-up rescoring at that shape, a row that the
+  last predict did not screen, and the share of it spent in the
+  label-set pass (``_rescored``, or ``_conformal_p_values`` in trees
+  that have no ``_rescored``; n/a in trees with neither);
+- ``burst``: c cached rows filled by a predict whose candidate is the
+  first new row, then r new rows caught up by one ``_catch_up``, for r in
+  1, 2, 3, 10, 50 and 200, at the knn-stream shape (c 450, k 1 and k 20)
+  and the digits shape (c 2000, p 256, 10 labels, k 1), plus ``fill``,
+  the first fill of the c rows.
+
+The table prints each figure's median over rounds for both trees and
+their ratio (change over parent).  ``--json PATH`` also writes every
+round's figures.  Only the standard library and numpy are used; the
+rows come from the package's own ``make_stream``.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+BURSTS = (1, 2, 3, 10, 50, 200)
+# (name, stream, cached rows, k)
+SHAPES = (("knn-stream k1", dict(p=6, n_classes=3, class_sep=3.0, drift=1.5), 450, 1),
+          ("knn-stream k20", dict(p=6, n_classes=3, class_sep=3.0, drift=1.5), 450, 20),
+          ("digits k1", dict(p=256, n_classes=10, class_sep=3.5, drift=1.0), 2000, 1))
+PINNED = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
+
+
+def best(fn, best_of, setup=None):
+    """The least of ``best_of`` timings of ``fn(setup())``, in seconds;
+    ``setup`` runs outside the timed region."""
+    times = []
+    for _ in range(best_of):
+        arg = setup() if setup else None
+        t0 = time.perf_counter()
+        fn(arg)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def worker(best_of):
+    """Every figure for the ``aci_lab`` on the path, as a dict."""
+    import copy
+
+    import numpy as np
+
+    from aci_lab import cp_online
+    from aci_lab.data import StreamSpec, make_stream
+
+    out = {}
+    rng = np.random.default_rng(7)
+    tiny = []
+    for _ in range(200):
+        n, p, k = int(rng.integers(4, 30)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        tiny.append((rng.normal(size=(n, p)), rng.integers(0, 3, size=n), rng.normal(size=p), k))
+
+    def tiny_pass(_):
+        for X, y, x, k in tiny:
+            cp_online.knn_cp_predict(X, y, x, 0.1, k, [0, 1, 2])
+    out["tiny"] = best(tiny_pass, best_of) / len(tiny) * 1e6
+
+    for name, spec, c, k in SHAPES:
+        ds = make_stream(StreamSpec(kind="cluster-classification", n=c + max(BURSTS) + 1,
+                                    seed=1, **spec))
+        X, y = ds.X, ds.y
+
+        def loaded(rows):
+            pred = cp_online.KnnConformalClassifier(k, ds.label_space)
+            for i in range(rows):
+                pred.observe(X[i], int(y[i]))
+            return pred
+        base = loaded(c)
+        out[f"burst {name} fill"] = best(lambda pred: pred._catch_up(), best_of,
+                                         lambda: copy.deepcopy(base)) * 1e6
+        base.predict(X[c], 0.1)
+        for r in BURSTS:
+            burst = copy.deepcopy(base)
+            for i in range(c, c + r):
+                burst.observe(X[i], int(y[i]))
+            out[f"burst {name} r={r}"] = best(lambda pred: pred._catch_up(), best_of,
+                                              lambda: copy.deepcopy(burst)) * 1e6
+        if name.startswith("digits"):
+            continue
+
+        def steady(pred):
+            for i in range(c, c + 40):
+                pred.predict(X[i], 0.1)
+                pred.observe(X[i], int(y[i]))
+        out[f"steady {name}"] = best(steady, best_of, lambda: copy.deepcopy(base)) / 40 * 1e6
+
+        # A row the last predict did not screen: one fresh catch-up rescoring.
+        fresh = copy.deepcopy(base)
+        fresh.predict(X[c + 1], 0.1)
+        fresh.observe(X[c], int(y[c]))
+        pass_name = next((name for name in ("_rescored", "_conformal_p_values")
+                          if hasattr(cp_online, name)), None)
+        inner = getattr(cp_online, pass_name) if pass_name else None
+        spent = []
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        def rescoring(pred):
+            spent.clear()
+            t0 = time.perf_counter()
+            pred._catch_up()
+            return time.perf_counter() - t0, sum(spent)
+        runs = []
+        if inner:
+            setattr(cp_online, pass_name, timed)
+        try:
+            for _ in range(best_of):
+                runs.append(rescoring(copy.deepcopy(fresh)))
+        finally:
+            if inner:
+                setattr(cp_online, pass_name, inner)
+        total, in_pass = min(runs)
+        out[f"rescoring {name}"] = total * 1e6
+        out[f"rescoring {name} pass share"] = in_pass / total if inner else None
+    return out
+
+
+def median(values):
+    """The median, or None where a tree could not make the figure."""
+    return None if None in values else statistics.median(values)
+
+
+def fmt(value, width):
+    return f"{'n/a':>{width}s}" if value is None else f"{value:{width}.3f}"
+
+
+def run_worker(src, best_of):
+    env = {**os.environ, **PINNED, "PYTHONPATH": str(Path(src).resolve())}
+    proc = subprocess.run([sys.executable, __file__, "--worker", "--best-of", str(best_of)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"worker for {src} failed:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src", nargs="?")
+    ap.add_argument("change_src", nargs="?")
+    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--best-of", type=int, default=5)
+    ap.add_argument("--json", type=Path)
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(args.best_of)))
+        return 0
+    if not (args.parent_src and args.change_src):
+        ap.error("give the parent's and the change's src/ directories")
+    sides = {"parent": args.parent_src, "change": args.change_src}
+    rounds = {"parent": [], "change": []}
+    for i in range(args.rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            rounds[side].append(run_worker(sides[side], args.best_of))
+        print(f"round {i + 1}/{args.rounds} done", file=sys.stderr, flush=True)
+    print(f"{'figure':40s} {'parent':>10s} {'change':>10s} {'ratio':>7s}")
+    for key in rounds["parent"][0]:
+        a, b = (median([r[key] for r in rounds[side]]) for side in ("parent", "change"))
+        ratio = b / a if a and b is not None else None
+        print(f"{key:40s} {fmt(a, 10)} {fmt(b, 10)} {fmt(ratio, 7)}")
+    if args.json:
+        args.json.write_text(json.dumps({"sides": sides, "rounds": rounds}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
