@@ -313,8 +313,9 @@ class KnnConformalClassifier(KnnHistoryPredictor):
     ``observe`` only appends; the next ``predict`` catches the caches up
     (``_catch_up``), then makes the label-set pass (``_rescoring``): it
     screens the candidate through ``gram_screen`` and every label's
-    ``kth_bound`` in one partition, and rescores the rows it reaches
-    under every label (``_conformal_p_values``).  The caches are filled
+    ``kth_bound`` in one partition, rescores the rows it reaches under
+    every label (``_rescored``) and counts each label's p-value
+    (``_p_values``).  The caches are filled
     once by the screened self-join (``_caught_up``); after that a row
     enters them only by committing its own rescoring, which the usual
     step, predict(x) then observe(x, y), has already made.  Predictions

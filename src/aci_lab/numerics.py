@@ -7,8 +7,8 @@ ceiling (worst-case) convention throughout the package.  Every k-NN
 route finds neighbours through the same kernels: ``distances``, the
 one distance definition (one query row against every row, or paired
 rows), the Gram screen (``gram_screen``, also of rows against each
-other, each pair once; ``kth_bound``, ``within``, ``reach``,
-``screened_distances`` and ``screened_nearest``: one matrix product and
+other, each pair once; ``kth_bound``, ``within``, ``reach`` and
+``screened_nearest``: one matrix product and
 a rounding-error bound, one slack per query from the largest squared
 row norm, rule out the rows that cannot matter, and the rest get the
 direct ``distances`` value, so every value that reaches an output is
@@ -227,18 +227,6 @@ def within(g: np.ndarray, slack, thr) -> np.ndarray:
 def reach(thr):
     """The largest g - slack that ``within`` keeps for thr: thr^2 (1 + 4u)."""
     return thr * thr * (1.0 + 4.0 * _U)
-
-
-def screened_distances(A: np.ndarray, x: np.ndarray, g: np.ndarray, slack: np.ndarray,
-                       thr) -> np.ndarray:
-    """``distances(A, x)``, bit for bit, at every row whose direct distance
-    may be <= ``thr`` (a scalar or one value per row); +inf at the rows
-    that the screen ``(g, slack)`` of :func:`gram_screen` certifies
-    farther."""
-    keep = within(g, slack, thr)
-    d = np.full(A.shape[0], np.inf)
-    d[keep] = distances(A[keep], x)
-    return d
 
 
 def screened_nearest(A: np.ndarray, sq: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:

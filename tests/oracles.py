@@ -10,7 +10,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from aci_lab.numerics import distances, k_smallest
+from aci_lab.numerics import distances, k_smallest, within
 
 
 def crr_grid_oracle(hist_X, hist_y, x, eps, a=0.0):
@@ -142,3 +142,14 @@ def neighbor_rows(hh, y, k):
     same = y[None, :] == y[:, None]
     return (k_smallest(np.where(same, hh, np.inf), k),
             k_smallest(np.where(same, np.inf, hh), k))
+
+
+def screened_distances(A, x, g, slack, thr):
+    """``distances(A, x)`` at every row whose direct distance ``within``
+    may keep under ``thr`` (a scalar or one value per row) for the screen
+    ``(g, slack)`` of ``gram_screen``, and +inf at the rows it certifies
+    farther: the screen as a full row of distances."""
+    keep = within(g, slack, thr)
+    d = np.full(A.shape[0], np.inf)
+    d[keep] = distances(A[keep], x)
+    return d

@@ -11,9 +11,8 @@ from aci_lab import numerics
 from aci_lab.nccp_online import KnnThresholdClassifier
 from aci_lab.numerics import (NumericError, RidgeSystem, ceil_index, distances,
                               empirical_quantile, floor_index, gram_screen, k_nearest,
-                              k_smallest, kth_bound, screened_distances, screened_nearest,
-                              student_t_quantile)
-from oracles import t_cdf_by_integration
+                              k_smallest, kth_bound, screened_nearest, student_t_quantile)
+from oracles import screened_distances, t_cdf_by_integration
 
 
 # ------------------------------------------------------------ student t
