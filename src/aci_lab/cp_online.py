@@ -182,9 +182,8 @@ _SIDES = np.array([False, True])
 
 
 def _side_pads(n_labels):
-    """(candidate label, side, row label) -> 0 where a row and a candidate
-    with those labels (indices) sit on that side of each other, side 0
-    sharing their label and side 1 not; +inf elsewhere.  Added to a
+    """(candidate label, side, row label) -> 0 where rows with those label
+    indices sit on that side of each other, else +inf: added to a
     distance, it offers the distance to that side alone."""
     return np.where(np.eye(n_labels, dtype=bool)[:, None] != _SIDES[:, None], 0.0, np.inf)
 
@@ -192,23 +191,18 @@ def _side_pads(n_labels):
 def _rescored(near, top, lab, rows, d, pads, label=None):
     """A candidate's rescoring of the cached rows: ``(reach, lists, alpha)``.
 
-    ``near`` holds each history row's k smallest same-label and
-    different-label distances, (n, 2, k) ascending and +inf padded, and
-    ``top`` the larger of its two k-th values; ``lab`` each row's label as
-    an index into the sorted labels, and ``pads`` is their
-    ``_side_pads``.  ``d`` holds the candidate's direct distances to the
-    history ``rows`` (ascending), which take in every row where the
-    candidate could come nearer than that row's ``top`` or be among its
-    own k nearest of that row's label.  ``reach`` is the rows whose lists
-    the candidate changes: d goes into them ahead of the first entry at
-    or above it, pushing the last out.
-
-    With a ``label`` (an index), ``lists`` holds each reached row's lists
-    with the candidate observed under that label, then the candidate's
-    own: what a commit writes.  Without one, it holds each reached row's
-    lists with the candidate sharing its label, then with the candidate
-    under another label, then the candidate's lists under each label.
-    ``alpha`` is their scores (``_row_scores``)."""
+    ``near`` (n, 2, k) holds each row's k smallest same-label and
+    different-label distances, ascending and +inf padded, ``top`` the
+    larger of its two k-th values and ``lab`` its label index; ``pads``
+    is ``_side_pads``.  ``d`` holds the candidate's direct distances to
+    ``rows``: every row where it could come nearer than ``top`` or be
+    among its own k nearest of that row's label.  ``reach`` is the rows
+    whose lists it changes.  With a ``label`` index, ``lists`` holds each
+    reached row's lists with the candidate observed under that label,
+    then the candidate's own: what a commit writes.  Without one, it
+    holds each reached row's lists with the candidate sharing its label,
+    then under another label, then the candidate's lists under each
+    label.  ``alpha`` is their scores."""
     k = near.shape[2]
     hit = d < top[rows]
     reach, dist = rows[hit], d[hit, None]
