@@ -69,6 +69,9 @@ def gamma_for_bound(eps1: float, delta: float, n_steps: int) -> float:
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     m = max(eps1, 1.0 - eps1)
+    if not math.isfinite(delta * n_steps):
+        raise ValueError(f"delta {delta} unusable for n_steps {n_steps}: "
+                         "delta * n_steps must be finite")
     if delta * n_steps <= m + 1.0:
         raise ValueError(
             f"delta {delta} infeasible for n_steps {n_steps}: "

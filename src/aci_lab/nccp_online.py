@@ -19,8 +19,8 @@ import numpy as np
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor, PredictionSet,
                    RidgeHistoryPredictor, boundary_set, history_inputs, label_index,
                    labels_above)
-from .numerics import (NumericError, RidgeSystem, distances, k_nearest, screened_nearest,
-                       student_t_quantile, vote_shares)
+from .numerics import (NumericError, RidgeSystem, distances, gram_screen, k_nearest,
+                       kth_bound, student_t_quantile, vote_shares, within)
 
 
 def knn_vote_shares(hist_X, hist_y, x, k: int, label_space) -> np.ndarray:
@@ -91,12 +91,18 @@ def _ols_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
 
 class KnnThresholdClassifier(KnnHistoryPredictor):
     """Online vote-share thresholding over the full history: the sets of
-    :func:`knn_threshold_predict`, with the k nearest found through the
-    Gram screen (``screened_nearest``) and their votes counted by label
-    index."""
+    :func:`knn_threshold_predict`, votes counted by label index.  The Gram
+    screen keeps every row at or below the k-th direct distance, so at
+    most k kept rows are the min(k, n) nearest and vote as they stand;
+    more (near-ties at the k-th) or an infinite slack (the overflow
+    fallback) take the direct distances and ``k_nearest``."""
 
     def _predict(self, x, eps):
-        near = screened_nearest(self._hist.X, self._row_norms(), x, self.k)
+        A, k = self._hist.X, self.k
+        g, slack = gram_screen(A, self._row_norms(), x)
+        near = np.flatnonzero(within(g, slack, kth_bound(g, slack, k)))
+        if near.shape[0] > k or not math.isfinite(slack):
+            near = near[k_nearest(distances(A[near], x), k)]
         votes = np.bincount(self._hist["lab"][near], minlength=self._labels.shape[0])
         return labels_above(votes / near.shape[0], self._labels, eps)
 

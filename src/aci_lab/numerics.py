@@ -14,8 +14,9 @@ row norm, rule out the rows that cannot matter, and the rest get the
 direct ``distances`` value, so every value that reaches an output is
 the direct one), ``k_smallest`` values or ``k_nearest`` indices, and
 ``vote_shares``.  ``screened_nearest`` searches one query row (the
-online predictors) or a matrix of them in blocks of about 2^14 (query,
-row) pairs (the offline scorers' tables).  ``k_nearest`` selects by
+offline scorers' one-vector calls) or a matrix of them in blocks of
+about 2^14 (query, row) pairs (their tables); the online classes call
+the screen's kernels themselves.  ``k_nearest`` selects by
 one partition plus a stable sort of the candidates at or below the
 k-th value, so ties at that value keep "earlier index wins"; it needs
 finite input, which every distance kernel here guarantees.

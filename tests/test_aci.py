@@ -54,6 +54,14 @@ def test_gamma_feasibility():
     gamma_for_bound(0.1, 0.02, 100)  # 0.02 > 1.9/100
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf"), 1e308])
+def test_gamma_for_bound_refuses_non_finite_delta_products(delta):
+    # NaN gave gamma nan and an infinite delta * n_steps gamma 0.0, which
+    # the controller then refused under gamma's name
+    with pytest.raises(ValueError, match=r"delta .* delta \* n_steps must be finite"):
+        gamma_for_bound(0.1, delta, 180)
+
+
 def test_gamma_roundtrip_through_bound():
     for n in (200, 1000, 6397):
         g = gamma_for_bound(0.1, 0.01, n)

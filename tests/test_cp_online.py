@@ -851,7 +851,7 @@ def test_online_knn_observe_only_appends(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("observe computed distances")
     for module, attr in ((cp_online, "gram_screen"), (cp_online, "distances"),
-                         (nccp_online, "screened_nearest"), (nccp_online, "distances")):
+                         (nccp_online, "gram_screen"), (nccp_online, "distances")):
         monkeypatch.setattr(module, attr, refuse)
     rng = derive_rng(3, "knn-append")
     X, y = rng.normal(size=(41, 3)), rng.integers(0, 3, size=41)

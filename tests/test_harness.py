@@ -341,6 +341,10 @@ _SHORT_ROWS = {
     "warmup0": (_CRR_ONLINE, ["--warmup", "0"]),
     "eps-above-1": (_CRR_ONLINE, ["--eps", "1.5"]),
     "delta0": (_CRR_ONLINE, ["--delta", "0"]),
+    # NaN, and deltas whose product with the step count is not finite,
+    # once reached the controller as gamma nan or 0.0
+    **{f"delta-{name}": (_CRR_ONLINE, ["--delta", value])
+       for name, value in [("nan", "nan"), ("inf", "inf"), ("overflow", "1e308")]},
     "negative-gamma": (_CRR_ONLINE, ["--gamma", "-0.1"]),
     "negative-ridge-a": (_CRR_ONLINE, ["--ridge-a", "-1"]),
     "ridge-a-nan": (_CRR_ONLINE, ["--ridge-a", "nan"]),
@@ -373,6 +377,9 @@ _BAD_INVOCATIONS = {
                   "--seeds", "0,x"],
     "repeated-seeds": ["sweep", "--dataset", "synth-reg", "--predictor", "icp-reg",
                        "--seeds", "1,1", "--n", "300"],
+    **{f"delta-{name}-offline": ["offline", "--dataset", "synth-reg", "--predictor",
+                                 "icp-reg", "--n", "300", "--delta", value]
+       for name, value in [("nan", "nan"), ("inf", "inf"), ("overflow", "1e308")]},
     **{f"test-fraction-{name}": ["offline", "--dataset", "synth-reg", "--predictor",
                                  "icp-reg", "--test-fraction", value, "--n", "300"]
        for name, value in [("nan", "nan"), ("inf", "inf"), ("negative", "-1"),
@@ -405,6 +412,8 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
         assert "ridge_a" in err[0]
     if "gamma" in case:
         assert "gamma" in err[0]
+    if case.startswith("delta"):
+        assert "delta" in err[0] and "gamma" not in err[0], err
 
 
 @pytest.mark.parametrize("case", list(_SHORT_ROWS))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aci_lab import nccp_online
 from aci_lab.core import derive_rng
 from aci_lab.data import StreamSpec, make_stream
 from aci_lab.cp_online import CrrPredictor, crr_predict, knn_cp_predict, knn_nonconformity
@@ -224,6 +225,70 @@ def test_threshold_class_matches_the_direct_oracle(session):
         Q = np.array(queries)
         assert np.array_equal(screened_nearest(X, sq, Q, k),
                               [k_nearest(distances(X, q), k) for q in Q])
+
+
+def test_threshold_class_votes_match_the_direct_oracle(monkeypatch):
+    # Differential test of the vote counts themselves, which the label
+    # sets can hide: every predict's shares equal knn_vote_shares' label
+    # for label, whether the kept rows vote as the screen leaves them (at
+    # most k kept, or a history shorter than k) or go through the direct
+    # distances (more than k kept: near-ties at the k-th)
+    shares, calls, paths = [], [], {"exit": 0, "fallback": 0, "short": 0}
+    labels_above = nccp_online.labels_above
+
+    def capture(scores, labels, eps):
+        shares.append((np.array(scores), np.array(labels)))
+        return labels_above(scores, labels, eps)
+
+    def counted(*args):
+        calls.append(1)
+        return distances(*args)
+    monkeypatch.setattr(nccp_online, "labels_above", capture)
+    monkeypatch.setattr(nccp_online, "distances", counted)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(_threshold_sessions())
+    def check(session):
+        k, label_space, ops = session
+        pred = KnnThresholdClassifier(k=k, label_space=label_space)
+        hist_X, hist_y = [], []
+        for op, x, arg in ops:
+            if op == "observe":
+                pred.observe(x, arg)
+                hist_X.append(x)
+                hist_y.append(arg)
+                continue
+            shares.clear()
+            calls.clear()
+            pred.predict(x, arg)
+            if not shares:  # eps 0 or 1: the boundary set, no vote
+                continue
+            (got, labels), = shares
+            path = ("short" if len(hist_X) < k else "fallback" if calls else "exit")
+            assert len(calls) == (path == "fallback")
+            paths[path] += 1
+            want = knn_vote_shares(np.array(hist_X), np.array(hist_y), x, k, labels)
+            assert np.array_equal(got, want), (got, want)
+    check()
+    assert min(paths.values()) > 0, paths
+
+
+def test_threshold_class_keeps_the_overflow_error():
+    # A history shorter than k whose squared norms pass 2^1020 takes the
+    # screen's fallback (every row kept, infinite slack): the class still
+    # takes the direct distances and raises as the one-shot route does,
+    # though the kept rows number fewer than k
+    X = np.array([[1e155, -1e155], [-1e155, 1e155], [0.0, 1e155]])
+    y = np.array([0, 1, 0])
+    x = np.array([1e155, 1e155])
+    pred = KnnThresholdClassifier(k=5, label_space=[0, 1])
+    for row, label in zip(X, y):
+        pred.observe(row, int(label))
+    with pytest.raises(ValueError, match="too large for distances") as want:
+        knn_threshold_predict(X, y, x, 0.3, 5, [0, 1])
+    with pytest.raises(ValueError) as got:
+        pred.predict(x, 0.3)
+    assert str(got.value) == str(want.value)
 
 
 def test_ols_predictor_class_matches_function():

@@ -60,6 +60,10 @@ def commands():
     cmds.append(("knn-nccp-stream", ["online", "--dataset", "synth-class", "--predictor",
                                      "knn-nccp", "--k", "20", "--p", "8", "--n", "4000",
                                      "--warmup", "100"]))
+    # knn-nccp from a history shorter than k, where every kept row votes
+    # without a direct distance until the history reaches k rows
+    cmds.append(("knn-nccp-short", ["online", "--dataset", "synth-class", "--predictor",
+                                    "knn-nccp", "--k", "20", "--warmup", "5", "--n", "300"]))
     for pid in ("icp-class", "inccp-class"):
         cmds.append((f"offline-{pid}-k1", ["offline", "--dataset", "synth-class",
                                            "--predictor", pid, "--k", "1"]))
