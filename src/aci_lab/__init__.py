@@ -18,8 +18,7 @@ from .core import (CLASSIFICATION, REGRESSION, CoinFlipPredictor,
                    SetPredictor, boundary_set, coin_flip_predict, derive_rng,
                    random_set_predict)
 from .cp_online import (CachedKnnConformalClassifier, CrrPredictor,
-                        KnnConformalClassifier, crr_predict, knn_cp_predict,
-                        knn_nonconformity, p_value)
+                        KnnConformalClassifier, crr_predict, knn_cp_predict)
 from .inductive import (KnnClassScorer, KnnQuantileScorer,
                         calibration_residuals, calibration_scores,
                         icp_classify_predict, icp_regress_predict,

@@ -84,18 +84,24 @@ def deviation_bound(eps1: float, gamma: float, n_steps: int) -> float:
     """Worst-case |target - empirical error| after n_steps."""
     if not 0.0 <= eps1 <= 1.0:
         raise ValueError(f"eps1 {eps1} outside [0, 1]")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    _check_gamma(gamma, n_steps)
     return (max(eps1, 1.0 - eps1) + gamma) / (gamma * n_steps)
 
 
 def confinement_interval(gamma: float) -> tuple[float, float]:
     """Every reachable level lies in [-gamma, 1 + gamma]."""
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma, 1)
     return (-gamma, 1.0 + gamma)
+
+
+def _check_gamma(gamma: float, n_steps: int) -> None:
+    """Refuse a gamma that is not positive, or whose product with n_steps
+    is not finite (the bound would read 0, or NaN for an infinite gamma)."""
+    if not (gamma > 0.0 and math.isfinite(gamma * n_steps)):
+        raise ValueError(f"gamma {gamma} unusable for n_steps {n_steps}: gamma must be "
+                         "positive and gamma * n_steps finite")
 
 
 @dataclass(frozen=True)

@@ -23,35 +23,6 @@ from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_i
                        gram_screen, k_smallest, kth_bound, reach, within)
 
 
-def p_value(scores, candidate_score: float) -> float:
-    """Fraction of bag scores >= the candidate's own score.
-
-    ``scores`` are the nonconformity scores of the full bag *including*
-    the candidate, so the result is at least 1/len(scores).
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 1 or scores.shape[0] == 0:
-        raise ValueError("scores must be a non-empty 1-D array")
-    if np.any(np.isnan(scores)):
-        raise ValueError("scores contain NaN")
-    return float(np.count_nonzero(scores >= candidate_score)) / scores.shape[0]
-
-
-def knn_nonconformity(bag_X, bag_y, x, y, k: int) -> float:
-    """Strangeness of (x, y) against a bag of labelled examples.
-
-    Ratio of the mean distance to the k nearest same-label bag members
-    over the mean distance to the k nearest different-label ones
-    (Euclidean).  Fewer than k on either side: average what is there.
-    No same-label members at all makes the example maximally strange
-    (+inf); no different-label members makes it maximally conforming (0).
-    """
-    bag_X, bag_y, x = history_inputs(bag_X, bag_y, x, k)
-    d = distances(bag_X, x)
-    same = bag_y == y
-    return float(_row_scores(k_smallest(np.where([same, ~same], d, np.inf), k)[None])[0])
-
-
 def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:
     """Full conformal k-NN classifier: keep labels whose completion has
     p-value above eps.  Every history label must be in ``label_space``.
@@ -396,22 +367,17 @@ def _row_scores(near):
 
 def _finite_mean(rows: np.ndarray) -> np.ndarray:
     """``np.mean`` of each ascending, +inf padded row's finite prefix (NaN
-    if empty).  A row is short only where its sum is +inf.  numpy adds
-    fewer than 8 values one by one in order, so there a sum over zeroed
-    padding is the prefix's own; 8 or more it sums pairwise, so a short
-    row sums its prefix alone, which the padding may round otherwise."""
+    if empty).  A row is short only where its sum is +inf; the short rows
+    of each prefix length m sum their first m values alone, as ``np.mean``
+    does, since numpy's pairwise sum of a padded row may round otherwise."""
     sums, width = rows.sum(axis=1), rows.shape[1]
     if sums.max(initial=0.0) < np.inf:
         return sums / width
-    finite = rows < np.inf
-    count = finite.sum(axis=1)
-    if width < 8:
-        sums = np.where(finite, rows, 0.0).sum(axis=1)
-    else:
-        short = np.flatnonzero(count < width)
-        for m in np.unique(count[short]):
-            at = short[count[short] == m]
-            sums[at] = rows[at, :m].sum(axis=1)
+    count = (rows < np.inf).sum(axis=1)
+    short = np.flatnonzero(count < width)
+    for m in np.unique(count[short]):
+        at = short[count[short] == m]
+        sums[at] = rows[at, :m].sum(axis=1)
     with np.errstate(invalid="ignore"):
         return sums / count
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .aci import aci_init, aci_update, gamma_for_bound
+from .aci import _check_gamma, aci_init, aci_update, gamma_for_bound
 from .core import (CLASSIFICATION, REGRESSION, SetPredictor, CoinFlipPredictor,
                    RandomSetPredictor, boundary_set, derive_rng, labels_above)
 from .cp_online import CrrPredictor, KnnConformalClassifier
@@ -264,12 +264,20 @@ class RunResult:
 
 
 def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
+    """The step size of a run of n_steps, after the checks a run makes
+    before its loop: eps, the Winkler clamps and gamma or delta."""
     # eps1 defaults to eps, so a bad eps would otherwise be reported as eps1.
     if not 0.0 <= cfg.eps <= 1.0:
         raise ConfigError(f"eps {cfg.eps} outside [0, 1]")
+    lo, hi = cfg.winkler_clamp_lo, cfg.winkler_clamp_hi
+    if not 0.0 < lo <= hi < 1.0:
+        raise ConfigError(f"winkler_clamp_lo {lo} and winkler_clamp_hi {hi} must "
+                          "satisfy 0 < lo <= hi < 1")
     if cfg.gamma is not None:
-        if not 0.0 < cfg.gamma < math.inf:
-            raise ConfigError(f"gamma must be positive and finite, got {cfg.gamma}")
+        try:
+            _check_gamma(cfg.gamma, n_steps)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return cfg.gamma
     return gamma_for_bound(cfg.resolved_eps1(), cfg.delta, n_steps)
 

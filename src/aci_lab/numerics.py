@@ -16,10 +16,9 @@ the direct one), ``k_smallest`` values or ``k_nearest`` indices, and
 ``vote_shares``.  ``screened_nearest`` searches one query row (the
 offline scorers' one-vector calls) or a matrix of them in blocks of
 about 2^14 (query, row) pairs (their tables); the online classes call
-the screen's kernels themselves.  ``k_nearest`` selects by
-one partition plus a stable sort of the candidates at or below the
-k-th value, so ties at that value keep "earlier index wins"; it needs
-finite input, which every distance kernel here guarantees.
+the screen's kernels themselves.  ``k_nearest`` is one stable argsort,
+so of equal distances the earlier index wins; it needs finite input,
+which every distance kernel here guarantees.
 """
 
 import math
@@ -278,16 +277,8 @@ def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
 
 def k_nearest(d: np.ndarray, k: int) -> np.ndarray:
     """Indices of the min(k, n) smallest of n distances, nearest first; of
-    equal distances the earlier index wins (k >= 1, finite d).
-
-    One partition finds the k-th smallest value v; every entry <= v is a
-    candidate, in index order, so all ties at v are kept, and a stable
-    sort of those few candidates gives the first k.
-    """
-    if k >= d.shape[0]:
-        return np.argsort(d, kind="stable")
-    near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
-    return near[d[near].argsort(kind="stable")[:k]]
+    equal distances the earlier index wins (k >= 1, finite d)."""
+    return np.argsort(d, kind="stable")[:k]
 
 
 def vote_shares(votes: np.ndarray, label_space) -> np.ndarray:

@@ -124,6 +124,13 @@ def knn_cp_p_values(hist_X, hist_y, x, k, labels):
     return np.array(p)
 
 
+def direct_nearest(A, x, k):
+    """Indices of the min(k, n) rows of A nearest to x, nearest first, by
+    one full stable sort of the direct distances, so of equal distances
+    the earlier index wins."""
+    return np.argsort(distances(A, x), kind="stable")[:k]
+
+
 def fill_distances(X):
     """The direct pairwise distance matrix over the rows of X: one
     ``distances`` row per point, mirrored into its column, and +inf on

@@ -76,6 +76,23 @@ def test_confinement_interval():
     assert confinement_interval(0.05) == (-0.05, 1.05)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.1, float("nan"), float("inf"), 1e308])
+def test_bound_and_confinement_refuse_unusable_gamma(gamma):
+    # an infinite gamma made the bound NaN, and one whose product with the
+    # step count overflows made it 0; the confinement interval takes one step
+    with pytest.raises(ValueError, match=r"gamma .* gamma \* n_steps finite"):
+        deviation_bound(0.1, gamma, 280)
+    if gamma != 1e308:
+        with pytest.raises(ValueError, match=r"gamma .* gamma \* n_steps finite"):
+            confinement_interval(gamma)
+
+
+def test_huge_gamma_keeps_its_bound():
+    # a finite gamma * n_steps leaves the bound at about 1 / n_steps
+    assert deviation_bound(0.1, 1e300, 280) == pytest.approx(1 / 280)
+    assert confinement_interval(1e308) == (-1e308, 1.0 + 1e308)
+
+
 def test_confinement_holds_on_random_error_sequences():
     rng = derive_rng(0, "confinement")
     for _ in range(50):

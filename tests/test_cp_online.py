@@ -5,68 +5,24 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import aci_lab
-from aci_lab import cp_online, harness, nccp_online
+from aci_lab import cp_online, harness, nccp_online, numerics
 from aci_lab.core import derive_rng
 from aci_lab.cp_online import (CachedKnnConformalClassifier, CrrPredictor,
                                KnnConformalClassifier, _finite_mean, _ratio, crr_predict,
-                               knn_cp_predict, knn_nonconformity, p_value)
+                               knn_cp_predict)
 from aci_lab.data import StreamSpec, make_stream
-from aci_lab.nccp_online import KnnThresholdClassifier
+from aci_lab.inductive import KnnClassScorer, KnnQuantileScorer
+from aci_lab.nccp_online import KnnThresholdClassifier, knn_vote_shares
 from aci_lab.numerics import NumericError
-from oracles import crr_grid_oracle, fill_distances, knn_cp_p_values, neighbor_rows
+from oracles import (crr_grid_oracle, direct_nearest, fill_distances, knn_cp_p_values,
+                     neighbor_rows)
 
 # the worked 4-point instance: two tight clusters on a line
 BAG_X = np.array([[0.0], [1.0], [10.0], [11.0]])
 BAG_Y = np.array([0, 0, 1, 1])
-
-
-def test_p_value_counts_ties_and_self():
-    assert p_value([1.0, 2.0, 3.0], 2.0) == pytest.approx(2 / 3)
-    assert p_value([5.0], 5.0) == 1.0
-    # candidate strangest of all: floor at 1/n
-    assert p_value([0.1, 0.2, 0.9], 0.9) == pytest.approx(1 / 3)
-
-
-def test_p_value_validates():
-    with pytest.raises(ValueError):
-        p_value([], 1.0)
-    with pytest.raises(ValueError):
-        p_value([math.nan], 1.0)
-
-
-def test_knn_nonconformity_worked_instance():
-    # same-class nearest at 0.5, other-class nearest at 9.5
-    alpha = knn_nonconformity(BAG_X, BAG_Y, np.array([0.5]), 0, k=1)
-    assert alpha == pytest.approx(0.5 / 9.5)
-
-
-def test_knn_nonconformity_missing_side_conventions():
-    one_class_X = np.array([[0.0], [1.0]])
-    one_class_y = np.array([0, 0])
-    # no different-label members: maximally conforming
-    assert knn_nonconformity(one_class_X, one_class_y, np.array([0.5]), 0, 1) == 0.0
-    # no same-label members: maximally strange
-    assert knn_nonconformity(one_class_X, one_class_y, np.array([0.5]), 1, 1) == math.inf
-
-
-def test_knn_nonconformity_duplicate_points():
-    X = np.array([[0.0], [0.0], [5.0]])
-    y = np.array([0, 1, 1])
-    # same-class distance 0: fully supported regardless of the other side
-    assert knn_nonconformity(X, y, np.array([0.0]), 0, 1) == 0.0
-    # different-class at distance 0, same-class far: infinitely strange
-    assert knn_nonconformity(np.array([[0.0], [5.0]]), np.array([1, 0]),
-                             np.array([0.0]), 0, 1) == math.inf
-
-
-def test_knn_nonconformity_validates():
-    with pytest.raises(ValueError):
-        knn_nonconformity(np.empty((0, 1)), np.empty(0), np.array([0.0]), 0, 1)
-    with pytest.raises(ValueError):
-        knn_nonconformity(BAG_X, BAG_Y, np.array([0.5]), 0, 0)
 
 
 def test_knn_cp_predict_worked_instance():
@@ -673,9 +629,47 @@ def _knn_cp_oracle_cases(draw):
 _FILL_ROUTES = {"direct": cp_online._DIRECT_ROWS, "screened": 0}
 
 
+# The strangeness ratio's conventions as bags (hist_X, hist_y, x, k, label
+# space) with each label's p-value by hand.  The worked instance: under
+# label 0 the candidate's nearest are 0.5 (same) and 9.5 (different).  A
+# one-label bag: with no different-label member every ratio is 0, and a
+# candidate with no same-label member is +inf (1/3 under label 1, where
+# 0 would give 1).  Duplicate points: a same-label distance 0 gives 0
+# whatever the other side, 0/0 included (3/4 under label 0 otherwise),
+# and a different-label distance 0 with a same-label one beyond it +inf.
+_RATIO_CONVENTIONS = {
+    "worked-instance": ((BAG_X, BAG_Y, np.array([0.5]), 1, [0, 1]), [0.8, 0.2]),
+    "one-label-bag": ((np.array([[0.0], [1.0]]), np.array([0, 0]), np.array([0.5]), 1, [0, 1]),
+                      [1.0, 1 / 3]),
+    "duplicate-same-label": ((np.array([[0.0], [0.0], [5.0]]), np.array([0, 1, 1]),
+                              np.array([0.0]), 1, [0, 1]), [1.0, 1.0]),
+    "duplicate-other-label": ((np.array([[0.0], [5.0]]), np.array([1, 0]), np.array([0.0]), 1,
+                               [0, 1]), [2 / 3, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(_RATIO_CONVENTIONS))
+def test_ratio_conventions_give_these_p_values(name):
+    # the oracle's p-values on the convention bags, which the pinned
+    # tests below also take as fixed examples
+    case, want = _RATIO_CONVENTIONS[name]
+    assert np.array_equal(knn_cp_p_values(*case), want)
+
+
+def _with_ratio_conventions(arg, as_arg=lambda case: case):
+    """A decorator giving a pinned test every bag of ``_RATIO_CONVENTIONS``
+    as a fixed example, passed as ``arg`` through ``as_arg``."""
+    def add(test):
+        for case, _ in _RATIO_CONVENTIONS.values():
+            test = example(**{arg: as_arg(case)})(test)
+        return test
+    return add
+
+
 @pytest.mark.parametrize("fill", list(_FILL_ROUTES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(case=_knn_cp_oracle_cases())
+@_with_ratio_conventions("case")
 def test_knn_cp_predict_pins_every_p_value_against_the_oracle(fill, case):
     # Differential test of the one-shot route against the brute-force
     # oracle at every eps = j/(n + 1) and one float either side of it.
@@ -710,9 +704,16 @@ def _oracle_sessions(draw):
     return k, list(range(n_labels)), ops
 
 
+def _bag_session(case):
+    """The online-class session that observes a bag's rows, then sweeps x."""
+    X, y, x, k, labels = case
+    return k, labels, [("observe", row, int(c)) for row, c in zip(X, y)] + [("sweep", x, None)]
+
+
 @pytest.mark.parametrize("fill", list(_FILL_ROUTES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(session=_oracle_sessions())
+@_with_ratio_conventions("session", _bag_session)
 def test_online_class_pins_every_p_value_against_the_oracle(fill, session):
     # Differential test of the online class against the brute-force
     # oracle: each sweep checks the set at every eps = j/(n + 1) and one
@@ -733,6 +734,48 @@ def test_online_class_pins_every_p_value_against_the_oracle(fill, session):
                 p = knn_cp_p_values(np.array(hist_X), np.array(hist_y), x, k, label_space)
                 for eps in _eps_grid(len(hist_y)):
                     _check_set(pred.predict(x, eps), eps, label_space, p)
+
+
+@st.composite
+def _search_cases(draw):
+    """(X, y, Q, k, label space) for the k-NN searches: 1 to 40 rows and 1
+    to 4 queries drawn as in ``_knn_cp_oracle_cases`` (grid ties, copies,
+    -0.0 against 0.0, scales 1e-160 and 1e150), labels on fewer than k
+    rows, and k from 1 to 33 or at n - 1, n and n + 1."""
+    k, n_labels, p, scale = draw(_oracle_shapes())
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        rows.append(_new_or_seen(draw, p, scale, rows, rows[-1] if rows else None))
+    Q = [_new_or_seen(draw, p, scale, rows, rows[-1]) for _ in range(draw(st.integers(1, 4)))]
+    n = len(rows)
+    y = draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n))
+    k = draw(st.sampled_from([k, k, max(1, n - 1), n, n + 1]))
+    return np.array(rows), np.array(y), np.array(Q), k, list(range(n_labels))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(case=_search_cases())
+def test_knn_searches_match_the_direct_oracle(case):
+    # Differential test of the searches behind knn_vote_shares and both
+    # offline scorers, one vector and a table of them (in blocks of a few
+    # queries), against one full stable sort of the direct distances:
+    # vote shares label for label, and the quantile scorer, fitted on row
+    # indices, returns the neighbours themselves in order
+    X, y, Q, k, labels = case
+    nears = [direct_nearest(X, q, k) for q in Q]
+    shares = [[np.count_nonzero(y[near] == c) / near.shape[0] for c in labels] for near in nears]
+    for q, want in zip(Q, shares):
+        assert np.array_equal(knn_vote_shares(X, y, q, k, labels), want)
+    if k > X.shape[0]:  # the scorers refuse k above the training size
+        return
+    classes = KnnClassScorer(k).fit(X, y, labels)
+    index = KnnQuantileScorer(k).fit(X, np.arange(X.shape[0], dtype=float))
+    with mock.patch.object(numerics, "_PAIRS", 2 * X.shape[0]):
+        assert np.array_equal(classes.class_scores(Q), shares)
+        assert np.array_equal(index.neighbour_labels(Q), nears)
+    for q, near, want in zip(Q, nears, shares):
+        assert np.array_equal(classes.class_scores(q), want)
+        assert np.array_equal(index.neighbour_labels(q), near)
 
 
 def test_steady_step_screens_once_per_predict(monkeypatch):

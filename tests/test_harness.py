@@ -351,6 +351,8 @@ _SHORT_ROWS = {
     "ridge-a-inf": (_CRR_ONLINE, ["--ridge-a", "inf"]),
     "gamma-nan": (_CRR_ONLINE, ["--gamma", "nan"]),
     "gamma-inf": (_CRR_ONLINE, ["--gamma", "inf"]),
+    # gamma * n_steps overflowed, so the run printed bound=0
+    "gamma-overflow": (_CRR_ONLINE, ["--gamma", "1e308"]),
     "infinite-drift": (_CRR_ONLINE, ["--drift", "inf"]),
     "standardize-warmup1": ([*_CRR_ONLINE, "--standardize"], ["--warmup", "1"]),
 }
@@ -384,6 +386,14 @@ _BAD_INVOCATIONS = {
                                  "icp-reg", "--test-fraction", value, "--n", "300"]
        for name, value in [("nan", "nan"), ("inf", "inf"), ("negative", "-1"),
                            ("zero", "0"), ("above-one", "1.5")]},
+    # "refusing to serialise NaN" once, from the bound of an infinite gamma
+    "report-gamma-inf": ["report", "{tmp}/run.trace.csv", "--eps", "0.1", "--gamma", "inf"],
+    # Winkler clamps from a config file, one each of _CLAMP_FILES: 0 and
+    # NaN surfaced as an eps error from the scorer, 2 scored every step
+    # at 0.999; the run is feasible with the default clamps
+    **{f"winkler-clamp-{name}": [*_CRR_ONLINE, "--n", "300", "--warmup", "20", "--gamma",
+                                 "0.3", "--config", f"{{tmp}}/{name}.cfg"]
+       for name in ("lo-zero", "lo-nan", "lo-above-hi", "hi-one")},
     # both run to exit 0 without their --order
     "unknown-order": ["online", "--dataset", "synth-reg", "--predictor", "crr",
                       "--order", "bogus", "--n", "400", "--warmup", "20"],
@@ -392,9 +402,17 @@ _BAD_INVOCATIONS = {
 }
 
 
+_CLAMP_FILES = {"lo-zero": "winkler_clamp_lo = 0\n", "lo-nan": "winkler_clamp_lo = nan\n",
+                "lo-above-hi": "winkler_clamp_lo = 2\n", "hi-one": "winkler_clamp_hi = 1\n"}
+
+
 @pytest.mark.parametrize("case", list(_BAD_INVOCATIONS))
 def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
     (tmp_path / "bad.dat").write_text("1 2 3\n")
+    (tmp_path / "run.trace.csv").write_text(
+        "step,eps_used,err,set_size_or_width,winkler,excess,is_infinite\n0,0.1,0,1,,0,0\n")
+    for name, text in _CLAMP_FILES.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in _BAD_INVOCATIONS[case]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -412,6 +430,8 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
         assert "ridge_a" in err[0]
     if "gamma" in case:
         assert "gamma" in err[0]
+    if "clamp" in case:
+        assert "winkler_clamp" in err[0], err
     if case.startswith("delta"):
         assert "delta" in err[0] and "gamma" not in err[0], err
 

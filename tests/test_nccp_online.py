@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from aci_lab import nccp_online
 from aci_lab.core import derive_rng
 from aci_lab.data import StreamSpec, make_stream
-from aci_lab.cp_online import CrrPredictor, crr_predict, knn_cp_predict, knn_nonconformity
+from aci_lab.cp_online import CrrPredictor, crr_predict, knn_cp_predict
 from aci_lab.inductive import KnnClassScorer, KnnQuantileScorer
 from aci_lab.nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
                                  knn_threshold_predict, knn_vote_shares,
@@ -331,7 +331,6 @@ def test_ridge_routes_reject_non_finite_input(predict, bad):
 # Every one-shot k-NN route and both scorers, from history (X, y), query x
 # and neighbour count k.
 _KNN_ROUTES = {
-    "knn_nonconformity": lambda X, y, x, k=3: knn_nonconformity(X, y, x, 1, k),
     "knn_cp_predict": lambda X, y, x, k=3: knn_cp_predict(X, y, x, 0.2, k, [0, 1]),
     "knn_vote_shares": lambda X, y, x, k=3: knn_vote_shares(X, y, x, k, [0, 1]),
     "knn_threshold_predict": lambda X, y, x, k=3: knn_threshold_predict(X, y, x, 0.2, k,
@@ -339,8 +338,7 @@ _KNN_ROUTES = {
     "KnnClassScorer": lambda X, y, x, k=3: KnnClassScorer(k).fit(X, y).class_scores(x),
     "KnnQuantileScorer": lambda X, y, x, k=3: KnnQuantileScorer(k).fit(X, y).point(x),
 }
-_ONE_SHOT_KNN = ["knn_cp_predict", "knn_nonconformity", "knn_threshold_predict",
-                 "knn_vote_shares"]
+_ONE_SHOT_KNN = ["knn_cp_predict", "knn_threshold_predict", "knn_vote_shares"]
 
 
 @pytest.mark.parametrize("route", sorted(_KNN_ROUTES))

@@ -139,25 +139,6 @@ def test_k_smallest_k1_equals_partition_and_sort():
     assert k_smallest(np.empty((3, 0)), 1).shape == (3, 0)
 
 
-def test_k_nearest_matches_stable_argsort():
-    # partition selection must return exactly the first k of a stable
-    # argsort, so among equal values the earlier index wins; grid values
-    # scaled by 0.3 make ties dense (and inexact, as real distances are),
-    # and so do direct distances between grid points
-    rng = derive_rng(5, "k-nearest")
-    for n in (1, 2, 3, 7, 20, 41, 100, 300):
-        ks = {1, 2, 5, 20, 40, n - 1, n, n + 1} - {0}
-        A = rng.integers(0, 3, size=(n, 2)) * 0.3
-        for values in (rng.normal(size=(6, n)),
-                       rng.integers(0, 4, size=(6, n)) * 0.3,
-                       rng.integers(0, 40, size=(6, n)) * 0.3,
-                       [distances(A, q) for q in rng.integers(0, 3, size=(6, 2)) * 0.3]):
-            for row in values:
-                for k in sorted(ks):
-                    want = np.argsort(row, kind="stable")[:k]
-                    assert np.array_equal(k_nearest(row, k), want), (n, k)
-
-
 def test_sq_distances_refuse_overflow():
     # finite features whose squares overflow used to give nan distances
     # (and a RuntimeWarning); a k-NN vote then picked arbitrary neighbours.

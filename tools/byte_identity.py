@@ -120,6 +120,13 @@ def commands():
                                              "--n-classes", "10", "--class-sep", "3.5",
                                              "--warmup", "2000", "--n", "2008",
                                              "--gamma", "0.05", "--k", k]))
+    # knn-cp from a history shorter than k, so neighbour lists are short
+    # (+inf padded) on one side or both: at k = 5 a list is narrower than
+    # numpy's eight-value pairwise block, at k = 20 wider
+    for k in ("5", "20"):
+        cmds.append((f"knn-cp-short-k{k}", ["online", "--dataset", "synth-class",
+                                            "--predictor", "knn-cp", "--k", k, "--warmup", "3",
+                                            "--n", "300", "--delta", "0.05"]))
     # knn-cp at the benchmark's knn-stream shape, where nearly every step
     # after the warm-up commits its predict's rescoring
     for k in ("1", "20"):
