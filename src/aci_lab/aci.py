@@ -98,10 +98,12 @@ def confinement_interval(gamma: float) -> tuple[float, float]:
 
 def _check_gamma(gamma: float, n_steps: int) -> None:
     """Refuse a gamma that is not positive, or whose product with n_steps
-    is not finite (the bound would read 0, or NaN for an infinite gamma)."""
-    if not (gamma > 0.0 and math.isfinite(gamma * n_steps)):
+    or that product's reciprocal is not finite (the bound would read 0,
+    NaN for an infinite gamma, or inf for a subnormal one)."""
+    if not (gamma > 0.0 and math.isfinite(gamma * n_steps)
+            and math.isfinite(1.0 / (gamma * n_steps))):
         raise ValueError(f"gamma {gamma} unusable for n_steps {n_steps}: gamma must be "
-                         "positive and gamma * n_steps finite")
+                         "positive and gamma * n_steps finite, with a finite reciprocal")
 
 
 @dataclass(frozen=True)

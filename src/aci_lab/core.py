@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import daxpy, dger
 
+from .numerics import _SINGLE_HI
+
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
@@ -171,6 +173,11 @@ class SetPredictor(ABC):
             raise ValueError(f"label {y!r} is not finite")
         self._observe(x, y)
 
+    def observe_many(self, X, y) -> None:
+        """``observe`` each row of X with its label, in order."""
+        for xi, yi in zip(X, y):
+            self.observe(xi, yi)
+
     def reserve(self, rows: int) -> None:
         """Room for ``rows`` examples in the history, if the predictor keeps one."""
         if hasattr(self, "_hist"):
@@ -231,14 +238,17 @@ class ExampleBuffer:
 
     Every per-row array grows here, at one capacity: X, y and the
     ``columns`` named at construction (name -> row dtype, ``(float,
-    shape)`` for a row of that shape), which their owners fill.  The
-    store hands out zero-copy views of the rows held, ``X``, ``y`` and
-    ``buf[name]``, valid until the next ``append`` or ``reserve``.
+    shape)`` for a row of that shape), which their owners fill, and the
+    ``wide`` ones (name -> dtype), whose rows have X's width and which,
+    like X, are made when the first row fixes it.  The store hands out
+    zero-copy views of the rows held, ``X``, ``y`` and ``buf[name]``,
+    valid until the next ``append``, ``extend`` or ``reserve``.
     """
 
-    def __init__(self, label_dtype=float, **columns):
+    def __init__(self, label_dtype=float, wide=None, **columns):
         self._rows = {"y": np.empty(8, dtype=label_dtype),
                       **{name: np.empty(8, dtype) for name, dtype in columns.items()}}
+        self._wide = dict(wide or {})
         self._n = 0
 
     def __len__(self) -> int:
@@ -262,15 +272,35 @@ class ExampleBuffer:
         if x.ndim != 1:
             raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
         rows = self._rows  # reserve replaces the arrays, not the dict
-        if "X" not in rows:
-            rows["X"] = np.empty((rows["y"].shape[0], x.shape[0]))
-        elif rows["X"].shape[1] != x.shape[0]:
-            raise ValueError(f"expected {rows['X'].shape[1]} features, got {x.shape[0]}")
+        if "X" not in rows or rows["X"].shape[1] != x.shape[0]:
+            self._fit_width(x.shape[0])
         if self._n == rows["y"].shape[0]:
             self.reserve(2 * self._n)
         rows["X"][self._n] = x
         rows["y"][self._n] = y
         self._n += 1
+
+    def extend(self, X, y) -> None:
+        """Append the rows of the 2-D X with their labels y in one write."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or np.shape(y) != X.shape[:1]:
+            raise ValueError(f"expected a 2-D block and one label per row, got shapes "
+                             f"{X.shape} and {np.shape(y)}")
+        self._fit_width(X.shape[1])
+        n = self._n + X.shape[0]
+        self.reserve(n)
+        self._rows["X"][self._n:n] = X
+        self._rows["y"][self._n:n] = y
+        self._n = n
+
+    def _fit_width(self, p: int) -> None:
+        """Make X and the wide columns p wide, or refuse a width other than theirs."""
+        rows = self._rows
+        if "X" not in rows:
+            for name, dtype in {"X": float, **self._wide}.items():
+                rows[name] = np.empty((rows["y"].shape[0], p), dtype)
+        elif rows["X"].shape[1] != p:
+            raise ValueError(f"expected {rows['X'].shape[1]} features, got {p}")
 
     def reserve(self, rows: int) -> None:
         """Room for ``rows`` examples in every per-row array, so appends copy nothing."""
@@ -283,9 +313,10 @@ class ExampleBuffer:
 class KnnHistoryPredictor(SetPredictor):
     """Online k-NN classifier plumbing: neighbour count, declared label
     space, an integer-labelled history with each row's index into the
-    sorted labels ``_labels`` ("lab") and squared norm for the Gram screen
-    (``_row_norms``).  Subclasses supply ``_predict`` and name their own
-    per-row ``columns`` of the history."""
+    sorted labels ``_labels`` ("lab"), squared norm ("sq") and float32
+    copy ("x32") for the Gram screen (``_row_norms``); ``observe_many``
+    loads the warm-up in one write.  Subclasses supply ``_predict`` and
+    name their own per-row ``columns`` of the history."""
 
     task = CLASSIFICATION
 
@@ -299,8 +330,9 @@ class KnnHistoryPredictor(SetPredictor):
             raise ValueError("label space is empty")
         self._labels = np.unique(self.label_space)
         self._index = {int(c): i for i, c in enumerate(self._labels)}
-        self._hist = ExampleBuffer(label_dtype=int, lab=np.intp, sq=float, **columns)
-        # Rows [0, _normed) of the history's "sq" hold squared row norms.
+        self._hist = ExampleBuffer(label_dtype=int, wide={"x32": np.float32},
+                                   lab=np.intp, sq=float, **columns)
+        # Rows [0, _normed) of the history's "sq" and "x32" are filled.
         self._normed = 0
 
     def _observe(self, x, y):
@@ -308,13 +340,36 @@ class KnnHistoryPredictor(SetPredictor):
         self._hist.append(x, yi)
         self._hist["lab"][-1] = li
 
+    def observe_many(self, X, y) -> None:
+        """Observe the rows of X with labels y in one write, checked whole
+        first: the first bad row raises what ``observe`` raises for it, and
+        nothing is written.  Label indices, norms and copies fill in bulk."""
+        X, y = np.asarray(X, dtype=float), np.asarray(y)
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError(f"expected a 2-D block and one label per row, got shapes "
+                             f"{X.shape} and {y.shape}")
+        labels = self._labels
+        li = np.minimum(np.searchsorted(labels, y), labels.shape[0] - 1)
+        # Equal to a label: finite, an integer and in the label space.
+        ok = np.isfinite(X).all(axis=1) & (labels[li] == y) & (self._dim in (None, X.shape[1]))
+        for i in np.flatnonzero(~ok)[:1]:
+            self.observe(X[i], y[i])  # a bad row: raises
+        self._dim = X.shape[1]
+        n = len(self._hist)
+        self._hist.extend(X, labels[li])
+        self._hist["lab"][n:] = li
+        self._row_norms()
+
     def _row_norms(self) -> np.ndarray:
-        """Squared norms of the history rows, filled for the rows appended
-        since the last call only, so ``observe`` stays a plain append."""
+        """Squared norms of the history rows, filled with their float32
+        copies for the rows appended since the last call only, so
+        ``observe`` stays a plain append; rows the single route skips get
+        no copy, whose cast could overflow."""
         sq, done = self._hist["sq"], self._normed
         if done < sq.shape[0]:
             X = self._hist.X[done:]
             sq[done:] = np.einsum("ij,ij->i", X, X)
+            np.copyto(self._hist["x32"][done:], X, where=(sq[done:] < _SINGLE_HI)[:, None])
             self._normed = sq.shape[0]
         return sq
 

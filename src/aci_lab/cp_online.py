@@ -318,7 +318,7 @@ class KnnConformalClassifier(KnnHistoryPredictor):
         # than row i's cached k-th value on either side, or be among x's
         # own k nearest of row i's label (that label's kth_bound, for all
         # labels in one partition of g spread over one row per label).
-        g, slack = gram_screen(X, self._row_norms()[:n], x)
+        g, slack = gram_screen(X, self._row_norms()[:n], x, single=h["x32"][:n])
         by_label = np.full((self._labels.shape[0], n), np.inf)
         by_label[lab, np.arange(n)] = g
         top = np.maximum(near[:, 0, -1], near[:, 1, -1])

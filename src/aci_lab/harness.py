@@ -312,8 +312,7 @@ def run_online(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError(f"warmup {cfg.warmup} outside [1, {len(ds) - 1}]")
     predictor = make_online_predictor(cfg, ds)
     predictor.reserve(len(ds))
-    for i in range(cfg.warmup):
-        predictor.observe(ds.X[i], ds.y[i])
+    predictor.observe_many(ds.X[:cfg.warmup], ds.y[:cfg.warmup])
     n_steps = len(ds) - cfg.warmup
     gamma = _resolve_gamma(cfg, n_steps)
     records, eps_min, eps_max = _aci_loop(
@@ -470,12 +469,19 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 def emit_sweep(path: str, sweep: SweepResult) -> None:
     """Long-format sweep table; the fraction column is empty for the
     split-free twin."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("cal_fraction,method,metric,mean,ci_half_width,n_trials\n")
-        for frac, method, metric, mean, half, n in sweep.rows:
-            frac_s = "" if frac is None else format_float(frac)
-            fh.write(f"{frac_s},{method},{metric},{format_float(mean)},"
+    lines = ["cal_fraction,method,metric,mean,ci_half_width,n_trials\n"]
+    for frac, method, metric, mean, half, n in sweep.rows:
+        frac_s = "" if frac is None else format_float(frac)
+        lines.append(f"{frac_s},{method},{metric},{format_float(mean)},"
                      f"{format_float(half)},{n}\n")
+    _write({path: "".join(lines)})
+
+
+def _write(texts: dict) -> None:
+    """Write files (path -> text) built before any is opened, so a refused value writes none."""
+    for path, text in texts.items():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 STRESS_STREAMS = {
@@ -524,16 +530,20 @@ def lemma_stress_matrix(predictors=None, n: int = 800, warmup: int = 50,
 def emit_trace(path: str, records) -> None:
     """Write the per-step trace CSV (LF line endings, 9 significant digit
     floats, missing values empty)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,eps_used,err,set_size_or_width,winkler,excess,is_infinite\n")
-        for r in records:
-            fh.write(",".join([
-                str(r.step), format_float(r.eps_used), str(r.err),
-                format_float(r.set_size_or_width),
-                "" if r.winkler is None else format_float(r.winkler),
-                "" if r.excess is None else str(r.excess),
-                "1" if r.is_infinite else "0",
-            ]) + "\n")
+    _write({path: _trace_text(records)})
+
+
+def _trace_text(records) -> str:
+    lines = ["step,eps_used,err,set_size_or_width,winkler,excess,is_infinite\n"]
+    for r in records:
+        lines.append(",".join([
+            str(r.step), format_float(r.eps_used), str(r.err),
+            format_float(r.set_size_or_width),
+            "" if r.winkler is None else format_float(r.winkler),
+            "" if r.excess is None else str(r.excess),
+            "1" if r.is_infinite else "0",
+        ]) + "\n")
+    return "".join(lines)
 
 
 def parse_trace(path: str) -> list:
@@ -579,6 +589,10 @@ def _quantize(obj):
 
 def emit_summary(path: str, result: RunResult) -> None:
     """Summary JSON: run metrics plus the reproducibility envelope."""
+    _write({path: _summary_text(result)})
+
+
+def _summary_text(result: RunResult) -> str:
     payload = {
         "config_hash": result.config.config_hash(),
         "dataset": result.dataset_name,
@@ -590,14 +604,15 @@ def emit_summary(path: str, result: RunResult) -> None:
         "summary": {k: v for k, v in asdict(result.summary).items() if v is not None},
         "version": __version__,
     }
-    payload = _quantize(payload)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    return json.dumps(_quantize(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def emit_manifest(path: str, result: RunResult) -> None:
     """Plain-text manifest: enough to reproduce and verify the run."""
+    _write(_manifest_texts(path, result))
+
+
+def _manifest_texts(path: str, result: RunResult) -> dict:
     s = result.summary
     lines = [
         f"config_hash = {result.config.config_hash()}",
@@ -613,14 +628,12 @@ def emit_manifest(path: str, result: RunResult) -> None:
         f"bound = {format_float(s.bound)}",
         f"bound_satisfied = {str(s.bound_satisfied).lower()}",
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    cfg_path = os.path.splitext(path)[0] + ".config"
-    with open(cfg_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(result.config.canonical_text())
+    return {path: "\n".join(lines) + "\n",
+            os.path.splitext(path)[0] + ".config": result.config.canonical_text()}
 
 
 def write_run_outputs(out_dir: str, result: RunResult, stem: str | None = None) -> dict:
+    """A run's trace, summary and manifest, all built before any is written."""
     os.makedirs(out_dir, exist_ok=True)
     stem = stem or f"{result.config.predictor}-{result.config.seed}"
     paths = {
@@ -628,7 +641,7 @@ def write_run_outputs(out_dir: str, result: RunResult, stem: str | None = None) 
         "summary": os.path.join(out_dir, f"{stem}.summary.json"),
         "manifest": os.path.join(out_dir, f"{stem}.manifest.txt"),
     }
-    emit_trace(paths["trace"], result.records)
-    emit_summary(paths["summary"], result)
-    emit_manifest(paths["manifest"], result)
+    _write({paths["trace"]: _trace_text(result.records),
+            paths["summary"]: _summary_text(result),
+            **_manifest_texts(paths["manifest"], result)})
     return paths

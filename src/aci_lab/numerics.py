@@ -13,12 +13,15 @@ a rounding-error bound, one slack per query from the largest squared
 row norm, rule out the rows that cannot matter, and the rest get the
 direct ``distances`` value, so every value that reaches an output is
 the direct one), ``k_smallest`` values or ``k_nearest`` indices, and
-``vote_shares``.  ``screened_nearest`` searches one query row (the
-offline scorers' one-vector calls) or a matrix of them in blocks of
-about 2^14 (query, row) pairs (their tables); the online classes call
-the screen's kernels themselves.  ``k_nearest`` is one stable argsort,
-so of equal distances the earlier index wins; it needs finite input,
-which every distance kernel here guarantees.
+``vote_shares``.  The online classes call the screen's kernels
+themselves, one query in float32 from a float32 copy of the rows
+(``gram_screen``'s single route, with its own slack) where float32
+neither overflows nor underflows.  ``screened_nearest`` searches one
+query row (the offline scorers' one-vector calls) or a matrix of them
+in blocks of about 2^14 (query, row) pairs (their tables), in float64.
+``k_nearest`` is one stable argsort, so of equal distances the earlier
+index wins; it needs finite input, which every distance kernel here
+guarantees.
 """
 
 import math
@@ -119,6 +122,8 @@ _PAIRS = 1 << 14
 
 # Unit roundoff of float64.
 _U = 2.0 ** -53
+# The single route's range for max sq + x.x, and its largest p.
+_SINGLE_LO, _SINGLE_HI, _SINGLE_P = 2.0 ** -96, 2.0 ** 96, 1 << 20
 
 
 def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -141,7 +146,7 @@ def distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray | None = None,
-                rows: int | None = None):
+                rows: int | None = None, single: np.ndarray | None = None):
     """Certified bounds on the direct distances from ``x`` to the rows of
     ``A`` from one matrix product: ``(g, slack)`` with g = sq + x.x - 2 A x,
     where ``sq`` holds the rows' squared norms (summed in any order), such
@@ -178,12 +183,37 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray | None = None,
     difference may overflow; then every g is 0 and every slack +inf, so
     no row is ruled out and every row takes the direct route (and its
     ValueError).  Below that limit g is finite.
+
+    Single route.  Given ``single``, a float32 copy of A's rows, one query
+    row x with M = max sq + x.x in [2^-96, 2^96) and p <= 2^20 takes g =
+    sq + x.x - 2t, t the float32 product of ``single`` and x rounded to
+    float32; the rest stays float64.  Let v = 2^-24, gamma'_m = m v / (1 -
+    m v) and S = |a|^2 + |x|^2 <= (1 + gamma_p) M.  Rounding to float32
+    moves each entry by at most v times itself plus 2^-150 (subnormals
+    included; no entry exceeds 2^49), and each float32 operation of the
+    product, in any order and with fused multiply-adds, is exact to a
+    factor 1 + d, |d| <= v, plus 2^-150 where a product underflows.  With
+    sum |a_i x_i| <= S/2, |a|_1 + |x|_1 <= (2pS)^(1/2) and p v <= 2^-4,
+    |2t - 2 a.x| <= (gamma'_p (1 + v)^2 + 2v + v^2) S + E <= (5/4) (p + 2)
+    v S + E, where the underflow terms E (p 2^-148, 2^-149 (2pS)^(1/2) and
+    smaller) stay below 2^-7 v M, and no partial sum reaches 2^97.  The
+    float64 roundings (sq, x.x, two additions) and the direct sum's
+    gamma_{p+2} s add less than 2^-7 v S.  Hence |D - g| <= 2 (p + 4) v M,
+    and the slack, 4 (p + 4) v M, is twice that; its spare half covers the
+    float64 roundings of the tests many times over.  Other inputs take the
+    float64 route, so a row whose sq reaches 2^96 is never read from the
+    copy.
     """
     q = A[:rows] if x is None else x
     # Neither form warns on overflow; an infinite x.x takes the fallback.
     qq = np.einsum("ij,ij->i", q, q)[:, None] if q.ndim == 2 else np.vdot(q, q)
     top = sq.max(initial=0.0)
     shape = (q.shape[0], A.shape[0]) if q.ndim == 2 else (A.shape[0],)
+    if single is not None and A.shape[1] <= _SINGLE_P and _SINGLE_LO <= top + qq < _SINGLE_HI:
+        g = np.multiply(single @ x.astype(np.float32), -2.0, dtype=float)
+        g += sq
+        g += qq
+        return g, 4.0 * (A.shape[1] + 4) * 2.0 ** -24 * (top + qq)
     if not max(top, qq.max()) < 2.0 ** 1020:
         return np.zeros(shape), np.full(qq.shape, np.inf)
     slack = 16.0 * (A.shape[1] + 4) * (_U * (top + qq) + 2.0 ** -1022)

@@ -87,6 +87,22 @@ def test_bound_and_confinement_refuse_unusable_gamma(gamma):
             confinement_interval(gamma)
 
 
+@pytest.mark.parametrize("gamma", [1e-320, 5e-324])
+def test_bound_and_confinement_refuse_subnormal_gamma(gamma):
+    # 1 / (gamma * n_steps) overflowed: the bound read inf, so every run
+    # "satisfied" it, and the summary could not be written as JSON
+    with pytest.raises(ValueError, match=r"gamma .* with a finite reciprocal"):
+        deviation_bound(0.1, gamma, 280)
+    with pytest.raises(ValueError, match=r"gamma .* with a finite reciprocal"):
+        check_guarantee([0, 1] * 140, 0.1, 0.1, gamma)
+    with pytest.raises(ValueError, match=r"gamma .* with a finite reciprocal"):
+        confinement_interval(gamma)
+
+
+def test_small_gamma_with_a_finite_bound_is_kept():
+    assert deviation_bound(0.1, 1e-300, 280) == pytest.approx(0.9 / (1e-300 * 280))
+
+
 def test_huge_gamma_keeps_its_bound():
     # a finite gamma * n_steps leaves the bound at about 1 / n_steps
     assert deviation_bound(0.1, 1e300, 280) == pytest.approx(1 / 280)

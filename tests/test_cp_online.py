@@ -252,10 +252,10 @@ def test_self_join_forms_each_pair_once(monkeypatch):
     index = {row.tobytes(): i for i, row in enumerate(X)}
     cells, pairs, queries, screen = [], [], [], cp_online.gram_screen
 
-    def counted(A, sq, x=None, rows=None):
+    def counted(A, sq, x=None, rows=None, single=None):
         if x is not None:
             queries.append((index[x.tobytes()], A.shape[0]))
-            return screen(A, sq, x)
+            return screen(A, sq, x, single=single)
         ids = np.array([index[row.tobytes()] for row in A])
         cells.append(rows * (rows + 1) // 2 + rows * (A.shape[0] - rows))
         for r in range(rows):
@@ -784,9 +784,9 @@ def test_steady_step_screens_once_per_predict(monkeypatch):
     # catch-up commits the observed row's rescoring from the predict before
     calls, real_screen, real_distances = [], cp_online.gram_screen, cp_online.distances
 
-    def screen(A, sq, x):
+    def screen(A, sq, x, single=None):
         calls.append("screen")
-        return real_screen(A, sq, x)
+        return real_screen(A, sq, x, single=single)
 
     def dist(A, x):
         if x.ndim == 2:

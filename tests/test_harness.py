@@ -107,14 +107,19 @@ def test_run_online_sizes_the_history_once(monkeypatch, predictor):
     # The stream's length is known before the warm-up, so no observe of
     # the run copies the history into a larger store, and no predict moves
     # a per-row array the predictor fills itself: the k-NN classes' label
-    # indices and row norms, and knn-cp's neighbour caches and row scores.
+    # indices, row norms and float32 copies, and knn-cp's neighbour caches
+    # and row scores.  The k-NN classes load the warm-up in one block.
     from aci_lab.core import ExampleBuffer, SetPredictor
     stores, rows = [], []
-    append, predict = ExampleBuffer.append, SetPredictor.predict
+    append, extend, predict = ExampleBuffer.append, ExampleBuffer.extend, SetPredictor.predict
 
     def recorded(self, x, y):
         append(self, x, y)
         stores.append(self.X.__array_interface__["data"][0])
+
+    def recorded_block(self, X, y):
+        extend(self, X, y)
+        stores.extend([self.X.__array_interface__["data"][0]] * len(X))
 
     def addresses(self, x, eps):
         out = predict(self, x, eps)
@@ -123,14 +128,109 @@ def test_run_online_sizes_the_history_once(monkeypatch, predictor):
         return out
 
     monkeypatch.setattr(ExampleBuffer, "append", recorded)
+    monkeypatch.setattr(ExampleBuffer, "extend", recorded_block)
     monkeypatch.setattr(SetPredictor, "predict", addresses)
     base = FAST_CLASS if predictor.startswith("knn") else FAST_REG
     run_online(build_config(dict(base, predictor=predictor, n=300)))
     assert len(stores) == 300 and len(set(stores)) == 1
-    own = {"knn-cp": {"lab", "sq", "near", "score"},
-           "knn-nccp": {"lab", "sq"}}.get(predictor, set())
+    own = {"knn-cp": {"lab", "sq", "x32", "near", "score"},
+           "knn-nccp": {"lab", "sq", "x32"}}.get(predictor, set())
     assert len(rows) == 300 - base["warmup"] and set(rows[0]) == {"X", "y"} | own
     assert all(r == rows[0] for r in rows)
+
+
+@pytest.mark.parametrize("predictor", harness.ONLINE_PREDICTORS)
+def test_bulk_warm_up_equals_row_by_row(predictor):
+    # run_online loads the warm-up with one observe_many: the k-NN classes
+    # write the block and fill its norms and float32 copies in bulk, the
+    # others observe row by row.  Either way the store arrays (after the
+    # first predict, which fills the row-by-row side's norms) and every
+    # prediction equal those of a warm-up observed row by row
+    base = FAST_REG if predictor in ("crr", "ols-nccp") else FAST_CLASS
+    cfg = build_config(dict(base, predictor=predictor, k=3))
+    ds, w = harness.resolve_online_dataset(cfg), cfg.warmup
+    bulk, rows = (harness.make_online_predictor(cfg, ds) for _ in range(2))
+    for pred in (bulk, rows):
+        pred.reserve(len(ds))
+    bulk.observe_many(ds.X[:w], ds.y[:w])
+    for i in range(w):
+        rows.observe(ds.X[i], ds.y[i])
+    for i in range(w, w + 30):
+        for eps in (0.05, 0.3):
+            assert bulk.predict(ds.X[i], eps) == rows.predict(ds.X[i], eps), (i, eps)
+        if i == w and hasattr(rows, "_hist"):
+            names = rows._hist._rows
+            assert set(bulk._hist._rows) == set(names)
+            for name in names:
+                assert np.array_equal(bulk._hist[name], rows._hist[name]), name
+            for name in ("_gram", "_xty"):
+                assert np.array_equal(getattr(bulk, name, 0), getattr(rows, name, 0)), name
+        bulk.observe(ds.X[i], ds.y[i])
+        rows.observe(ds.X[i], ds.y[i])
+
+
+def _bad_block(case):
+    """A 12-row block of 3 features and labels in {0, 1, 2}, with one bad
+    row (7) or, for "width", 4 features."""
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(12, 3)), (np.arange(12) % 3).astype(float)
+    if case == "feature":
+        X[7, 1] = np.inf
+    elif case == "label-nan":
+        y[7] = np.nan
+    elif case == "label-fraction":
+        y[7] = 1.5
+    elif case == "label-outside":
+        y[7] = 5.0
+    elif case == "width":
+        X = rng.normal(size=(12, 4))
+    return X, y
+
+
+@pytest.mark.parametrize("case", ["feature", "label-nan", "label-fraction",
+                                  "label-outside", "width"])
+@pytest.mark.parametrize("cls", [nccp_online.KnnThresholdClassifier,
+                                 cp_online.KnnConformalClassifier])
+def test_bulk_warm_up_refuses_a_bad_row_as_observe_does(cls, case):
+    # the block is checked whole before any write: the first bad row
+    # raises the message observe raises for it, and the history keeps
+    # only the row observed before the block
+    X, y = _bad_block(case)
+    first = np.zeros(3)
+    per_row, bulk = cls(1, [0, 1, 2]), cls(1, [0, 1, 2])
+    for pred in (per_row, bulk):
+        pred.observe(first, 0)
+    with pytest.raises(ValueError) as want:
+        for xi, yi in zip(X, y):
+            per_row.observe(xi, yi)
+    with pytest.raises(ValueError) as got:
+        bulk.observe_many(X, y)
+    assert str(got.value) == str(want.value)
+    assert len(bulk._hist) == 1 and bulk._normed <= 1
+
+
+def test_a_refused_value_writes_no_file(tmp_path):
+    # every file's text is built before the file is opened: a summary
+    # holding inf once left a summary cut off at '"bound": ' after the
+    # trace was written; now nothing is written, and each emit_* refusal
+    # leaves no file either
+    result = run_online(build_config(FAST_REG))
+    bad = replace(result, summary=replace(result.summary, bound=math.inf))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_run_outputs(str(tmp_path / "run"), bad)
+    assert list((tmp_path / "run").iterdir()) == []
+    with pytest.raises(ValueError, match="JSON compliant"):
+        harness.emit_summary(str(tmp_path / "s.json"), bad)
+    nan_gamma = replace(result, gamma=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        harness.emit_manifest(str(tmp_path / "m.txt"), nan_gamma)
+    records = result.records[:3] + [replace(result.records[3], eps_used=math.nan)]
+    with pytest.raises(ValueError, match="NaN"):
+        emit_trace(str(tmp_path / "t.csv"), records)
+    sweep = harness.SweepResult(cells={}, rows=[(0.1, "icp-reg", "oe", math.nan, 0.1, 2)])
+    with pytest.raises(ValueError, match="NaN"):
+        emit_sweep(str(tmp_path / "sweep.csv"), sweep)
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
 
 def test_run_online_validation():
@@ -353,6 +453,8 @@ _SHORT_ROWS = {
     "gamma-inf": (_CRR_ONLINE, ["--gamma", "inf"]),
     # gamma * n_steps overflowed, so the run printed bound=0
     "gamma-overflow": (_CRR_ONLINE, ["--gamma", "1e308"]),
+    # 1 / (gamma * n_steps) overflowed: bound=inf, then a truncated summary
+    "gamma-subnormal": (_CRR_ONLINE, ["--gamma", "1e-320"]),
     "infinite-drift": (_CRR_ONLINE, ["--drift", "inf"]),
     "standardize-warmup1": ([*_CRR_ONLINE, "--standardize"], ["--warmup", "1"]),
 }
@@ -388,6 +490,9 @@ _BAD_INVOCATIONS = {
                            ("zero", "0"), ("above-one", "1.5")]},
     # "refusing to serialise NaN" once, from the bound of an infinite gamma
     "report-gamma-inf": ["report", "{tmp}/run.trace.csv", "--eps", "0.1", "--gamma", "inf"],
+    # printed bound=inf satisfied=True
+    "report-gamma-subnormal": ["report", "{tmp}/run.trace.csv", "--eps", "0.1", "--gamma",
+                               "1e-320"],
     # Winkler clamps from a config file, one each of _CLAMP_FILES: 0 and
     # NaN surfaced as an eps error from the scorer, 2 scored every step
     # at 0.999; the run is feasible with the default clamps

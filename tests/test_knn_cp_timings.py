@@ -19,10 +19,13 @@ def test_knn_cp_timings_alternates_trees_and_prints_medians(tmp_path, monkeypatc
     # three rounds, parent first on even rounds; each figure's median over
     # rounds, the ratio change over parent, and n/a where a tree made none
     tool = _load_tool()
-    figures = {"parent": [dict(tiny=10.0, share=None), dict(tiny=14.0, share=None),
-                          dict(tiny=12.0, share=None)],
-               "change": [dict(tiny=5.0, share=0.3), dict(tiny=7.0, share=0.4),
-                          dict(tiny=6.0, share=0.2)]}
+    screen, warmup = "screen knn-nccp digits k20", "warmup digits"
+    figures = {"parent": [{"tiny": 10.0, "share": None, screen: 220.0, warmup: 9000.0},
+                          {"tiny": 14.0, "share": None, screen: 210.0, warmup: 9500.0},
+                          {"tiny": 12.0, "share": None, screen: 230.0, warmup: 8000.0}],
+               "change": [{"tiny": 5.0, "share": 0.3, screen: 110.0, warmup: 3000.0},
+                          {"tiny": 7.0, "share": 0.4, screen: 154.0, warmup: 4000.0},
+                          {"tiny": 6.0, "share": 0.2, screen: 150.0, warmup: 2700.0}]}
     calls = []
 
     def worker(src, best_of):
@@ -34,9 +37,11 @@ def test_knn_cp_timings_alternates_trees_and_prints_medians(tmp_path, monkeypatc
                       "--json", str(out)]) == 0
     assert [s for s, _ in calls] == ["parent", "change", "change", "parent", "parent", "change"]
     assert {b for _, b in calls} == {2}
-    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    rows = {line[:40].strip(): line[40:].split() for line in capsys.readouterr().out.splitlines()}
     assert rows["tiny"] == ["12.000", "6.000", "0.500"]
     assert rows["share"] == ["n/a", "0.300", "n/a"]
+    assert rows[screen] == ["220.000", "150.000", "0.682"]
+    assert rows[warmup] == ["9000.000", "3000.000", "0.333"]
     saved = json.loads(out.read_text())
     assert saved["sides"] == {"parent": "parent", "change": "change"}
     assert [r["tiny"] for r in saved["rounds"]["parent"]] == [10.0, 14.0, 12.0]

@@ -3,15 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aci_lab.core import derive_rng
+from aci_lab.data import StreamSpec, make_stream
 from aci_lab.inductive import KnnClassScorer
 from aci_lab import numerics
 from aci_lab.nccp_online import KnnThresholdClassifier
 from aci_lab.numerics import (NumericError, RidgeSystem, ceil_index, distances,
                               empirical_quantile, floor_index, gram_screen, k_nearest,
-                              k_smallest, kth_bound, screened_nearest, student_t_quantile)
+                              k_smallest, kth_bound, screened_nearest, student_t_quantile,
+                              within)
 from oracles import screened_distances, t_cdf_by_integration
 
 
@@ -274,3 +276,75 @@ def test_screen_with_one_far_row_stays_exact_and_prunes():
     g, slack = gram_screen(A[:-1], sq[:-1], x)
     assert np.count_nonzero(screened_distances(A[:-1], x, g, slack, kth_bound(g, slack, 5))
                             < np.inf) == 5
+
+
+@st.composite
+def _single_cases(draw):
+    """(A, x) for the screen's single route: p from {1, 2, 3, 8, 9, 31,
+    130, 256}, 1 to 24 rows, all scaled by 2^e for e from -70 to 70 (both
+    sides of the route's range), of one kind: normal rows; near-duplicates
+    of x (a few ulps of noise); a large common offset (cancellation);
+    entries at float32 rounding midpoints; entries spread over 2^-100 to
+    1, so that some are float32 subnormals."""
+    p = draw(st.sampled_from([1, 2, 3, 8, 9, 31, 130, 256]))
+    n, e = draw(st.integers(1, 24)), draw(st.integers(-70, 70))
+    kind = draw(st.sampled_from(["normal", "near", "offset", "midpoint", "spread"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, A = rng.normal(size=p), rng.normal(size=(n, p))
+    if kind == "near":
+        A = x * (1.0 + rng.integers(-4, 5, size=(n, p)) * 2.0 ** -52)
+    elif kind == "offset":
+        c = 2.0 ** draw(st.integers(8, 30))
+        A, x = A + c, x + c
+    elif kind == "midpoint":
+        def mid(v):
+            v = v.astype(np.float32)
+            return (v.astype(float) + np.nextafter(v, np.float32(np.inf)).astype(float)) / 2
+        A, x = mid(A), mid(x)
+    elif kind == "spread":
+        A = A * 2.0 ** rng.integers(-100, 1, size=(n, p))
+        x = x * 2.0 ** rng.integers(-100, 1, size=p)
+    return A * 2.0 ** e, x * 2.0 ** e
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_single_cases())
+def test_single_route_certifies_every_row(case):
+    # The float32 copy comes from the online class's bulk load.  Where
+    # max sq + x.x lies in the single route's range, the screen takes it
+    # (a slack above the float64 one); elsewhere it returns the float64
+    # screen bit for bit.  Either way each row's direct unrooted sum D is
+    # within half the slack of g.
+    A, x = case
+    pred = KnnThresholdClassifier(1, [0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred.observe_many(A, np.zeros(A.shape[0], dtype=int))
+        sq, single = pred._row_norms(), pred._hist["x32"]
+        g, slack = gram_screen(A, sq, x, single=single)
+    g64, slack64 = gram_screen(A, sq, x)
+    if numerics._SINGLE_LO <= sq.max() + np.vdot(x, x) < numerics._SINGLE_HI:
+        assert slack > slack64
+    else:
+        assert slack == slack64 and np.array_equal(g, g64)
+    D = ((A - x) ** 2).sum(axis=1)
+    assert np.all(np.abs(D - g) <= slack / 2)
+
+
+def test_single_route_prunes_at_the_digits_shape():
+    # History 2000, 256 features, 10 labels: the single route keeps at
+    # most k + 3 rows for k 1 and 20, and the searches stay exact
+    ds = make_stream(StreamSpec(kind="cluster-classification", n=2040, p=256, seed=3,
+                                n_classes=10, class_sep=3.5, drift=1.0))
+    A = ds.X[:2000]
+    pred = KnnThresholdClassifier(20, ds.label_space)
+    pred.observe_many(A, ds.y[:2000])
+    sq, single = pred._row_norms(), pred._hist["x32"]
+    for x in ds.X[2000:]:
+        g, slack = gram_screen(A, sq, x, single=single)
+        assert slack > gram_screen(A, sq, x)[1]
+        d = distances(A, x)
+        for k in (1, 20):
+            kept = np.flatnonzero(within(g, slack, kth_bound(g, slack, k)))
+            assert kept.shape[0] <= k + 3
+            assert set(k_nearest(d, k)) <= set(kept)

@@ -1,4 +1,5 @@
-"""Time knn-cp's fixed costs under two ``src/`` trees, alternately.
+"""Time the online k-NN classes' fixed costs under two ``src/`` trees,
+alternately.
 
     python3 tools/knn_cp_timings.py PARENT_SRC CHANGE_SRC --rounds 3 --best-of 5
 
@@ -21,7 +22,15 @@ best of ``--best-of`` timings, in microseconds:
   first new row, then r new rows caught up by one ``_catch_up``, for r in
   1, 2, 3, 10, 50 and 200, at the knn-stream shape (c 450, k 1 and k 20)
   and the digits shape (c 2000, p 256, 10 labels, k 1), plus ``fill``,
-  the first fill of the c rows.
+  the first fill of the c rows;
+- ``screen``: one knn-nccp predict (the mean over 40 candidates) and one
+  steady knn-cp predict (predict(x) then observe(x), the mean over 20
+  steps) on a history of 2000 rows at the digits shape (p 256, 10
+  labels, k 20 and k 1), and one knn-nccp predict on 4000 rows at
+  knn-stream's shape (p 8, 3 labels, k 20);
+- ``warmup``: 2000 warm-up rows at the digits shape loaded into a
+  knn-nccp predictor, by one ``observe_many`` where the tree has it and
+  one ``observe`` per row where not, then its first predict.
 
 The table prints each figure's median over rounds for both trees and
 their ratio (change over parent).  ``--json PATH`` also writes every
@@ -39,10 +48,16 @@ import time
 from pathlib import Path
 
 BURSTS = (1, 2, 3, 10, 50, 200)
+DIGITS = dict(p=256, n_classes=10, class_sep=3.5, drift=1.0)
 # (name, stream, cached rows, k)
 SHAPES = (("knn-stream k1", dict(p=6, n_classes=3, class_sep=3.0, drift=1.5), 450, 1),
           ("knn-stream k20", dict(p=6, n_classes=3, class_sep=3.0, drift=1.5), 450, 20),
-          ("digits k1", dict(p=256, n_classes=10, class_sep=3.5, drift=1.0), 2000, 1))
+          ("digits k1", DIGITS, 2000, 1))
+# (name, predictor, stream, history rows, k)
+SCREENS = (("screen knn-nccp digits k20", "knn-nccp", DIGITS, 2000, 20),
+           ("screen knn-cp digits k1", "knn-cp", DIGITS, 2000, 1),
+           ("screen knn-nccp knn-stream k20", "knn-nccp",
+            dict(p=8, n_classes=3, class_sep=3.5, drift=1.5), 4000, 20))
 PINNED = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                  "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
 
@@ -65,7 +80,7 @@ def worker(best_of):
 
     import numpy as np
 
-    from aci_lab import cp_online
+    from aci_lab import cp_online, nccp_online
     from aci_lab.data import StreamSpec, make_stream
 
     out = {}
@@ -142,6 +157,42 @@ def worker(best_of):
         total, in_pass = min(runs)
         out[f"rescoring {name}"] = total * 1e6
         out[f"rescoring {name} pass share"] = in_pass / total if inner else None
+
+    classes = {"knn-cp": cp_online.KnnConformalClassifier,
+               "knn-nccp": nccp_online.KnnThresholdClassifier}
+    for name, pid, spec, n, k in SCREENS:
+        ds = make_stream(StreamSpec(kind="cluster-classification", n=n + 41, seed=1, **spec))
+        X, y = ds.X, ds.y
+        base = classes[pid](k, ds.label_space)
+        for i in range(n):
+            base.observe(X[i], int(y[i]))
+        base.predict(X[n], 0.1)  # fills every cache, norm and copy
+
+        def predicts(pred):
+            for i in range(n + 1, n + 41):
+                pred.predict(X[i], 0.1)
+
+        def steady_cp(pred):
+            for i in range(n + 1, n + 21):
+                pred.predict(X[i], 0.1)
+                pred.observe(X[i], int(y[i]))
+        if pid == "knn-cp":
+            out[name] = best(steady_cp, best_of, lambda: copy.deepcopy(base)) / 20 * 1e6
+        else:
+            out[name] = best(predicts, best_of, lambda: base) / 40 * 1e6
+
+    ds = make_stream(StreamSpec(kind="cluster-classification", n=2001, seed=1, **DIGITS))
+
+    def warmup(_):
+        pred = nccp_online.KnnThresholdClassifier(20, ds.label_space)
+        pred.reserve(2001)
+        if hasattr(pred, "observe_many"):
+            pred.observe_many(ds.X[:2000], ds.y[:2000])
+        else:
+            for i in range(2000):
+                pred.observe(ds.X[i], ds.y[i])
+        pred.predict(ds.X[2000], 0.1)
+    out["warmup digits"] = best(warmup, best_of) * 1e6
     return out
 
 
