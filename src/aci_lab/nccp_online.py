@@ -98,8 +98,8 @@ class KnnThresholdClassifier(KnnHistoryPredictor):
     fallback) take the direct distances and ``k_nearest``."""
 
     def _predict(self, x, eps):
-        A, k, sq = self._hist.X, self.k, self._row_norms()
-        g, slack = gram_screen(A, sq, x, single=self._hist["x32"])
+        A, k = self._hist.X, self.k
+        g, slack = gram_screen(A, self._row_norms(), x, single=self._hist["x32"])
         near = np.flatnonzero(within(g, slack, kth_bound(g, slack, k)))
         if near.shape[0] > k or not math.isfinite(slack):
             near = near[k_nearest(distances(A[near], x), k)]

@@ -188,7 +188,7 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray | None = None,
     row x with M = max sq + x.x in [2^-96, 2^96) and p <= 2^20 takes g =
     sq + x.x - 2t, t the float32 product of ``single`` and x rounded to
     float32; the rest stays float64.  Let v = 2^-24, gamma'_m = m v / (1 -
-    m v) and S = |a|^2 + |x|^2 <= (1 + gamma_p) M.  Rounding to float32
+    m v) and S = |a|^2 + |x|^2 <= (1 + 2 gamma_p) M.  Rounding to float32
     moves each entry by at most v times itself plus 2^-150 (subnormals
     included; no entry exceeds 2^49), and each float32 operation of the
     product, in any order and with fused multiply-adds, is exact to a
