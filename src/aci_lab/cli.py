@@ -11,65 +11,38 @@ explicit flags win over the file.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .aci import confinement_interval
-from .harness import (ConfigError, build_config, emit_sweep, lemma_stress_matrix,
-                      parse_config_file, parse_trace, run_offline, run_online,
-                      run_sweep, write_run_outputs, format_float,
-                      ONLINE_PREDICTORS, OFFLINE_PREDICTORS)
+from .harness import (ConfigError, ExperimentConfig, build_config, emit_sweep,
+                      lemma_stress_matrix, parse_config_file, parse_trace, run_offline,
+                      run_online, run_sweep, value_text, write_run_outputs, format_float)
 from .metrics import summarize_run
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--dataset", help="wine | usps | synth-reg | synth-class")
-    p.add_argument("--predictor", help="predictor id")
-    p.add_argument("--eps", type=float, help="target error rate (default 0.1)")
-    p.add_argument("--eps1", type=float, help="starting level (default: eps)")
-    p.add_argument("--delta", type=float,
-                   help="guarantee accuracy used to derive the step size (default 0.01)")
-    p.add_argument("--gamma", type=float,
-                   help="explicit step size; overrides --delta")
-    p.add_argument("--warmup", type=int, help="initial history size (default 100)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--k", type=int, help="neighbour count where applicable")
-    p.add_argument("--ridge-a", dest="ridge_a", type=float,
-                   help="ridge coefficient for the regression predictors")
-    p.add_argument("--order", help="wine file order: white-then-red | red-then-white")
-    p.add_argument("--standardize", action="store_const", const="true",
-                   help="standardize features")
-    p.add_argument("--subsample", type=int, help="desk-scale stream subsample")
-    p.add_argument("--full", action="store_const", const="true",
-                   help="full-scale run (no default subsampling)")
-    p.add_argument("--white-path", dest="white_path")
-    p.add_argument("--red-path", dest="red_path")
-    p.add_argument("--train-path", dest="train_path")
-    p.add_argument("--test-path", dest="test_path")
-    p.add_argument("--n", type=int, help="synthetic stream length")
-    p.add_argument("--p", type=int, help="synthetic feature count")
-    p.add_argument("--changepoint-frac", dest="changepoint_frac", type=float)
-    p.add_argument("--drift", type=float, help="synthetic shift magnitude")
-    p.add_argument("--noise-scale", dest="noise_scale", type=float)
-    p.add_argument("--n-classes", dest="n_classes", type=int)
-    p.add_argument("--class-sep", dest="class_sep", type=float)
-    p.add_argument("--cal-fraction", dest="cal_fraction", type=float)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--pool-subsample", dest="pool_subsample", type=int)
-    p.add_argument("--seeds", help="comma-separated trial seeds (sweep)")
-    p.add_argument("--cal-fractions", dest="cal_fractions",
-                   help="comma-separated calibration fractions (sweep)")
-    p.add_argument("--out", help="output directory")
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line, as a bad value is."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _add_flag(p: argparse.ArgumentParser, f, **kw) -> None:
+    """The flag of ExperimentConfig field ``f``: a switch for a bool; any
+    other passes its text to ``build_config``, which parses it."""
+    if f.type is bool:
+        kw.update(action="store_const", const="true")
+    default = "unset" if f.default is None else value_text(f.default)
+    kw.setdefault("help", f"{f.metadata['help']} (default {default})")
+    p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **kw)
 
 
 def _config_from_args(args) -> dict:
-    mapping = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    skip = {"config", "command", "traces", "task"}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        mapping[key] = value if isinstance(value, str) else str(value)
+    """The config file's settings, then every flag given over them."""
+    mapping = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name, None) is not None:
+            mapping[f.name] = getattr(args, f.name)
     return mapping
 
 
@@ -92,61 +65,47 @@ def _print_summary(result) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aci-lab",
         description="online set prediction under adaptive error-rate control")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (("online", "stream one dataset through an online predictor"),
                             ("offline", "fixed train/test run with a split predictor"),
-                            ("sweep", "calibration-fraction grid with seeded trials")):
+                            ("sweep", "calibration-fraction grid with seeded trials"),
+                            ("lemma-stress",
+                             "confinement and coverage checks across all predictors")):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-
-    p = sub.add_parser("lemma-stress",
-                       help="confinement and coverage checks across all predictors")
-    _add_common(p)
+        p.add_argument("--config", help="flat key=value config file")
+        for f in fields(ExperimentConfig):
+            _add_flag(p, f)
 
     p = sub.add_parser("report", help="re-aggregate existing trace files")
     p.add_argument("traces", nargs="+", help="trace CSV paths")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--eps1", type=float)
-    p.add_argument("--gamma", type=float, required=True)
+    for f in fields(ExperimentConfig):
+        if f.name in ("eps", "eps1", "gamma"):
+            _add_flag(p, f, required=f.name != "eps1", help=f.metadata["help"])
 
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _dispatch(args) -> int:
+    cfg = build_config(_config_from_args(args))
+
     if args.command == "report":
-        eps1 = args.eps if args.eps1 is None else args.eps1
         for path in args.traces:
             records = parse_trace(path)
-            s = summarize_run(records, args.eps, eps1, args.gamma)
+            s = summarize_run(records, cfg.eps, cfg.resolved_eps1(), cfg.gamma)
             print(f"{path}: n={s.n_steps} mean_err={format_float(s.mean_err)} "
                   f"bound={format_float(s.bound)} satisfied={s.bound_satisfied}")
         return 0
 
-    cfg = build_config(_config_from_args(args))
-
-    if args.command == "online":
-        if cfg.predictor not in ONLINE_PREDICTORS:
-            raise ConfigError(f"online needs one of {ONLINE_PREDICTORS}")
-        result = run_online(cfg)
-        _print_summary(result)
-        if cfg.out:
-            paths = write_run_outputs(cfg.out, result)
-            print("  wrote " + " ".join(sorted(paths.values())))
-        return 0
-
-    if args.command == "offline":
-        if cfg.predictor not in OFFLINE_PREDICTORS:
-            raise ConfigError(f"offline needs one of {OFFLINE_PREDICTORS}")
-        result = run_offline(cfg)
+    if args.command in ("online", "offline"):
+        result = (run_online if args.command == "online" else run_offline)(cfg)
         _print_summary(result)
         if cfg.out:
             paths = write_run_outputs(cfg.out, result)

@@ -174,9 +174,24 @@ class SetPredictor(ABC):
         self._observe(x, y)
 
     def observe_many(self, X, y) -> None:
-        """``observe`` each row of X with its label, in order."""
+        """``observe`` each row of X with its label, in order, after checking
+        the block whole: the first bad row raises what ``observe`` raises
+        for it, and no row is observed."""
+        X, y = self._checked_block(X, y)
         for xi, yi in zip(X, y):
             self.observe(xi, yi)
+
+    def _checked_block(self, X, y, ok=True):
+        """X and y as arrays, refused as ``observe_many`` says if a row is
+        bad or not ``ok`` (a mask a subclass adds for its own labels)."""
+        X, y = np.asarray(X, dtype=float), np.asarray(y)
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError(f"expected a 2-D block and one label per row, got shapes "
+                             f"{X.shape} and {y.shape}")
+        ok = ok & np.isfinite(X).all(axis=1) & np.isfinite(y) & (self._dim in (None, X.shape[1]))
+        for i in np.flatnonzero(~ok)[:1]:
+            self.observe(X[i], y[i])  # a bad row: raises
+        return X, y
 
     def reserve(self, rows: int) -> None:
         """Room for ``rows`` examples in the history, if the predictor keeps one."""
@@ -341,19 +356,12 @@ class KnnHistoryPredictor(SetPredictor):
         self._hist["lab"][-1] = li
 
     def observe_many(self, X, y) -> None:
-        """Observe the rows of X with labels y in one write, checked whole
-        first: the first bad row raises what ``observe`` raises for it, and
-        nothing is written.  Label indices, norms and copies fill in bulk."""
-        X, y = np.asarray(X, dtype=float), np.asarray(y)
-        if X.ndim != 2 or y.shape != X.shape[:1]:
-            raise ValueError(f"expected a 2-D block and one label per row, got shapes "
-                             f"{X.shape} and {y.shape}")
-        labels = self._labels
+        """``SetPredictor.observe_many`` in one write; label indices, norms
+        and copies fill in bulk."""
+        labels, y = self._labels, np.asarray(y)
         li = np.minimum(np.searchsorted(labels, y), labels.shape[0] - 1)
-        # Equal to a label: finite, an integer and in the label space.
-        ok = np.isfinite(X).all(axis=1) & (labels[li] == y) & (self._dim in (None, X.shape[1]))
-        for i in np.flatnonzero(~ok)[:1]:
-            self.observe(X[i], y[i])  # a bad row: raises
+        # Equal to a label: an integer in the label space.
+        X, y = self._checked_block(X, y, labels[li] == y)
         self._dim = X.shape[1]
         n = len(self._hist)
         self._hist.extend(X, labels[li])

@@ -16,7 +16,6 @@ coefficient change-point (regression) or Gaussian class clusters whose
 means shift mid-stream (classification).
 """
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -215,13 +214,22 @@ class StreamSpec:
     class_sep: float = 3.5
 
 
+# Largest |drift|, |class_sep| and noise_scale: 1e6 already swamps the
+# unit-variance features, and below it every value the predictors square
+# and sum (distances, Gram entries, x'w, Winkler scores) stays far inside
+# float64 for any stream that fits in memory.
+SCALE_LIMIT = 1e6
+
+
 def make_stream(spec: StreamSpec) -> Dataset:
     if spec.n < 2 or spec.p < 1:
         raise ValueError("stream needs n >= 2 and p >= 1")
     if not 0.0 <= spec.changepoint_frac <= 1.0:
         raise ValueError("changepoint_frac outside [0, 1]")
-    if not all(map(math.isfinite, (spec.drift, spec.noise_scale, spec.class_sep))):
-        raise ValueError("drift, noise_scale and class_sep must be finite")
+    for name, lo in (("drift", -SCALE_LIMIT), ("noise_scale", 0.0), ("class_sep", -SCALE_LIMIT)):
+        value = getattr(spec, name)
+        if not lo <= value <= SCALE_LIMIT:
+            raise ValueError(f"{name} {value} outside [{lo:g}, {SCALE_LIMIT:g}]")
     if spec.kind == "changepoint-regression":
         return _changepoint_regression(spec)
     if spec.kind == "cluster-classification":

@@ -11,7 +11,9 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -52,51 +54,60 @@ _DEFAULT_K = {"knn-cp": 1, "knn-nccp": 20, "icp-class": 10, "inccp-class": 10,
               "icp-reg": 20, "inccp-reg": 20}
 
 
+def _setting(default, meaning: str):
+    """A config field's default and what it means (its CLI help)."""
+    return field(default=default, metadata={"help": meaning})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment configuration; unspecified fields take defaults.
 
-    ``gamma`` overrides ``delta``: when set, the step size is used as
-    given, otherwise it is derived from delta and the run length.
+    The one declaration of what a run can set: each field's annotation
+    is the type a config-file or command-line value is parsed as, and the
+    CLI has one flag per field, named after it.  ``gamma`` overrides
+    ``delta``: when set, the step size is used as given, otherwise it is
+    derived from delta and the run length.
     """
 
-    dataset: str = "synth-reg"
-    predictor: str = "crr"
-    eps: float = 0.1
-    eps1: float | None = None
-    delta: float = 0.01
-    gamma: float | None = None
-    warmup: int = 100
-    seed: int = 0
-    k: int | None = None
-    ridge_a: float = 0.0
-    order: str = "white-then-red"
-    standardize: bool = False
-    subsample: int | None = None
-    full: bool = False
+    dataset: str = _setting("synth-reg", "wine | usps | synth-reg | synth-class")
+    predictor: str = _setting("crr", "predictor id")
+    eps: float = _setting(0.1, "target error rate")
+    eps1: float | None = _setting(None, "starting level; unset means eps")
+    delta: float = _setting(0.01, "guarantee accuracy used to derive the step size")
+    gamma: float | None = _setting(None, "explicit step size; overrides delta")
+    warmup: int = _setting(100, "initial history size")
+    seed: int = _setting(0, "master seed")
+    k: int | None = _setting(None, "neighbour count; unset means the predictor's own")
+    ridge_a: float = _setting(0.0, "ridge coefficient for the regression predictors")
+    order: str = _setting("white-then-red", "wine file order: white-then-red | red-then-white")
+    standardize: bool = _setting(False, "standardize features")
+    subsample: int | None = _setting(None, "desk-scale stream subsample")
+    full: bool = _setting(False, "full-scale run (no default subsampling)")
     # synthetic stream shape
-    n: int = 2100
-    p: int = 8
-    changepoint_frac: float = 0.5
-    drift: float = 1.0
-    noise_scale: float = 1.0
-    n_classes: int = 3
-    class_sep: float = 3.5
+    n: int = _setting(2100, "stream length")
+    p: int = _setting(8, "feature count")
+    changepoint_frac: float = _setting(0.5, "where the shift starts, as a fraction of n")
+    drift: float = _setting(1.0, "shift magnitude")
+    noise_scale: float = _setting(1.0, "noise standard deviation of synth-reg")
+    n_classes: int = _setting(3, "class count of synth-class")
+    class_sep: float = _setting(3.5, "cluster-mean distance of synth-class")
     # file paths
-    white_path: str | None = None
-    red_path: str | None = None
-    train_path: str | None = None
-    test_path: str | None = None
+    white_path: str | None = _setting(None, "wine white file")
+    red_path: str | None = _setting(None, "wine red file")
+    train_path: str | None = _setting(None, "usps training file")
+    test_path: str | None = _setting(None, "usps test file")
     # offline / sweep
-    cal_fraction: float = 0.25
-    test_fraction: float = 0.25
-    pool_subsample: int | None = None
-    seeds: tuple = tuple(range(20))
-    cal_fractions: tuple = tuple(round(0.05 * i, 2) for i in range(1, 20))
+    cal_fraction: float = _setting(0.25, "calibration share of the training pool")
+    test_fraction: float = _setting(0.25, "test share of a synthetic or wine stream")
+    pool_subsample: int | None = _setting(None, "training-pool subsample")
+    seeds: tuple[int, ...] = _setting(tuple(range(20)), "comma-separated trial seeds (sweep)")
+    cal_fractions: tuple[float, ...] = _setting(tuple(round(0.05 * i, 2) for i in range(1, 20)),
+                                                "comma-separated calibration fractions (sweep)")
     # metrics
-    winkler_clamp_lo: float = EPS_CLAMP_LO
-    winkler_clamp_hi: float = EPS_CLAMP_HI
-    out: str | None = None
+    winkler_clamp_lo: float = _setting(EPS_CLAMP_LO, "lowest level a Winkler score is taken at")
+    winkler_clamp_hi: float = _setting(EPS_CLAMP_HI, "highest level a Winkler score is taken at")
+    out: str | None = _setting(None, "output directory")
 
     def resolved_eps1(self) -> float:
         return self.eps if self.eps1 is None else self.eps1
@@ -107,18 +118,16 @@ class ExperimentConfig:
         return _DEFAULT_K.get(self.predictor, 10)
 
     def canonical_text(self) -> str:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
+        values = sorted((f.name, getattr(self, f.name)) for f in fields(self))
+        return "".join(f"{name} = {value_text(v)}\n" for name, v in values if v is not None)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:12]
+
+
+def value_text(v) -> str:
+    """A setting as a config file writes it: a tuple comma-separated."""
+    return ",".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,
@@ -142,18 +151,17 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
 def build_config(mapping: dict) -> ExperimentConfig:
     """Typed config from string (or already-typed) values; unknown keys
     are rejected so typos surface immediately."""
-    spec = {f.name: f for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in mapping.items():
-        if key not in spec:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        if value is None or not isinstance(value, str):
-            kwargs[key] = value
-            continue
-        kwargs[key] = _coerce(key, value)
+        kwargs[key] = _coerce(key, value) if isinstance(value, str) else value
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
@@ -161,23 +169,23 @@ def build_config(mapping: dict) -> ExperimentConfig:
 
 
 def _coerce(key: str, text: str):
-    text = text.strip()
-    if key in ("seeds",):
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    if key in ("cal_fractions",):
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    if key in ("standardize", "full"):
-        try:
-            return _BOOL_VALUES[text.lower()]
-        except KeyError:
-            raise ConfigError(f"{key}: expected a boolean, got {text!r}") from None
-    if key in ("dataset", "predictor", "order", "out", "white_path", "red_path",
-               "train_path", "test_path"):
-        return text
-    if key in ("warmup", "seed", "k", "subsample", "n", "p", "n_classes",
-               "pool_subsample"):
-        return int(text)
-    return float(text)
+    """``text`` as field ``key``'s annotated type (None dropped from an
+    optional one, a tuple's items comma-separated); a malformed value
+    raises one ConfigError naming the field."""
+    kind, text = _FIELDS[key].type, text.strip()
+    if get_origin(kind) is UnionType:
+        kind, = (t for t in get_args(kind) if t is not type(None))
+    many = get_origin(kind) is tuple
+    item = get_args(kind)[0] if many else kind
+    parse = (lambda v: _BOOL_VALUES[v.lower()]) if item is bool else item
+    try:
+        if many:
+            return tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+        return parse(text)
+    except (KeyError, ValueError):
+        what = "a boolean" if item is bool else item.__name__
+        what = f"comma-separated {what} values" if many else what
+        raise ConfigError(f"{key}: expected {what}, got {text!r}") from None
 
 
 def _check_order(cfg: ExperimentConfig) -> None:
@@ -587,12 +595,8 @@ def _quantize(obj):
     return obj
 
 
-def emit_summary(path: str, result: RunResult) -> None:
-    """Summary JSON: run metrics plus the reproducibility envelope."""
-    _write({path: _summary_text(result)})
-
-
 def _summary_text(result: RunResult) -> str:
+    """Summary JSON: run metrics plus the reproducibility envelope."""
     payload = {
         "config_hash": result.config.config_hash(),
         "dataset": result.dataset_name,
@@ -607,12 +611,8 @@ def _summary_text(result: RunResult) -> str:
     return json.dumps(_quantize(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def emit_manifest(path: str, result: RunResult) -> None:
+def _manifest_text(result: RunResult) -> str:
     """Plain-text manifest: enough to reproduce and verify the run."""
-    _write(_manifest_texts(path, result))
-
-
-def _manifest_texts(path: str, result: RunResult) -> dict:
     s = result.summary
     lines = [
         f"config_hash = {result.config.config_hash()}",
@@ -628,20 +628,18 @@ def _manifest_texts(path: str, result: RunResult) -> dict:
         f"bound = {format_float(s.bound)}",
         f"bound_satisfied = {str(s.bound_satisfied).lower()}",
     ]
-    return {path: "\n".join(lines) + "\n",
-            os.path.splitext(path)[0] + ".config": result.config.canonical_text()}
+    return "\n".join(lines) + "\n"
 
 
 def write_run_outputs(out_dir: str, result: RunResult, stem: str | None = None) -> dict:
-    """A run's trace, summary and manifest, all built before any is written."""
+    """A run's trace, summary, manifest and the manifest's config sidecar,
+    all built before any is written; the paths of the first three."""
     os.makedirs(out_dir, exist_ok=True)
-    stem = stem or f"{result.config.predictor}-{result.config.seed}"
-    paths = {
-        "trace": os.path.join(out_dir, f"{stem}.trace.csv"),
-        "summary": os.path.join(out_dir, f"{stem}.summary.json"),
-        "manifest": os.path.join(out_dir, f"{stem}.manifest.txt"),
-    }
+    stem = os.path.join(out_dir, stem or f"{result.config.predictor}-{result.config.seed}")
+    paths = {"trace": f"{stem}.trace.csv", "summary": f"{stem}.summary.json",
+             "manifest": f"{stem}.manifest.txt"}
     _write({paths["trace"]: _trace_text(result.records),
             paths["summary"]: _summary_text(result),
-            **_manifest_texts(paths["manifest"], result)})
+            paths["manifest"]: _manifest_text(result),
+            f"{stem}.manifest.config": result.config.canonical_text()})
     return paths

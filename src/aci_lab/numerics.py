@@ -16,9 +16,10 @@ the direct one), ``k_smallest`` values or ``k_nearest`` indices, and
 ``vote_shares``.  The online classes call the screen's kernels
 themselves, one query in float32 from a float32 copy of the rows
 (``gram_screen``'s single route, with its own slack) where float32
-neither overflows nor underflows.  ``screened_nearest`` searches one
-query row (the offline scorers' one-vector calls) or a matrix of them
-in blocks of about 2^14 (query, row) pairs (their tables), in float64.
+neither overflows nor underflows.  ``screened_nearest`` searches a
+matrix of query rows (the offline scorers' tables; a one-vector call is
+a matrix of one row) in blocks of about 2^14 (query, row) pairs, in
+float64.
 ``k_nearest`` is one stable argsort, so of equal distances the earlier
 index wins; it needs finite input, which every distance kernel here
 guarantees.
@@ -264,21 +265,16 @@ def screened_nearest(A: np.ndarray, sq: np.ndarray, x: np.ndarray, k: int) -> np
     query row x, and one such row per query for a matrix of them; ``sq``
     holds the rows' squared norms.
 
-    One query: only the rows not certified farther than
-    :func:`kth_bound` get a direct distance.  They are searched in index
-    order, so of equal distances the earlier index still wins.
-
-    A matrix is searched in blocks of about ``_PAIRS`` (query, row) pairs,
-    each screened by one matrix product.  Each kept pair of query i and
-    row j gets the paired direct distance of ``A[j]`` and ``x[i]``,
-    bit-equal to the one-row value.  Each query then selects by (distance, index): its
-    candidates, in index order and padded with +inf, are stable-sorted
-    along the row.
+    The queries, one row for a single query, are searched in blocks of
+    about ``_PAIRS`` (query, row) pairs, each screened by one matrix
+    product.  Only a pair not certified farther than :func:`kth_bound`,
+    of query i and row j, gets a direct distance: the paired one of
+    ``A[j]`` and ``x[i]``, bit-equal to the one-row value.  Each query
+    then selects by (distance, index): its candidates, in index order and
+    padded with +inf, are stable-sorted along the row.
     """
     if x.ndim == 1:
-        g, slack = gram_screen(A, sq, x)
-        cand = np.flatnonzero(within(g, slack, kth_bound(g, slack, k)))
-        return cand[k_nearest(distances(A[cand], x), k)]
+        return screened_nearest(A, sq, x[None], k)[0]
     n = A.shape[0]
     near = np.empty((x.shape[0], min(k, n)), dtype=np.intp)
     step = max(1, _PAIRS // n)

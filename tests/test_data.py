@@ -1,6 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from aci_lab import data
 from aci_lab.data import (Dataset, SplitPlan, StreamSpec, load_usps,
                           load_wine, make_stream, split_train_calibration,
                           standardize_features)
@@ -185,6 +189,29 @@ def test_classification_stream_shifts_means():
     post = ds.X[cut:][ds.y[cut:] == 0].mean(axis=0)
     # means move by drift * class_sep / 4 = 2.0
     assert np.linalg.norm(post - pre) == pytest.approx(2.0, abs=0.4)
+
+
+@pytest.mark.parametrize("kind", ["changepoint-regression", "cluster-classification"])
+@pytest.mark.parametrize("name, value", [("drift", 1e308), ("drift", -1e308),
+                                         ("drift", math.nan), ("noise_scale", -1.0),
+                                         ("noise_scale", 1e308), ("class_sep", 1e308),
+                                         ("class_sep", -math.inf)])
+def test_stream_refuses_scales_past_the_limit_by_name(kind, name, value, monkeypatch):
+    # refused before any data is drawn: no generator is made
+    monkeypatch.setattr(data, "derive_rng", None)
+    spec = StreamSpec(kind=kind, n=10, p=3, seed=0, **{name: value})
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        make_stream(spec)
+
+
+def test_stream_takes_scales_at_the_limit():
+    for kind in ("changepoint-regression", "cluster-classification"):
+        for scale in (-data.SCALE_LIMIT, data.SCALE_LIMIT):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ds = make_stream(StreamSpec(kind=kind, n=50, p=3, seed=1, drift=scale,
+                                            class_sep=scale, noise_scale=abs(scale)))
+            assert np.isfinite(ds.X).all() and np.isfinite(ds.y).all()
 
 
 def test_stream_validation():

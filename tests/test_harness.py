@@ -1,13 +1,18 @@
+import contextlib
 import importlib
+import io
 import json
 import math
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from types import SimpleNamespace
+from types import SimpleNamespace, UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aci_lab import cp_online, harness, nccp_online
 from aci_lab.aci import confinement_interval
@@ -187,44 +192,61 @@ def _bad_block(case):
     return X, y
 
 
+def _block_predictor(pid):
+    """Predictor ``pid`` as the harness makes it, for labels {0, 1, 2} in 3 features."""
+    task = harness._PREDICTOR_TASK[pid] or "classification"
+    ds = harness.Dataset(name="block", task=task, X=np.zeros((3, 3)), y=[0, 1, 2],
+                         label_space=[0, 1, 2] if task == "classification" else [])
+    return harness.make_online_predictor(build_config({"predictor": pid, "k": 1}), ds)
+
+
 @pytest.mark.parametrize("case", ["feature", "label-nan", "label-fraction",
                                   "label-outside", "width"])
-@pytest.mark.parametrize("cls", [nccp_online.KnnThresholdClassifier,
-                                 cp_online.KnnConformalClassifier])
-def test_bulk_warm_up_refuses_a_bad_row_as_observe_does(cls, case):
-    # the block is checked whole before any write: the first bad row
-    # raises the message observe raises for it, and the history keeps
-    # only the row observed before the block
+@pytest.mark.parametrize("pid", harness.ONLINE_PREDICTORS)
+def test_bulk_warm_up_refuses_a_bad_row_as_observe_does(pid, case):
+    # every online predictor checks the block whole before it observes a
+    # row: the first bad row raises the message observe raises for it, and
+    # the predictor keeps only the row observed before the block (the
+    # ridge predictors once kept the rows before the bad one)
     X, y = _bad_block(case)
-    first = np.zeros(3)
-    per_row, bulk = cls(1, [0, 1, 2]), cls(1, [0, 1, 2])
-    for pred in (per_row, bulk):
+    first = np.ones(3)
+    per_row, bulk, before = (_block_predictor(pid) for _ in range(3))
+    for pred in (per_row, bulk, before):
         pred.observe(first, 0)
-    with pytest.raises(ValueError) as want:
+    try:
         for xi, yi in zip(X, y):
             per_row.observe(xi, yi)
-    with pytest.raises(ValueError) as got:
-        bulk.observe_many(X, y)
-    assert str(got.value) == str(want.value)
-    assert len(bulk._hist) == 1 and bulk._normed <= 1
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            bulk.observe_many(X, y)
+        assert str(got.value) == str(exc)
+    else:
+        # a label only the k-NN classes refuse
+        assert case in ("label-fraction", "label-outside") and not pid.startswith("knn")
+        return
+    assert bulk._dim == 3
+    for name in ("_normed", "_gram", "_xty"):
+        assert np.array_equal(getattr(bulk, name, 0), getattr(before, name, 0)), name
+    if hasattr(before, "_hist"):
+        assert np.array_equal(bulk._hist.X, before._hist.X)
+        assert np.array_equal(bulk._hist.y, before._hist.y)
 
 
 def test_a_refused_value_writes_no_file(tmp_path):
     # every file's text is built before the file is opened: a summary
     # holding inf once left a summary cut off at '"bound": ' after the
-    # trace was written; now nothing is written, and each emit_* refusal
-    # leaves no file either
+    # trace was written; now nothing is written, whichever file holds the
+    # value (summary, manifest and summary, trace), and each emit_*
+    # refusal leaves no file either
     result = run_online(build_config(FAST_REG))
-    bad = replace(result, summary=replace(result.summary, bound=math.inf))
-    with pytest.raises(ValueError, match="JSON compliant"):
-        write_run_outputs(str(tmp_path / "run"), bad)
-    assert list((tmp_path / "run").iterdir()) == []
-    with pytest.raises(ValueError, match="JSON compliant"):
-        harness.emit_summary(str(tmp_path / "s.json"), bad)
-    nan_gamma = replace(result, gamma=math.nan)
-    with pytest.raises(ValueError, match="NaN"):
-        harness.emit_manifest(str(tmp_path / "m.txt"), nan_gamma)
     records = result.records[:3] + [replace(result.records[3], eps_used=math.nan)]
+    for bad, match in ((replace(result, summary=replace(result.summary, bound=math.inf)),
+                        "JSON compliant"),
+                       (replace(result, gamma=math.nan), "JSON compliant|NaN"),
+                       (replace(result, records=records), "NaN")):
+        with pytest.raises(ValueError, match=match):
+            write_run_outputs(str(tmp_path / "run"), bad)
+        assert list((tmp_path / "run").iterdir()) == []
     with pytest.raises(ValueError, match="NaN"):
         emit_trace(str(tmp_path / "t.csv"), records)
     sweep = harness.SweepResult(cells={}, rows=[(0.1, "icp-reg", "oe", math.nan, 0.1, 2)])
@@ -456,6 +478,12 @@ _SHORT_ROWS = {
     # 1 / (gamma * n_steps) overflowed: bound=inf, then a truncated summary
     "gamma-subnormal": (_CRR_ONLINE, ["--gamma", "1e-320"]),
     "infinite-drift": (_CRR_ONLINE, ["--drift", "inf"]),
+    # numpy's "scale < 0", a matmul overflow warning and the distance
+    # kernel's message, none naming the field, once ended these
+    "noise-scale-negative": (_CRR_ONLINE, ["--noise-scale", "-1"]),
+    "noise-scale-overflow": (_CRR_ONLINE, ["--noise-scale", "1e308"]),
+    "drift-overflow": (_CRR_ONLINE, ["--drift", "1e308"]),
+    "class-sep-overflow": (_KNN_ONLINE, ["--class-sep", "1e308"]),
     "standardize-warmup1": ([*_CRR_ONLINE, "--standardize"], ["--warmup", "1"]),
 }
 _BAD_INVOCATIONS = {
@@ -539,6 +567,56 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
         assert "winkler_clamp" in err[0], err
     if case.startswith("delta"):
         assert "delta" in err[0] and "gamma" not in err[0], err
+    for prefix in ("noise-scale", "drift", "class-sep"):
+        if case.startswith(prefix):
+            assert err[0].startswith(f"error: {prefix.replace('-', '_')} "), err
+
+
+def _unparseable(f):
+    """Values field ``f``'s annotated type cannot parse (none for a string)."""
+    kind = f.type if get_origin(f.type) is not UnionType else get_args(f.type)[0]
+    if tuple in (kind, get_origin(kind)):
+        return ["1,x"]
+    return {bool: ["maybe"], int: ["abc", "nan", "2.5"], float: ["abc"]}.get(kind, [])
+
+
+_MALFORMED = [(f.name, value, form) for f in fields(ExperimentConfig)
+              for value in _unparseable(f) for form in ("flag", "file")]
+_MALFORMED += [(name, "abc", "report") for name in ("eps", "eps1", "gamma")]
+
+
+@pytest.mark.parametrize("name, value, form", _MALFORMED)
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(command=st.sampled_from(["online", "offline", "sweep", "lemma-stress"]),
+       upper=st.booleans(), comment=st.booleans())
+def test_cli_names_the_field_of_a_malformed_value(name, value, form, command, upper,
+                                                   comment, tmp_path_factory):
+    # a value the field's type cannot parse, given as --flag=value or as a
+    # config-file line, ends in one error line that names the field, before
+    # any data is drawn; once argparse printed its usage block, and a file
+    # value ended in "invalid literal for int() with base 10: 'x'"
+    tmp = tmp_path_factory.mktemp("malformed")
+    value = value.upper() if upper else value
+    flag = "--" + name.replace("_", "-")
+    if form == "report":
+        trace = tmp / "run.trace.csv"
+        trace.write_text("step,eps_used,err,set_size_or_width,winkler,excess,is_infinite\n"
+                         "0,0.1,0,1,,0,0\n")
+        argv = ["report", str(trace), "--eps=0.1", "--gamma=0.05", f"{flag}={value}"]
+    elif form == "flag":
+        argv = [command, f"{flag}={value}"]
+    else:
+        path = tmp / "bad.cfg"
+        path.write_text(f"{name} = {value}{'  # note' if comment else ''}\n")
+        argv = [command, "--config", str(path)]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines
+    assert re.match(rf"error: ({name}: |argument {flag}: )", lines[0]), lines
 
 
 @pytest.mark.parametrize("case", list(_SHORT_ROWS))

@@ -7,7 +7,8 @@ PARENT_SRC and CHANGE_SRC are ``src/`` directories (each holding the
 and one from the working tree.  The same fixed list of ``aci-lab``
 invocations runs under each, from one working directory and with the
 same relative ``--out`` paths, so file names and the paths the CLI
-prints agree.  Every output file (traces, summaries, manifests, sweep
+prints agree; two of them read every setting from a config file written
+there.  Every output file (traces, summaries, manifests, sweep
 tables), every command's stdout and the list of exit codes are then
 compared byte for byte.  Exits 0 when all are equal, 1 on any
 difference.  Only the standard library and the CLI are used.
@@ -24,6 +25,53 @@ import tempfile
 ONLINE = ("--warmup", "50", "--seed", "7", "--n", "800")
 BOUNDARY = ("--warmup", "50", "--seed", "3", "--n", "400", "--gamma", "0.6")
 SWEEP = ("--seeds", "0,1,2", "--cal-fractions", "0.2,0.3,0.4")
+# Runs set only from a config file, written to the working directory: each
+# sets every numeric field its command reads (and the rest, which reach the
+# manifest's config sidecar), so both trees' parsing of file values is compared.
+CONFIG_FILES = {
+    "online.cfg": """dataset = synth-reg
+predictor = crr
+eps = 0.15
+eps1 = 0.2
+delta = 0.05
+warmup = 60
+seed = 11
+k = 4
+ridge_a = 0.5
+standardize = yes
+subsample = 450
+n = 500
+p = 5
+changepoint_frac = 0.4
+drift = 1.5
+noise_scale = 0.7
+n_classes = 4
+class_sep = 2.5
+winkler_clamp_lo = 0.02
+winkler_clamp_hi = 0.9
+""",
+    "sweep.cfg": """dataset = synth-class  # a trailing comment
+predictor = icp-class
+eps = 0.12
+eps1 = 0.3
+gamma = 0.01
+seed = 2
+k = 7
+n = 600
+p = 6
+changepoint_frac = 0.6
+drift = 1.25
+n_classes = 4
+class_sep = 3.0
+cal_fraction = 0.3
+test_fraction = 0.4
+pool_subsample = 300
+seeds = 4, 5,6
+cal_fractions = 0.15,0.35 ,0.6
+winkler_clamp_lo = 0.005
+winkler_clamp_hi = 0.99
+""",
+}
 
 
 def commands():
@@ -134,6 +182,8 @@ def commands():
                                              "--predictor", "knn-cp", "--n", "500", "--p", "6",
                                              "--class-sep", "3.0", "--drift", "1.5",
                                              "--warmup", "50", "--delta", "0.02", "--k", k]))
+    for name in CONFIG_FILES:
+        cmds.append((f"config-{name[:-4]}", [name[:-4], "--config", name]))
     return cmds
 
 
@@ -143,6 +193,9 @@ def run_side(src, work, dest):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = os.path.join(work, "out")
     os.makedirs(out)
+    for name, text in CONFIG_FILES.items():
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     codes, failed = [], []
     for name, argv in commands():
         if argv[0] != "lemma-stress":
