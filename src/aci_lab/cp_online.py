@@ -19,8 +19,9 @@ import numpy as np
 from .core import (CLASSIFICATION, REGRESSION, KnnHistoryPredictor, PredictionSet,
                    RidgeHistoryPredictor, boundary_set, history_inputs, label_index,
                    labels_above)
-from .numerics import (NumericError, RidgeSystem, ceil_index, distances, floor_index,
-                       gram_screen, k_smallest, kth_bound, reach, within)
+from .numerics import (_SINGLE_HI, NumericError, RidgeSystem, ceil_index, distances,
+                       floor_index, gram_screen, k_smallest, kth_bound, reach, takes_single,
+                       within)
 
 
 def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> PredictionSet:
@@ -35,30 +36,32 @@ def knn_cp_predict(hist_X, hist_y, x, eps: float, k: int, label_space) -> Predic
         return forced
     n = hist_X.shape[0]
     near, score = np.empty((n, 2, k)), np.empty(n)
-    _caught_up(near, score, hist_X, np.einsum("ij,ij->i", hist_X, hist_X), hist_y)
+    sq, x32 = np.einsum("ij,ij->i", hist_X, hist_X), np.zeros(hist_X.shape, np.float32)
+    np.copyto(x32, hist_X, where=(sq < _SINGLE_HI)[:, None])
+    _caught_up(near, score, hist_X, sq, x32, hist_y)
     top = np.maximum(near[:, 0, -1], near[:, 1, -1])
     rescoring = _rescored(near, top, lab, np.arange(n), distances(hist_X, x),
                           _side_pads(labels.shape[0]))
     return labels_above(_p_values(score, lab, rescoring), labels, eps)
 
 
-# Pairs per block of the self-join (2^16 Gram values, 512 KB), and feature
-# differences per batch of its paired distances.
-_FILL_PAIRS = 1 << 16
+# Pairs per block of the self-join (2^17 Gram values, 1 MB), and feature
+# differences per batch of its paired distances (128 KB: cache-sized).
+_FILL_PAIRS, _FILL_DIFFS = 1 << 17, 1 << 14
 # Rows up to which a fill takes every pair's direct distance: there the
 # screen's fixed cost per label block exceeds sorting all n(n - 1) offers
 # (about 4x at n = 16, even near n = 48, at p 2 and 6, one BLAS thread).
 _DIRECT_ROWS = 32
 
 
-def _caught_up(near, score, X, sq, y):
+def _caught_up(near, score, X, sq, x32, y):
     """Fill the caches ``near`` (n, 2, k) and row scores ``score`` (n) of
     the rows of X, in place, from the pairs ``(i, j, d)`` of the screened
-    self-join: each pair is offered to both its rows, and each row and
-    side keeps its k smallest offers.  Nothing is written before every
-    pair is found."""
+    self-join (``_screened_join``): each pair is offered to both its rows,
+    and each row and side keeps its k smallest offers.  Nothing is
+    written before every pair is found."""
     k = near.shape[2]
-    i, j, dist = _screened_join(X, sq, y, k)
+    i, j, dist = _screened_join(X, sq, x32, y, k)
     # Side 0 (same label) or 1 (different) of row r is row 2r + side here.
     side = y[i] != y[j]
     key, dist = np.concatenate([2 * i + side, 2 * j + side]), np.concatenate([dist, dist])
@@ -72,26 +75,28 @@ def _caught_up(near, score, X, sq, y):
     score[:] = _row_scores(near)
 
 
-def _screened_join(X, sq, y, k):
-    """``(i, j, d)``: each pair of rows of X (squared norms ``sq``, labels
-    ``y``) once that either row needs for its k nearest of that side (0
-    same label, 1 different), with its direct distance d.
+def _screened_join(X, sq, x32, y, k):
+    """``(i, j, d)``: each pair of rows of X (squared norms ``sq``, float32
+    copies ``x32``, labels ``y``) once that either row needs for its k
+    nearest of that side (0 same label, 1 different), with its direct
+    distance d.
 
-    The rows, sorted by label, are screened in blocks of one label
-    against themselves and the rows after them (``gram_screen`` without a
-    query), so each side is one or two label-sorted slices.  A running k
-    smallest of g + slack per row and side, fed by each block's rows and
-    columns, is exact after the row's own block.  A block records the
-    pairs ``within`` may keep under the larger running bound of their
-    rows; those left by the exact bounds get a paired distance.  A
-    history of at most ``_DIRECT_ROWS`` rows skips the screen: every pair
-    gets its distance."""
+    The copies and norms, sorted by label (X is not), are screened in
+    blocks of one label against themselves and the rows after them
+    (``gram_screen`` without a query, given the copies where its single
+    route takes them, else the rows), so each side is one or two
+    label-sorted slices.  A running k smallest of g + slack per row and
+    side, fed by each block's rows and columns, is exact after the row's
+    own block.  A block records the pairs ``within`` may keep under
+    either running bound of their rows; those left by the exact bounds
+    get a paired distance.  At most ``_DIRECT_ROWS`` rows skip the
+    screen: every pair gets its distance."""
     n = X.shape[0]
     if n <= _DIRECT_ROWS:
         i, j = np.triu_indices(n, 1)
         return i, j, distances(X[j], X[i])
     order = np.argsort(y, kind="stable")
-    X, sq, y = X[order], sq[order], y[order]
+    single, sq, y = x32[order], sq[order], y[order]
     top = np.full((n, 2, k), np.inf)
     # Per row and side, within's reach for its running bound.
     bound = np.empty((n, 2))
@@ -104,44 +109,43 @@ def _screened_join(X, sq, y, k):
         for lo in range(s, e, step):
             hi = min(lo + step, e)
             b = hi - lo
-            g, slack = gram_screen(X[lo:], sq[lo:], rows=b)
-            t = g + slack
-            t[:, :b] = np.minimum(t[:, :b], t[:, :b].T)
-            # Columns from lo: the block [0, b), same label [0, a),
-            # different [a, n - lo).
-            a = e - lo
-            _fold(top[hi:e, 0], t[:, b:a].T, k)
-            _fold(top[e:, 1], t[:, a:].T, k)
-            _fold(top[lo:hi, 0], t[:, :a], k)
-            _fold(top[lo:hi, 1], t[:, a:], k)
+            fits = takes_single(X.shape[1], sq[lo:].max() + sq[lo:hi].max())
+            A, copy = (single[lo:],) * 2 if fits else (X[order[lo:]], None)
+            g, slack = gram_screen(A, sq[lo:], rows=b, single=copy)
+            # The block's largest slack; columns from lo: the block [0, b)
+            # (+inf on and below its diagonal), same label [0, a), different.
+            slack, a = slack.max(), e - lo
+            _fold(top[lo:e, 0], g[:, :a].T, k, slack)
+            _fold(top[e:, 1], g[:, a:].T, k, slack)
+            _fold(top[lo:hi, 0], g[:, :a], k, slack)
+            _fold(top[lo:hi, 1], g[:, a:], k, slack)
             bound[lo:] = reach(np.sqrt(top[lo:, :, -1]))
-            # A pair is recorded under the larger bound of its two rows.
-            row, col = bound[lo:hi], bound[lo:, 1].copy()
-            col[:a] = bound[lo:e, 0]
-            lim = np.maximum(row[:, 1, None], col)
-            np.maximum(row[:, 0, None], col[:a], out=lim[:, :a])
-            g -= slack
-            hit = g <= lim
+            # A pair is recorded under either bound of its rows.
+            row, col = bound[lo:hi] + slack, bound[lo:, 1] + slack
+            col[:a] = bound[lo:e, 0] + slack
+            hit = g <= col
+            hit[:, :a] |= g[:, :a] <= row[:, :1]
+            hit[:, a:] |= g[:, a:] <= row[:, 1:]
             hit[:, :b] &= upper[:b, :b]
             r, j = np.divmod(np.flatnonzero(hit), n - lo)
-            kept.append((lo + r, lo + j, g[r, j]))
+            kept.append((lo + r, lo + j, g[r, j] - slack))
     i, j, low = (np.concatenate(v) for v in zip(*kept))
     thr = np.sqrt(top[:, :, -1]).reshape(-1)
     side = y[i] != y[j]
     hit = within(low, 0.0, np.maximum(thr[2 * i + side], thr[2 * j + side]))
-    i, j = i[hit], j[hit]
-    batch = max(1, _FILL_PAIRS // max(1, X.shape[1]))
+    i, j = order[i[hit]], order[j[hit]]
+    batch = max(1, _FILL_DIFFS // max(1, X.shape[1]))
     d = [distances(X[j[s:s + batch]], X[i[s:s + batch]]) for s in range(0, i.shape[0], batch)]
-    return order[i], order[j], np.concatenate([np.empty(0), *d])
+    return i, j, np.concatenate([np.empty(0), *d])
 
 
-def _fold(top, values, k):
+def _fold(top, values, k, slack):
     """Each row of ``top`` (rows, k) keeps the k smallest of it and of that
-    row of ``values``, unordered but for the k-th, which comes last."""
+    row of ``values`` + ``slack``, unordered but for the k-th (last)."""
     if k == 1:
-        np.minimum(top[:, 0], values.min(axis=-1, initial=np.inf), out=top[:, 0])
+        np.minimum(top[:, 0], values.min(axis=-1, initial=np.inf) + slack, out=top[:, 0])
     else:
-        top[:] = np.partition(np.concatenate([top, values], axis=-1), k - 1, axis=-1)[:, :k]
+        top[:] = np.partition(np.concatenate([top, values + slack], axis=-1), k - 1, axis=-1)[:, :k]
 
 
 # Added to a candidate's distance, the offer of a predict's rescoring: to
@@ -338,7 +342,7 @@ class KnnConformalClassifier(KnnHistoryPredictor):
         h = self._hist
         X, y, lab, near, score = h.X, h.y, h["lab"], h["near"], h["score"]
         if 2 * self._cached <= X.shape[0]:
-            _caught_up(near, score, X, self._row_norms(), y)
+            _caught_up(near, score, X, self._row_norms(), h["x32"], y)
             self._cached = X.shape[0]
         for c in range(self._cached, X.shape[0]):
             if self._last is not None and self._last[:2] == (c, X[c].tobytes()):

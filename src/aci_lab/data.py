@@ -219,11 +219,16 @@ class StreamSpec:
 # and sum (distances, Gram entries, x'w, Winkler scores) stays far inside
 # float64 for any stream that fits in memory.
 SCALE_LIMIT = 1e6
+# Largest n * p and n_classes * p: 2^28 float64 values (2 GiB) in one array.
+SIZE_LIMIT = 1 << 28
 
 
 def make_stream(spec: StreamSpec) -> Dataset:
     if spec.n < 2 or spec.p < 1:
         raise ValueError("stream needs n >= 2 and p >= 1")
+    for name, rows in (("n", spec.n), ("n_classes", spec.n_classes)):
+        if rows * spec.p > SIZE_LIMIT:
+            raise ValueError(f"{name} * p = {rows} * {spec.p} above {SIZE_LIMIT}")
     if not 0.0 <= spec.changepoint_frac <= 1.0:
         raise ValueError("changepoint_frac outside [0, 1]")
     for name, lo in (("drift", -SCALE_LIMIT), ("noise_scale", 0.0), ("class_sep", -SCALE_LIMIT)):

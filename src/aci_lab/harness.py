@@ -245,10 +245,11 @@ def make_online_predictor(cfg: ExperimentConfig, dataset: Dataset) -> SetPredict
     if wanted is not None and wanted != dataset.task:
         raise ConfigError(f"predictor {pid} expects a {wanted} stream, "
                           f"dataset {dataset.name} is {dataset.task}")
-    if pid == "knn-cp":
-        return KnnConformalClassifier(cfg.resolve_k(), dataset.label_space)
-    if pid == "knn-nccp":
-        return KnnThresholdClassifier(cfg.resolve_k(), dataset.label_space)
+    if pid in ("knn-cp", "knn-nccp"):
+        if cfg.resolve_k() > len(dataset):
+            raise ConfigError(f"k {cfg.resolve_k()} above the stream's {len(dataset)} examples")
+        cls = KnnConformalClassifier if pid == "knn-cp" else KnnThresholdClassifier
+        return cls(cfg.resolve_k(), dataset.label_space)
     if pid in ("crr", "ols-nccp"):
         if not 0.0 <= cfg.ridge_a < math.inf:
             raise ConfigError(f"ridge_a must be finite and >= 0, got {cfg.ridge_a}")

@@ -14,12 +14,12 @@ row norm, rule out the rows that cannot matter, and the rest get the
 direct ``distances`` value, so every value that reaches an output is
 the direct one), ``k_smallest`` values or ``k_nearest`` indices, and
 ``vote_shares``.  The online classes call the screen's kernels
-themselves, one query in float32 from a float32 copy of the rows
-(``gram_screen``'s single route, with its own slack) where float32
-neither overflows nor underflows.  ``screened_nearest`` searches a
-matrix of query rows (the offline scorers' tables; a one-vector call is
-a matrix of one row) in blocks of about 2^14 (query, row) pairs, in
-float64.
+themselves in float32 from a float32 copy of the rows (``gram_screen``'s
+single route, with its own slack; one query, or knn-cp's self-join)
+where float32 neither overflows nor underflows.  ``screened_nearest``
+searches a matrix of query rows (the offline scorers' tables; a
+one-vector call is a matrix of one row) in blocks of about 2^14 (query,
+row) pairs, in float64.
 ``k_nearest`` is one stable argsort, so of equal distances the earlier
 index wins; it needs finite input, which every distance kernel here
 guarantees.
@@ -28,7 +28,7 @@ guarantees.
 import math
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsyrk, ssyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import stdtrit
 
@@ -185,51 +185,61 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray | None = None,
     no row is ruled out and every row takes the direct route (and its
     ValueError).  Below that limit g is finite.
 
-    Single route.  Given ``single``, a float32 copy of A's rows, one query
-    row x with M = max sq + x.x in [2^-96, 2^96) and p <= 2^20 takes g =
-    sq + x.x - 2t, t the float32 product of ``single`` and x rounded to
-    float32; the rest stays float64.  Let v = 2^-24, gamma'_m = m v / (1 -
-    m v) and S = |a|^2 + |x|^2 <= (1 + 2 gamma_p) M.  Rounding to float32
-    moves each entry by at most v times itself plus 2^-150 (subnormals
-    included; no entry exceeds 2^49), and each float32 operation of the
-    product, in any order and with fused multiply-adds, is exact to a
-    factor 1 + d, |d| <= v, plus 2^-150 where a product underflows.  With
-    sum |a_i x_i| <= S/2, |a|_1 + |x|_1 <= (2pS)^(1/2) and p v <= 2^-4,
-    |2t - 2 a.x| <= (gamma'_p (1 + v)^2 + 2v + v^2) S + E <= (5/4) (p + 2)
-    v S + E, where the underflow terms E (p 2^-148, 2^-149 (2pS)^(1/2) and
-    smaller) stay below 2^-7 v M, and no partial sum reaches 2^97.  The
-    float64 roundings (sq, x.x, two additions) and the direct sum's
-    gamma_{p+2} s add less than 2^-7 v S.  Hence |D - g| <= 2 (p + 4) v M,
-    and the slack, 4 (p + 4) v M, is twice that; its spare half covers the
-    float64 roundings of the tests many times over.  Other inputs take the
-    float64 route, so a row whose sq reaches 2^96 is never read from the
-    copy.
+    Single route.  Given ``single``, a float32 copy of A's rows, a screen
+    with M = max sq + x.x (a block's largest x.x) in [2^-96, 2^96) and p <=
+    2^20 takes g = sq + x.x - 2t, t the float32 product of ``single`` and
+    x rounded to float32 (without x, of the copy's first ``rows`` rows and
+    all of them, -2 applied in float32, which is exact); the rest stays
+    float64, and A is read for its shape only.  Let v = 2^-24, gamma'_m =
+    m v / (1 - m v) and S = |a|^2 + |x|^2 <= (1 + 2 gamma_p) M.  Rounding
+    to float32 moves each entry by at most v times itself plus 2^-150
+    (subnormals included; no entry exceeds 2^49), and each float32
+    operation of the product, in any order and with fused multiply-adds,
+    is exact to a factor 1 + d, |d| <= v, plus 2^-150 where a product
+    underflows.  With sum |a_i x_i| <= S/2, |a|_1 + |x|_1 <= (2pS)^(1/2)
+    and p v <= 2^-4, |2t - 2 a.x| <= (gamma'_p (1 + v)^2 + 2v + v^2) S + E
+    <= (5/4) (p + 2) v S + E, where the underflow terms E (p 2^-148,
+    2^-149 (2pS)^(1/2) and smaller) stay below 2^-7 v M, and no partial
+    sum reaches 2^97.  The float64 roundings (sq, x.x, two additions) and
+    the direct sum's gamma_{p+2} s add less than 2^-7 v S.  Hence |D - g|
+    <= 2 (p + 4) v M for every pair, and the slack, 4 (p + 4) v M (one for
+    a block, at least each row's own), is twice that; its spare half
+    covers the float64 roundings of the tests many times over.  Other
+    inputs take the float64 route, so a row whose sq reaches 2^96 is never
+    read from the copy.
     """
     q = A[:rows] if x is None else x
     # Neither form warns on overflow; an infinite x.x takes the fallback.
-    qq = np.einsum("ij,ij->i", q, q)[:, None] if q.ndim == 2 else np.vdot(q, q)
-    top = sq.max(initial=0.0)
-    shape = (q.shape[0], A.shape[0]) if q.ndim == 2 else (A.shape[0],)
-    if single is not None and A.shape[1] <= _SINGLE_P and _SINGLE_LO <= top + qq < _SINGLE_HI:
-        g = np.multiply(single @ x.astype(np.float32), -2.0, dtype=float)
-        g += sq
-        g += qq
-        return g, 4.0 * (A.shape[1] + 4) * 2.0 ** -24 * (top + qq)
-    if not max(top, qq.max()) < 2.0 ** 1020:
+    qq = sq[:rows, None] if x is None else np.vdot(q, q) if q.ndim == 1 else (
+        np.einsum("ij,ij->i", q, q)[:, None])
+    top, big = sq.max(initial=0.0), qq.max() if q.ndim == 2 else qq
+    p, shape = A.shape[1], (q.shape[0], A.shape[0]) if q.ndim == 2 else (A.shape[0],)
+    if single is not None and takes_single(p, top + big):
+        B, slack = single, 4.0 * (p + 4) * 2.0 ** -24 * (top + big)
+    elif not max(top, big) < 2.0 ** 1020:
         return np.zeros(shape), np.full(qq.shape, np.inf)
-    slack = 16.0 * (A.shape[1] + 4) * (_U * (top + qq) + 2.0 ** -1022)
-    if x is not None:
-        # sq + x.x - 2 A x: doubling and negation are exact.
-        g = (q * -2.0) @ A.T
     else:
-        g = np.empty(shape)
-        g[:, :rows] = dsyrk(-2.0, q.T, trans=1)
-        np.matmul(q * -2.0, A[rows:].T, out=g[:, rows:])
+        B, slack = A, 16.0 * (p + 4) * (_U * (top + qq) + 2.0 ** -1022)
+    # sq + x.x - 2 A x: doubling and negation are exact, in float32 too.
+    if x is None:
+        g = np.empty(shape, B.dtype)
+        g[:, :rows] = (ssyrk if B is single else dsyrk)(-2.0, B[:rows].T, trans=1)
+        np.matmul(B[:rows] * -2.0, B[rows:].T, out=g[:, rows:])
+        g = g.astype(float, copy=False)
+    elif B is single:
+        g = np.multiply(single @ x.astype(np.float32), -2.0, dtype=float)
+    else:
+        g = (q * -2.0) @ A.T
     g += sq
     g += qq
     if x is None:
         g[:, :rows][np.tri(rows, dtype=bool)] = np.inf
     return g, slack
+
+
+def takes_single(p, m) -> bool:
+    """Whether ``gram_screen`` takes its single route: p features, max sq + x.x = m."""
+    return p <= _SINGLE_P and _SINGLE_LO <= m < _SINGLE_HI
 
 
 def kth_bound(g: np.ndarray, slack, k: int):

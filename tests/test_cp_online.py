@@ -249,7 +249,8 @@ def test_self_join_forms_each_pair_once(monkeypatch):
     # new row against the rows before it
     X = derive_rng(14, "self-join").normal(size=(700, 20))
     y = np.arange(700) % 3
-    index = {row.tobytes(): i for i, row in enumerate(X)}
+    # a join block on the single route screens the rows' float32 copies
+    index = {row.tobytes(): i for rows in (X, X.astype(np.float32)) for i, row in enumerate(rows)}
     cells, pairs, queries, screen = [], [], [], cp_online.gram_screen
 
     def counted(A, sq, x=None, rows=None, single=None):
@@ -260,7 +261,7 @@ def test_self_join_forms_each_pair_once(monkeypatch):
         cells.append(rows * (rows + 1) // 2 + rows * (A.shape[0] - rows))
         for r in range(rows):
             pairs.append(np.sort(np.stack(np.broadcast_arrays(ids[r], ids[r + 1:])), axis=0))
-        return screen(A, sq, x, rows)
+        return screen(A, sq, x, rows, single)
     pred = KnnConformalClassifier(k=3, label_space=[0, 1, 2])
     for n0, n in ((0, 300), (300, 620), (620, 700)):
         for i in range(n0, n):
@@ -282,6 +283,63 @@ def test_self_join_forms_each_pair_once(monkeypatch):
         assert got.shape == want.shape, n
         assert np.array_equal(got[:, np.lexsort(got[::-1])], want), n
         assert sum(cells) <= n * (n + 1) // 2, n
+
+
+def _route_edge_history(case):
+    """(X, y) of 300 rows, p 8 and 3 labels (label 0 first once sorted)
+    whose norms meet the float32 route's edges: "huge" scales some label
+    0 rows by 2^50 (sq >= 2^96, so no float32 copy), "tiny" every row by
+    2^-60 (sq < 2^-96), and "mixed" every row but every third of label 0
+    by 2^-60, so label 0's blocks mix tiny and ordinary rows."""
+    rng = derive_rng(31, "route-edges", case)
+    X, y = rng.normal(size=(300, 8)), np.arange(300) % 3
+    zero = np.flatnonzero(y == 0)
+    if case == "huge":
+        X[zero[[3, 17, 40, 41]]] *= 2.0 ** 50
+    elif case == "tiny":
+        X *= 2.0 ** -60
+    else:
+        tiny = np.ones(300, dtype=bool)
+        tiny[zero[::3]] = False
+        X[tiny] *= 2.0 ** -60
+    return X, y
+
+
+@pytest.mark.parametrize("case, single", [
+    # blocks up to the last huge row's take float64, the rest float32
+    ("huge", lambda lo: lo > 41),
+    ("tiny", lambda lo: False),
+    # label 0's blocks reach an ordinary row; after them every row is tiny
+    ("mixed", lambda lo: lo < 100),
+])
+@pytest.mark.parametrize("k", [1, 3])
+def test_self_join_takes_the_float32_route_only_in_range(case, single, k, monkeypatch):
+    # the fill's gram_screen calls get single= exactly where every row of
+    # the block and after it has a float32 copy and max sq + the block's
+    # largest sq lies in [2^-96, 2^96); the caches equal the neighbour rows
+    # of the direct distance matrix bit for bit either way, and the next
+    # predict's set equals the one-shot knn_cp_predict
+    X, y = _route_edge_history(case)
+    calls, screen = [], cp_online.gram_screen
+
+    def counted(A, sq, x=None, rows=None, single=None):
+        if x is None:
+            calls.append(single is not None)
+        return screen(A, sq, x, rows, single)
+    monkeypatch.setattr(cp_online, "_FILL_PAIRS", 1 << 12)
+    monkeypatch.setattr(cp_online, "gram_screen", counted)
+    pred = KnnConformalClassifier(k=k, label_space=[0, 1, 2])
+    pred.observe_many(X[:299], y[:299])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pred.predict(X[299], 0.2)
+    # label runs [0, 100), [100, 200) and [200, 299) once sorted, in
+    # blocks of 2^12 // 299 = 13 rows
+    starts = [lo for s, e in ((0, 100), (100, 200), (200, 299)) for lo in range(s, e, 13)]
+    assert calls == [single(lo) for lo in starts]
+    monkeypatch.undo()
+    _check_caches(pred, X[:299], y[:299], k)
+    assert got.labels == knn_cp_predict(X[:299], y[:299], X[299], 0.2, k, [0, 1, 2]).labels
 
 
 def test_harness_knn_cp_keeps_no_square_array():

@@ -456,6 +456,21 @@ def test_cli_online_and_report(tmp_path, capsys):
 _SHORT = ("--n", "200", "--warmup", "20", "--delta", "0.02")
 _KNN_ONLINE = ["online", "--dataset", "synth-class", "--predictor", "knn-nccp"]
 _CRR_ONLINE = ["online", "--dataset", "synth-reg", "--predictor", "crr"]
+_KNN_CP_ONLINE = ["online", "--dataset", "synth-class", "--predictor", "knn-cp"]
+# Integers too large to allocate: a raw MemoryError traceback, numpy's
+# "invalid shape in fixed-type tuple" and "Maximum allowed dimension
+# exceeded", none naming the field, once ended these.  Each must name its
+# field (the third entry).
+_HUGE_INTS = {
+    "p-huge": (_CRR_ONLINE, "--p=1099511627776", "p"),
+    "p-past-int64": (_CRR_ONLINE, "--p=9223372036854775808", "p"),
+    "n-past-int64": (_CRR_ONLINE, "--n=9223372036854775808", "n"),
+    "n-classes-past-int64": (_KNN_ONLINE, "--n-classes=9223372036854775808", "n_classes"),
+    **{f"{pid}-k-{name}": (base, f"--k={value}", "k")
+       for pid, base in (("knn-cp", _KNN_CP_ONLINE), ("knn-nccp", _KNN_ONLINE))
+       for name, value in [("huge", "1099511627776"), ("past-int64", "9223372036854775808"),
+                           ("above-n", "201")]},
+}
 _SHORT_ROWS = {
     "k0": (_KNN_ONLINE, ["--k", "0"]),
     "one-class": (_KNN_ONLINE, ["--n-classes", "1"]),
@@ -485,6 +500,7 @@ _SHORT_ROWS = {
     "drift-overflow": (_CRR_ONLINE, ["--drift", "1e308"]),
     "class-sep-overflow": (_KNN_ONLINE, ["--class-sep", "1e308"]),
     "standardize-warmup1": ([*_CRR_ONLINE, "--standardize"], ["--warmup", "1"]),
+    **{case: (base, [bad]) for case, (base, bad, _) in _HUGE_INTS.items()},
 }
 _BAD_INVOCATIONS = {
     "reg-predictor-online": ["online", "--dataset", "synth-reg", "--predictor", "icp-reg",
@@ -570,6 +586,8 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
     for prefix in ("noise-scale", "drift", "class-sep"):
         if case.startswith(prefix):
             assert err[0].startswith(f"error: {prefix.replace('-', '_')} "), err
+    if case in _HUGE_INTS:
+        assert re.search(rf"(^error: | ){_HUGE_INTS[case][2]} ", err[0]), err
 
 
 def _unparseable(f):

@@ -17,7 +17,8 @@ def _load_tool():
 
 def test_knn_cp_timings_alternates_trees_and_prints_medians(tmp_path, monkeypatch, capsys):
     # three rounds, parent first on even rounds; each figure's median over
-    # rounds, the ratio change over parent, and n/a where a tree made none
+    # rounds, the median of the per-round ratios change over parent (not
+    # the ratio of the medians), and n/a where a tree made none
     tool = _load_tool()
     screen, warmup = "screen knn-nccp digits k20", "warmup digits"
     figures = {"parent": [{"tiny": 10.0, "share": None, screen: 220.0, warmup: 9000.0},
@@ -25,7 +26,7 @@ def test_knn_cp_timings_alternates_trees_and_prints_medians(tmp_path, monkeypatc
                           {"tiny": 12.0, "share": None, screen: 230.0, warmup: 8000.0}],
                "change": [{"tiny": 5.0, "share": 0.3, screen: 110.0, warmup: 3000.0},
                           {"tiny": 7.0, "share": 0.4, screen: 154.0, warmup: 4000.0},
-                          {"tiny": 6.0, "share": 0.2, screen: 150.0, warmup: 2700.0}]}
+                          {"tiny": 6.0, "share": 0.2, screen: 150.0, warmup: 2600.0}]}
     calls = []
 
     def worker(src, best_of):
@@ -40,7 +41,7 @@ def test_knn_cp_timings_alternates_trees_and_prints_medians(tmp_path, monkeypatc
     rows = {line[:40].strip(): line[40:].split() for line in capsys.readouterr().out.splitlines()}
     assert rows["tiny"] == ["12.000", "6.000", "0.500"]
     assert rows["share"] == ["n/a", "0.300", "n/a"]
-    assert rows[screen] == ["220.000", "150.000", "0.682"]
+    assert rows[screen] == ["220.000", "150.000", "0.652"]
     assert rows[warmup] == ["9000.000", "3000.000", "0.333"]
     saved = json.loads(out.read_text())
     assert saved["sides"] == {"parent": "parent", "change": "change"}

@@ -33,9 +33,13 @@ best of ``--best-of`` timings, in microseconds:
   one ``observe`` per row where not, then its first predict.
 
 The table prints each figure's median over rounds for both trees and
-their ratio (change over parent).  ``--json PATH`` also writes every
-round's figures.  Only the standard library and numpy are used; the
-rows come from the package's own ``make_stream``.
+the median over rounds of its ratio within the round (change over
+parent).  The host may run a whole worker about 2x slower than the next;
+a round's two workers run back to back, so its ratio mostly sees one
+speed, and the median drops the rounds that straddle a switch.
+``--json PATH`` also writes every round's figures.  Only the standard
+library and numpy are used; the rows come from the package's own
+``make_stream``.
 """
 
 import argparse
@@ -238,7 +242,8 @@ def main(argv=None):
     print(f"{'figure':40s} {'parent':>10s} {'change':>10s} {'ratio':>7s}")
     for key in rounds["parent"][0]:
         a, b = (median([r[key] for r in rounds[side]]) for side in ("parent", "change"))
-        ratio = b / a if a and b is not None else None
+        ratio = median([c[key] / p[key] if p[key] and c[key] is not None else None
+                        for p, c in zip(rounds["parent"], rounds["change"])])
         print(f"{key:40s} {fmt(a, 10)} {fmt(b, 10)} {fmt(ratio, 7)}")
     if args.json:
         args.json.write_text(json.dumps({"sides": sides, "rounds": rounds}, indent=1))
