@@ -112,10 +112,11 @@ def _screened_join(X, sq, x32, y, k):
             fits = takes_single(X.shape[1], sq[lo:].max() + sq[lo:hi].max())
             A, copy = (single[lo:],) * 2 if fits else (X[order[lo:]], None)
             g, slack = gram_screen(A, sq[lo:], rows=b, single=copy)
-            # The block's largest slack; columns from lo: the block [0, b)
-            # (+inf on and below its diagonal), same label [0, a), different.
+            # The block's largest slack; columns from lo: the block [0, b),
+            # same label [0, a), different [a, n - lo).
             slack, a = slack.max(), e - lo
-            _fold(top[lo:e, 0], g[:, :a].T, k, slack)
+            g[:, :b] = np.minimum(g[:, :b], g[:, :b].T)
+            _fold(top[hi:e, 0], g[:, b:a].T, k, slack)
             _fold(top[e:, 1], g[:, a:].T, k, slack)
             _fold(top[lo:hi, 0], g[:, :a], k, slack)
             _fold(top[lo:hi, 1], g[:, a:], k, slack)
