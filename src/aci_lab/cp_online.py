@@ -77,9 +77,8 @@ def _caught_up(near, score, X, sq, x32, y):
 
 def _screened_join(X, sq, x32, y, k):
     """``(i, j, d)``: each pair of rows of X (squared norms ``sq``, float32
-    copies ``x32``, labels ``y``) once that either row needs for its k
-    nearest of that side (0 same label, 1 different), with its direct
-    distance d.
+    copies ``x32``, labels ``y``) that either row needs for its k nearest
+    of that side (0 same label, 1 different), once, with its direct distance d.
 
     The copies and norms, sorted by label (X is not), are screened in
     blocks of one label against themselves and the rows after them

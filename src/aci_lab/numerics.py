@@ -214,10 +214,11 @@ def gram_screen(A: np.ndarray, sq: np.ndarray, x: np.ndarray | None = None,
         np.einsum("ij,ij->i", q, q)[:, None])
     top, big = sq.max(initial=0.0), qq.max() if q.ndim == 2 else qq
     p, shape = A.shape[1], (q.shape[0], A.shape[0]) if q.ndim == 2 else (A.shape[0],)
-    B, slack = A, 16.0 * (p + 4) * (_U * (top + qq) + 2.0 ** -1022)
     if single is not None and takes_single(p, top + big):
         B, slack = single, 4.0 * (p + 4) * 2.0 ** -24 * (top + big)
-    elif not max(top, big) < 2.0 ** 1020:
+    elif max(top, big) < 2.0 ** 1020:
+        B, slack = A, 16.0 * (p + 4) * (_U * (top + qq) + 2.0 ** -1022)
+    else:
         return np.zeros(shape), np.full(qq.shape, np.inf)
     # sq + x.x - 2 A x: doubling and negation are exact, in float32 too.
     if x is None:
