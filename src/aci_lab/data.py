@@ -17,7 +17,7 @@ means shift mid-stream (classification).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,9 +64,7 @@ class Dataset:
         if not 1 <= n <= len(self):
             raise ValueError(f"cannot subsample {n} of {len(self)}")
         idx = derive_rng(seed, "subsample", self.name).permutation(len(self))[:n]
-        return Dataset(name=f"{self.name}[{n}]", task=self.task,
-                       X=self.X[idx], y=self.y[idx],
-                       label_space=list(self.label_space))
+        return replace(self, name=f"{self.name}[{n}]", X=self.X[idx], y=self.y[idx])
 
 
 def _parse_wine_file(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +261,7 @@ def _cluster_classification(spec: StreamSpec) -> Dataset:
     common random direction (labels keep their meaning, the geometry
     shifts)."""
     if spec.n_classes < 2:
-        raise ValueError("need at least two classes")
+        raise ValueError(f"n_classes {spec.n_classes} below 2: need at least two classes")
     if spec.p < spec.n_classes:
         raise ValueError("need p >= n_classes for distinct cluster axes")
     rng = derive_rng(spec.seed, "stream", spec.kind, spec.n, spec.p)

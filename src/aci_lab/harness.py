@@ -188,15 +188,27 @@ def _coerce(key: str, text: str):
         raise ConfigError(f"{key}: expected {what}, got {text!r}") from None
 
 
-def _check_order(cfg: ExperimentConfig) -> None:
-    """Only wine runs may move ``order``; ``load_wine`` checks its name."""
+def _check_source(cfg: ExperimentConfig) -> None:
+    """Checks made before any data is read: only wine runs may move
+    ``order`` (``load_wine`` checks its name), and a subsample keeps at
+    least one example."""
     if cfg.dataset != "wine" and cfg.order != ExperimentConfig.order:
         raise ConfigError(f"order applies to wine runs only, not {cfg.dataset!r}")
+    for name, value in (("subsample", cfg.subsample), ("pool_subsample", cfg.pool_subsample)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} {value} below 1")
+
+
+def _load_usps(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The usps (train, test) file pair; both paths must be set."""
+    if not (cfg.train_path and cfg.test_path):
+        raise ConfigError("usps runs need train_path and test_path")
+    return load_usps(cfg.train_path, cfg.test_path)
 
 
 def resolve_online_dataset(cfg: ExperimentConfig) -> Dataset:
     """The example stream an online run walks through, warmup included."""
-    _check_order(cfg)
+    _check_source(cfg)
     if cfg.standardize and cfg.warmup < 2:
         # the statistics come from the warm-up rows only, so that no
         # controlled example is seen before its step
@@ -206,13 +218,9 @@ def resolve_online_dataset(cfg: ExperimentConfig) -> Dataset:
             raise ConfigError("wine runs need white_path and red_path")
         ds = load_wine(cfg.white_path, cfg.red_path, cfg.order)
     elif cfg.dataset == "usps":
-        if not (cfg.train_path and cfg.test_path):
-            raise ConfigError("usps runs need train_path and test_path")
-        train, test = load_usps(cfg.train_path, cfg.test_path)
-        ds = Dataset(name="usps", task=CLASSIFICATION,
-                     X=np.vstack([train.X, test.X]),
-                     y=np.concatenate([train.y, test.y]),
-                     label_space=train.label_space)
+        train, test = _load_usps(cfg)
+        ds = replace(train, name="usps", X=np.vstack([train.X, test.X]),
+                     y=np.concatenate([train.y, test.y]))
         if cfg.subsample is None and not cfg.full:
             ds = ds.subsample(min(2100, len(ds)), cfg.seed)
     elif cfg.dataset == "synth-reg":
@@ -230,9 +238,7 @@ def resolve_online_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.subsample is not None:
         ds = ds.subsample(min(cfg.subsample, len(ds)), cfg.seed)
     if cfg.standardize:
-        ds = Dataset(name=ds.name, task=ds.task,
-                     X=standardize_features(ds.X, ds.X[:cfg.warmup]), y=ds.y,
-                     label_space=list(ds.label_space))
+        ds = replace(ds, X=standardize_features(ds.X, ds.X[:cfg.warmup]))
     return ds
 
 
@@ -274,10 +280,12 @@ class RunResult:
 
 def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
     """The step size of a run of n_steps, after the checks a run makes
-    before its loop: eps, the Winkler clamps and gamma or delta."""
+    before its loop: eps, eps1, the Winkler clamps and gamma or delta."""
     # eps1 defaults to eps, so a bad eps would otherwise be reported as eps1.
     if not 0.0 <= cfg.eps <= 1.0:
         raise ConfigError(f"eps {cfg.eps} outside [0, 1]")
+    if not 0.0 <= cfg.resolved_eps1() <= 1.0:
+        raise ConfigError(f"eps1 {cfg.resolved_eps1()} outside [0, 1]")
     lo, hi = cfg.winkler_clamp_lo, cfg.winkler_clamp_hi
     if not 0.0 < lo <= hi < 1.0:
         raise ConfigError(f"winkler_clamp_lo {lo} and winkler_clamp_hi {hi} must "
@@ -291,9 +299,12 @@ def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
     return gamma_for_bound(cfg.resolved_eps1(), cfg.delta, n_steps)
 
 
-def _aci_loop(cfg: ExperimentConfig, task: str, n_labels: int, gamma: float,
-              predict_fn, observe_fn, X, y):
-    """Shared control loop: predict_fn(step, x, eps) -> PredictionSet."""
+def _aci_loop(cfg: ExperimentConfig, task: str, n_labels: int, predict_fn, observe_fn,
+              X, y, dataset_name: str) -> RunResult:
+    """The one walk of every run, online or offline: resolve the step
+    size, then per step predict_fn(step, x, eps) -> PredictionSet, record
+    it, update the level and (if given) observe_fn(x, y); then summarise."""
+    gamma = _resolve_gamma(cfg, len(y))
     state = aci_init(cfg.eps, gamma, cfg.resolved_eps1())
     eps_min = eps_max = state.eps
     clamp = (cfg.winkler_clamp_lo, cfg.winkler_clamp_hi)
@@ -310,7 +321,9 @@ def _aci_loop(cfg: ExperimentConfig, task: str, n_labels: int, gamma: float,
         eps_max = max(eps_max, state.eps)
         if observe_fn is not None:
             observe_fn(X[step], y[step])
-    return records, eps_min, eps_max
+    summary = summarize_run(records, cfg.eps, cfg.resolved_eps1(), gamma)
+    return RunResult(records=records, summary=summary, gamma=gamma, eps_min=eps_min,
+                     eps_max=eps_max, dataset_name=dataset_name, config=cfg)
 
 
 def run_online(cfg: ExperimentConfig) -> RunResult:
@@ -322,16 +335,9 @@ def run_online(cfg: ExperimentConfig) -> RunResult:
     predictor = make_online_predictor(cfg, ds)
     predictor.reserve(len(ds))
     predictor.observe_many(ds.X[:cfg.warmup], ds.y[:cfg.warmup])
-    n_steps = len(ds) - cfg.warmup
-    gamma = _resolve_gamma(cfg, n_steps)
-    records, eps_min, eps_max = _aci_loop(
-        cfg, ds.task, len(ds.label_space) or 0, gamma,
-        lambda _i, x, eps: predictor.predict(x, eps), predictor.observe,
-        ds.X[cfg.warmup:], ds.y[cfg.warmup:])
-    summary = summarize_run(records, cfg.eps, cfg.resolved_eps1(), gamma)
-    return RunResult(records=records, summary=summary, gamma=gamma,
-                     eps_min=eps_min, eps_max=eps_max,
-                     dataset_name=ds.name, config=cfg)
+    return _aci_loop(cfg, ds.task, len(ds.label_space),
+                     lambda _i, x, eps: predictor.predict(x, eps), predictor.observe,
+                     ds.X[cfg.warmup:], ds.y[cfg.warmup:], ds.name)
 
 
 def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -339,11 +345,9 @@ def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     split; other datasets are split by a seeded shuffle."""
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError(f"test_fraction {cfg.test_fraction} outside (0, 1)")
+    _check_source(cfg)
     if cfg.dataset == "usps":
-        _check_order(cfg)
-        if not (cfg.train_path and cfg.test_path):
-            raise ConfigError("usps runs need train_path and test_path")
-        train, test = load_usps(cfg.train_path, cfg.test_path)
+        train, test = _load_usps(cfg)
     else:
         ds = resolve_online_dataset(replace(cfg, subsample=None, standardize=False))
         n_test = max(1, int(round(cfg.test_fraction * len(ds))))
@@ -351,27 +355,22 @@ def resolve_offline_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             raise ConfigError("test_fraction leaves no training data")
         perm = derive_rng(cfg.seed, "offline-split", cfg.dataset).permutation(len(ds))
         tr, te = np.sort(perm[:-n_test]), np.sort(perm[-n_test:])
-        train = Dataset(name=f"{ds.name}-pool", task=ds.task, X=ds.X[tr], y=ds.y[tr],
-                        label_space=list(ds.label_space))
-        test = Dataset(name=f"{ds.name}-test", task=ds.task, X=ds.X[te], y=ds.y[te],
-                       label_space=list(ds.label_space))
+        train = replace(ds, name=f"{ds.name}-pool", X=ds.X[tr], y=ds.y[tr])
+        test = replace(ds, name=f"{ds.name}-test", X=ds.X[te], y=ds.y[te])
     if cfg.pool_subsample is not None and cfg.pool_subsample < len(train):
         train = train.subsample(cfg.pool_subsample, cfg.seed)
     if cfg.subsample is not None and cfg.subsample < len(test):
         test = test.subsample(cfg.subsample, cfg.seed)
     if cfg.standardize:
-        test = Dataset(name=test.name, task=test.task,
-                       X=standardize_features(test.X, train.X), y=test.y,
-                       label_space=list(test.label_space))
-        train = Dataset(name=train.name, task=train.task,
-                        X=standardize_features(train.X), y=train.y,
-                        label_space=list(train.label_space))
+        test = replace(test, X=standardize_features(test.X, train.X))
+        train = replace(train, X=standardize_features(train.X))
     return train, test
 
 
 def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
     """Fitted prediction rule (x-index, eps) -> PredictionSet for the test
-    stream.  Every eps-free per-row value (label p-values, class scores,
+    stream; ``cfg.predictor`` is an offline id (``run_offline`` checks).
+    Every eps-free per-row value (label p-values, class scores,
     points, checked and sorted neighbour-label rows) is built at fit time
     in one pass over the test table, so a step only thresholds.  Each step
     goes through ``boundary_set`` first; a PredictionSet is always truthy,
@@ -399,12 +398,8 @@ def _offline_rule(cfg: ExperimentConfig, train: Dataset, test: Dataset):
         score_rows = np.atleast_2d(scorer.class_scores(test.X))
         return lambda i, eps: boundary_set(eps, CLASSIFICATION) or labels_above(
             score_rows[i], labels, eps)
-    if pid == "inccp-reg":
-        rows = sorted_sample(KnnQuantileScorer(k).fit(train.X, train.y).neighbour_labels(test.X))
-        return lambda i, eps: boundary_set(eps, REGRESSION) or _quantile_interval(
-            rows[i], eps)
-    raise ConfigError(f"{pid!r} is not an offline predictor id "
-                      f"(choose from {OFFLINE_PREDICTORS})")
+    rows = sorted_sample(KnnQuantileScorer(k).fit(train.X, train.y).neighbour_labels(test.X))
+    return lambda i, eps: boundary_set(eps, REGRESSION) or _quantile_interval(rows[i], eps)
 
 
 def run_offline(cfg: ExperimentConfig) -> RunResult:
@@ -419,15 +414,8 @@ def run_offline(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError(f"predictor {cfg.predictor} expects {task} data, "
                           f"got {train.task}")
     rule = _offline_rule(cfg, train, test)
-    gamma = _resolve_gamma(cfg, len(test))
-    records, eps_min, eps_max = _aci_loop(
-        cfg, task, len(train.label_space) or 0, gamma,
-        lambda i, _x, eps: rule(i, eps), None,
-        test.X, test.y)
-    summary = summarize_run(records, cfg.eps, cfg.resolved_eps1(), gamma)
-    return RunResult(records=records, summary=summary, gamma=gamma,
-                     eps_min=eps_min, eps_max=eps_max,
-                     dataset_name=f"{train.name}->{test.name}", config=cfg)
+    return _aci_loop(cfg, task, len(train.label_space), lambda i, _x, eps: rule(i, eps), None,
+                     test.X, test.y, f"{train.name}->{test.name}")
 
 
 @dataclass(frozen=True)

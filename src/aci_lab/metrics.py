@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aci import GuaranteeReport, check_guarantee
+from .aci import check_guarantee
 from .core import PredictionSet
 
 EPS_CLAMP_LO = 0.001
@@ -162,28 +162,21 @@ def summarize_run(records, eps_target: float, eps1: float, gamma: float) -> RunS
     regression = records[0].winkler is not None
     if any((r.winkler is not None) != regression for r in records):
         raise ValueError("mixed classification and regression records")
-    report: GuaranteeReport = check_guarantee(
-        [r.err for r in records], eps_target, eps1, gamma)
-
+    report = check_guarantee([r.err for r in records], eps_target, eps1, gamma)
     if regression:
-        finite = [r for r in records if r.winkler is not None and math.isfinite(r.winkler)]
-        mean_wink = sum(r.winkler for r in finite) / len(finite) if finite else None
-        mean_width = sum(r.set_size_or_width for r in finite) / len(finite) if finite else None
-        return RunSummary(
-            n_steps=report.n_steps, task="regression", eps_target=eps_target,
-            eps1=eps1, gamma=gamma, mean_err=report.mean_err,
-            bound=report.bound, bound_satisfied=report.satisfied,
-            mean_winkler_finite=mean_wink, mean_width_finite=mean_width,
-            frac_inf=sum(r.is_infinite for r in records) / len(records),
-            frac_empty=sum(r.is_empty for r in records) / len(records),
-        )
+        finite = [r for r in records if math.isfinite(r.winkler)]
+        by_task = dict(
+            mean_winkler_finite=sum(r.winkler for r in finite) / len(finite) if finite else None,
+            mean_width_finite=(sum(r.set_size_or_width for r in finite) / len(finite)
+                               if finite else None),
+            frac_inf=sum(r.is_infinite for r in records) / len(records))
+    else:
+        by_task = dict(oe=observed_excess(records))
     return RunSummary(
-        n_steps=report.n_steps, task="classification", eps_target=eps_target,
-        eps1=eps1, gamma=gamma, mean_err=report.mean_err,
+        n_steps=report.n_steps, task="regression" if regression else "classification",
+        eps_target=eps_target, eps1=eps1, gamma=gamma, mean_err=report.mean_err,
         bound=report.bound, bound_satisfied=report.satisfied,
-        oe=observed_excess(records),
-        frac_empty=sum(r.is_empty for r in records) / len(records),
-    )
+        frac_empty=sum(r.is_empty for r in records) / len(records), **by_task)
 
 
 def aggregate_trials(values) -> tuple[float, float]:

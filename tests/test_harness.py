@@ -474,6 +474,10 @@ _HUGE_INTS = {
 _SHORT_ROWS = {
     "k0": (_KNN_ONLINE, ["--k", "0"]),
     "one-class": (_KNN_ONLINE, ["--n-classes", "1"]),
+    "no-class": (_KNN_ONLINE, ["--n-classes", "0"]),
+    "negative-classes": (_KNN_ONLINE, ["--n-classes", "-1"]),
+    # "cannot subsample 0 of 200" once, naming no field
+    "subsample-zero-online": (_CRR_ONLINE, ["--subsample", "0"]),
     "p0": (_CRR_ONLINE, ["--p", "0"]),
     "warmup0": (_CRR_ONLINE, ["--warmup", "0"]),
     "eps-above-1": (_CRR_ONLINE, ["--eps", "1.5"]),
@@ -548,6 +552,21 @@ _BAD_INVOCATIONS = {
                       "--order", "bogus", "--n", "400", "--warmup", "20"],
     "order-on-synthetic": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
                            "--order", "red-then-white", "--n", "300", "--delta", "0.05"],
+    # "starting level 2.0 outside [0, 1]" once, after the warm-up or the fit
+    "eps1-above-one-online": [*_CRR_ONLINE, "--n", "160", "--warmup", "20", "--gamma", "0.1",
+                              "--eps1=2"],
+    "eps1-above-one-offline": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
+                               "--n", "300", "--gamma", "0.1", "--eps1=2"],
+    # "cannot subsample 0 of 150" once, naming neither flag; the usps rows
+    # are refused before their (malformed) files are read
+    **{f"{flag[2:]}-{name}-{route}": ["offline", *base, f"{flag}={value}"]
+       for route, base in [("offline", ["--dataset", "synth-reg", "--predictor", "icp-reg",
+                                        "--n", "300"]),
+                           ("usps", ["--dataset", "usps", "--predictor", "icp-class",
+                                     "--train-path", "{tmp}/bad.dat",
+                                     "--test-path", "{tmp}/bad.dat"])]
+       for flag in ("--subsample", "--pool-subsample")
+       for name, value in [("zero", "0"), ("negative", "-3")]},
 }
 
 
@@ -583,7 +602,9 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
         assert "winkler_clamp" in err[0], err
     if case.startswith("delta"):
         assert "delta" in err[0] and "gamma" not in err[0], err
-    for prefix in ("noise-scale", "drift", "class-sep"):
+    if case in ("one-class", "no-class", "negative-classes"):
+        assert err[0].startswith("error: n_classes ") and "need at least two classes" in err[0]
+    for prefix in ("noise-scale", "drift", "class-sep", "eps1", "subsample", "pool-subsample"):
         if case.startswith(prefix):
             assert err[0].startswith(f"error: {prefix.replace('-', '_')} "), err
     if case in _HUGE_INTS:

@@ -92,6 +92,12 @@ def commands():
         cmds.append((f"offline-{pid}", ["offline", "--dataset", ds, "--predictor", pid]))
         cmds.append((f"offline-{pid}-gamma",
                      ["offline", "--dataset", ds, "--predictor", pid, "--gamma", "0.6"]))
+    # the offline pool and test sets subsampled, then standardised by the
+    # pool's statistics (300 steps keep delta 0.01 feasible)
+    for pid, ds in (("icp-class", "synth-class"), ("icp-reg", "synth-reg")):
+        cmds.append((f"offline-{pid}-standardize",
+                     ["offline", "--dataset", ds, "--predictor", pid, "--standardize",
+                      "--subsample", "300"]))
     for pid, ds in (("icp-class", "synth-class"), ("icp-reg", "synth-reg")):
         cmds.append((f"sweep-{pid}",
                      ["sweep", "--dataset", ds, "--predictor", pid, *SWEEP]))
