@@ -3,9 +3,9 @@
 Subcommands mirror the harness: ``online`` and ``offline`` run one
 experiment, ``sweep`` runs the calibration-fraction grid, ``lemma-stress``
 runs every predictor against adversarial synthetic streams and checks the
-level-confinement and coverage bounds, ``report`` re-aggregates existing
-trace files.  A flat key=value config file can seed any invocation;
-explicit flags win over the file.
+level-confinement and coverage bounds, ``report`` re-aggregates trace
+files and counts their boundary steps, empty and infinite sets.  A flat
+key=value config file can seed any invocation; flags override the file.
 """
 
 import argparse
@@ -102,6 +102,11 @@ def _dispatch(args) -> int:
             s = summarize_run(records, cfg.eps, cfg.resolved_eps1(), cfg.gamma)
             print(f"{path}: n={s.n_steps} mean_err={format_float(s.mean_err)} "
                   f"bound={format_float(s.bound)} satisfied={s.bound_satisfied}")
+            low = sum(r.eps_used <= 0.0 for r in records)
+            high = sum(r.eps_used >= 1.0 for r in records)
+            print(f"  boundary_steps={low + high} (eps<=0: {low}, eps>=1: {high}) "
+                  f"empty_sets={sum(r.is_empty for r in records)} "
+                  f"infinite_sets={sum(r.is_infinite for r in records)}")
         return 0
 
     if args.command in ("online", "offline"):

@@ -256,11 +256,16 @@ def _crr_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
     wh = np.ascontiguousarray(system.solve(np.array([xty, x]).T))
     fit = hist_X @ wh
     xw, xh = x @ wh
-    a_diff = hist_y - fit[:, 0] + xw    # a_i - a_n
+    a_diff = np.subtract(hist_y, fit[:, 0])
+    a_diff += xw                        # a_i - a_n
     b_diff = fit[:, 1] + (1.0 - xh)     # b_n - b_i
-    # b_n <= b_i puts -inf in the lower list and +inf in the upper one.
-    good = b_diff > 0.0
-    crit = a_diff[good] / b_diff[good]
+    # b_n <= b_i puts -inf in the lower list and +inf in the upper one;
+    # the usual step has no such row and divides in place.
+    if b_diff.min() > 0.0:
+        crit = np.divide(a_diff, b_diff, out=a_diff)
+    else:
+        good = b_diff > 0.0
+        crit = a_diff[good] / b_diff[good]
     jl = floor_index(0.5 * eps * n) - (n_hist - crit.shape[0])
     ju = ceil_index((1.0 - 0.5 * eps) * n)
     lower, upper = -math.inf, math.inf

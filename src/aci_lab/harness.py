@@ -299,12 +299,11 @@ def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
     return gamma_for_bound(cfg.resolved_eps1(), cfg.delta, n_steps)
 
 
-def _aci_loop(cfg: ExperimentConfig, task: str, n_labels: int, predict_fn, observe_fn,
-              X, y, dataset_name: str) -> RunResult:
-    """The one walk of every run, online or offline: resolve the step
-    size, then per step predict_fn(step, x, eps) -> PredictionSet, record
-    it, update the level and (if given) observe_fn(x, y); then summarise."""
-    gamma = _resolve_gamma(cfg, len(y))
+def _aci_loop(cfg: ExperimentConfig, task: str, n_labels: int, gamma: float, predict_fn,
+              observe_fn, X, y, dataset_name: str) -> RunResult:
+    """The one walk of every run, online or offline, at step size gamma:
+    per step predict_fn(step, x, eps) -> PredictionSet, record it, update
+    the level and (if given) observe_fn(x, y); then summarise."""
     state = aci_init(cfg.eps, gamma, cfg.resolved_eps1())
     eps_min = eps_max = state.eps
     clamp = (cfg.winkler_clamp_lo, cfg.winkler_clamp_hi)
@@ -332,10 +331,11 @@ def run_online(cfg: ExperimentConfig) -> RunResult:
     ds = resolve_online_dataset(cfg)
     if not 1 <= cfg.warmup < len(ds):
         raise ConfigError(f"warmup {cfg.warmup} outside [1, {len(ds) - 1}]")
+    gamma = _resolve_gamma(cfg, len(ds) - cfg.warmup)
     predictor = make_online_predictor(cfg, ds)
     predictor.reserve(len(ds))
     predictor.observe_many(ds.X[:cfg.warmup], ds.y[:cfg.warmup])
-    return _aci_loop(cfg, ds.task, len(ds.label_space),
+    return _aci_loop(cfg, ds.task, len(ds.label_space), gamma,
                      lambda _i, x, eps: predictor.predict(x, eps), predictor.observe,
                      ds.X[cfg.warmup:], ds.y[cfg.warmup:], ds.name)
 
@@ -413,9 +413,10 @@ def run_offline(cfg: ExperimentConfig) -> RunResult:
     if task != train.task:
         raise ConfigError(f"predictor {cfg.predictor} expects {task} data, "
                           f"got {train.task}")
+    gamma = _resolve_gamma(cfg, len(test))
     rule = _offline_rule(cfg, train, test)
-    return _aci_loop(cfg, task, len(train.label_space), lambda i, _x, eps: rule(i, eps), None,
-                     test.X, test.y, f"{train.name}->{test.name}")
+    return _aci_loop(cfg, task, len(train.label_space), gamma, lambda i, _x, eps: rule(i, eps),
+                     None, test.X, test.y, f"{train.name}->{test.name}")
 
 
 @dataclass(frozen=True)

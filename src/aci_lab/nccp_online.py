@@ -75,15 +75,16 @@ def _ols_interval(hist_X, hist_y, gram, xty, x, eps, a) -> PredictionSet:
     if dof < 1:
         return PredictionSet.full_interval()
     try:
-        system = RidgeSystem(gram, a)
-        w = system.solve(xty)
+        # Columns w = M^{-1}X'y and h = M^{-1}x from one solve.
+        w, h = RidgeSystem(gram, a).solve(np.array([xty, x]).T).T
     except NumericError:
         return PredictionSet.full_interval()
     yhat = float(x @ w)
-    residuals = hist_y - hist_X @ w
+    residuals = hist_X @ w
+    np.subtract(hist_y, residuals, out=residuals)
     rss = float(residuals @ residuals)
     sigma = math.sqrt(max(rss, 0.0) / dof)
-    leverage = float(x @ system.solve(x))
+    leverage = float(x @ h)
     t = student_t_quantile(1.0 - 0.5 * eps, dof)
     half = t * sigma * math.sqrt(max(1.0 + leverage, 0.0))
     return PredictionSet.interval(yhat - half, yhat + half)

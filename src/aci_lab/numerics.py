@@ -58,12 +58,14 @@ class RidgeSystem:
             raise ValueError("Gram matrix contains non-finite values")
         if not 0.0 <= a < math.inf:
             raise ValueError(f"ridge coefficient must be finite and >= 0, got {a}")
-        M = G.copy()
-        M.flat[::M.shape[0] + 1] += a
-        self._factor, info = dpotrf(M, lower=0, clean=0)
+        # dpotrf copies G unless allowed to overwrite it; G + a*I needs its own.
+        if a > 0.0:
+            G = G.copy(order="F")
+            G.flat[::G.shape[0] + 1] += a
+        self._factor, info = dpotrf(G, lower=0, clean=0, overwrite_a=a > 0.0)
         if info > 0:
             raise NumericError("normal matrix is not positive definite")
-        # An exactly singular M can still factor with a ~1e-15 pivot from
+        # An exactly singular G + a*I can still factor with a ~1e-15 pivot from
         # rounding; the squared pivot ratio is a free lower bound on cond (no
         # SVD), and the p pivots are few enough that plain floats beat numpy.
         d = [abs(v) for v in self._factor.diagonal().tolist()]

@@ -8,9 +8,12 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import brentq
 
-from aci_lab.numerics import distances, k_smallest, within
+from aci_lab.core import PredictionSet
+from aci_lab.numerics import (NumericError, ceil_index, distances, floor_index, k_smallest,
+                              student_t_quantile, within)
 
 
 def crr_grid_oracle(hist_X, hist_y, x, eps, a=0.0):
@@ -160,3 +163,85 @@ def screened_distances(A, x, g, slack, thr):
     d = np.full(A.shape[0], np.inf)
     d[keep] = distances(A[keep], x)
     return d
+
+
+# The ridge routes in their plain form: a copy of G + aI factored, one
+# solve per right-hand side, the CRR critical values gathered by boolean
+# masks and each endpoint's own partition.  The library's in-place,
+# copy-free and single-solve routes must equal them bit for bit.
+
+class PlainRidgeSystem:
+    """Cholesky factorisation of a fresh copy of G + a*I, with the
+    library's checks and its singularity rule."""
+
+    def __init__(self, G, a):
+        G = np.asarray(G, dtype=float)
+        if G.ndim != 2 or G.shape[0] != G.shape[1]:
+            raise ValueError(f"Gram matrix must be square, got shape {G.shape}")
+        if not np.isfinite(G).all():
+            raise ValueError("Gram matrix contains non-finite values")
+        if not 0.0 <= a < math.inf:
+            raise ValueError(f"ridge coefficient must be finite and >= 0, got {a}")
+        M = G.copy()
+        M.flat[::M.shape[0] + 1] += a
+        self._factor, info = dpotrf(M, lower=0, clean=0)
+        if info > 0:
+            raise NumericError("normal matrix is not positive definite")
+        d = [abs(v) for v in self._factor.diagonal().tolist()]
+        if d and (min(d) <= 0.0 or max(d) > 1e6 * min(d)):
+            r = max(d) / min(d) if min(d) > 0.0 else math.inf
+            raise NumericError("normal matrix is numerically singular", cond=r * r)
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=float)
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side contains non-finite values")
+        return dpotrs(self._factor, b, lower=0)[0]
+
+
+def plain_crr_interval(hist_X, hist_y, gram, xty, x, eps, a):
+    """The CRR interval from X'X (``gram``) and X'y (``xty``); raises
+    NumericError on a singular system."""
+    n_hist = hist_X.shape[0]
+    n = n_hist + 1
+    system = PlainRidgeSystem(gram + x[:, None] * x, a)
+    wh = np.ascontiguousarray(system.solve(np.array([xty, x]).T))
+    fit = hist_X @ wh
+    xw, xh = x @ wh
+    a_diff = hist_y - fit[:, 0] + xw
+    b_diff = fit[:, 1] + (1.0 - xh)
+    good = b_diff > 0.0
+    crit = a_diff[good] / b_diff[good]
+    jl = floor_index(0.5 * eps * n) - (n_hist - crit.shape[0])
+    ju = ceil_index((1.0 - 0.5 * eps) * n)
+    lower, upper = -math.inf, math.inf
+    if jl >= 1:
+        crit.partition(jl - 1)
+        lower = crit[jl - 1]
+    if ju <= crit.shape[0]:
+        crit.partition(ju - 1)
+        upper = crit[ju - 1]
+    return PredictionSet.interval(lower, upper)
+
+
+def plain_ols_interval(hist_X, hist_y, gram, xty, x, eps, a):
+    """The classical OLS interval from X'X (``gram``) and X'y (``xty``);
+    the whole line below one residual degree of freedom or on a singular
+    system."""
+    m, p = hist_X.shape
+    dof = m - p
+    if dof < 1:
+        return PredictionSet.full_interval()
+    try:
+        system = PlainRidgeSystem(gram, a)
+        w = system.solve(xty)
+    except NumericError:
+        return PredictionSet.full_interval()
+    yhat = float(x @ w)
+    residuals = hist_y - hist_X @ w
+    rss = float(residuals @ residuals)
+    sigma = math.sqrt(max(rss, 0.0) / dof)
+    leverage = float(x @ system.solve(x))
+    t = student_t_quantile(1.0 - 0.5 * eps, dof)
+    half = t * sigma * math.sqrt(max(1.0 + leverage, 0.0))
+    return PredictionSet.interval(yhat - half, yhat + half)

@@ -447,7 +447,43 @@ def test_cli_online_and_report(tmp_path, capsys):
 
     rc = main(["report", str(trace), "--eps", "0.1", "--gamma", "0.05"])
     assert rc == 0
-    assert "satisfied=True" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "satisfied=True" in printed
+    assert printed.splitlines()[1] == _count_line(parse_trace(str(trace)))
+
+
+def _count_line(records):
+    """``report``'s count line for a trace's records."""
+    low = sum(r.eps_used <= 0.0 for r in records)
+    high = sum(r.eps_used >= 1.0 for r in records)
+    return (f"  boundary_steps={low + high} (eps<=0: {low}, eps>=1: {high}) "
+            f"empty_sets={sum(r.is_empty for r in records)} "
+            f"infinite_sets={sum(r.is_infinite for r in records)}")
+
+
+@pytest.mark.parametrize("predictor, dataset, eps", [("crr", "synth-reg", "0.5"),
+                                                     ("knn-nccp", "synth-class", "0.1")])
+def test_report_counts_boundary_steps_and_empty_and_infinite_sets(predictor, dataset, eps,
+                                                                  tmp_path, capsys):
+    # at gamma 0.6 the level leaves (0, 1) both ways: eps <= 0 forces the
+    # full set (the whole line for regression), eps >= 1 the empty one
+    rc = main(["online", "--dataset", dataset, "--predictor", predictor, "--warmup", "50",
+               "--seed", "3", "--n", "400", "--gamma", "0.6", "--eps", eps,
+               "--out", str(tmp_path)])
+    assert rc == 0
+    trace = tmp_path / f"{predictor}-3.trace.csv"
+    records = parse_trace(str(trace))
+    low = [r for r in records if r.eps_used <= 0.0]
+    high = [r for r in records if r.eps_used >= 1.0]
+    assert low and high
+    assert all(r.is_empty and r.err == 1 for r in high)
+    assert all(r.is_infinite == (dataset == "synth-reg") and r.err == 0 for r in low)
+    capsys.readouterr()
+    assert main(["report", str(trace), str(trace), "--eps", eps, "--gamma", "0.6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[1] == lines[3] == _count_line(records)
+    assert lines[1].startswith(f"  boundary_steps={len(low) + len(high)} "
+                               f"(eps<=0: {len(low)}, eps>=1: {len(high)}) ")
 
 
 # A feasible short run: each _SHORT_ROWS base plus _SHORT exits 0 (see
@@ -506,6 +542,21 @@ _SHORT_ROWS = {
     "standardize-warmup1": ([*_CRR_ONLINE, "--standardize"], ["--warmup", "1"]),
     **{case: (base, [bad]) for case, (base, bad, _) in _HUGE_INTS.items()},
 }
+# Bad levels on runs whose warm-up or fit is expensive: the test fails if
+# the predictor is built or the offline rule fitted before the refusal
+# ("eps1 2.0 outside [0, 1]" once came only after the fit, for instance).
+_BEFORE_WORK = {
+    f"{name}-before-{work}": [*base, *bad]
+    for work, base in [("warmup", [*_KNN_CP_ONLINE, *_SHORT]),
+                       ("fit", ["offline", "--dataset", "synth-reg", "--predictor",
+                                "inccp-reg", "--n", "300"]),
+                       ("sweep-fit", ["sweep", "--dataset", "synth-reg", "--predictor",
+                                      "icp-reg", "--n", "300", "--seeds", "0,1"])]
+    for name, bad in [("eps-above-one", ["--eps", "1.5"]),
+                      ("eps1-above-one", ["--gamma", "0.1", "--eps1=2"]),
+                      ("gamma-negative", ["--gamma", "-0.1"]),
+                      ("delta-nan", ["--delta", "nan"]),
+                      ("winkler-clamp-hi-one", ["--config", "{tmp}/hi-one.cfg"])]}
 _BAD_INVOCATIONS = {
     "reg-predictor-online": ["online", "--dataset", "synth-reg", "--predictor", "icp-reg",
                              "--n", "260", "--warmup", "40"],
@@ -567,6 +618,7 @@ _BAD_INVOCATIONS = {
                                      "--test-path", "{tmp}/bad.dat"])]
        for flag in ("--subsample", "--pool-subsample")
        for name, value in [("zero", "0"), ("negative", "-3")]},
+    **_BEFORE_WORK,
 }
 
 
@@ -574,8 +626,17 @@ _CLAMP_FILES = {"lo-zero": "winkler_clamp_lo = 0\n", "lo-nan": "winkler_clamp_lo
                 "lo-above-hi": "winkler_clamp_lo = 2\n", "hi-one": "winkler_clamp_hi = 1\n"}
 
 
+def _unreached(*_args, **_kwargs):
+    raise AssertionError("a bad level reached the warm-up or the fit")
+
+
 @pytest.mark.parametrize("case", list(_BAD_INVOCATIONS))
-def test_cli_rejects_bad_invocations(case, tmp_path, capsys):
+def test_cli_rejects_bad_invocations(case, tmp_path, capsys, monkeypatch):
+    # the _BEFORE_WORK rows' levels are refused before any predictor is
+    # built and warmed up or any offline rule is fitted
+    if case in _BEFORE_WORK:
+        monkeypatch.setattr(harness, "make_online_predictor", _unreached)
+        monkeypatch.setattr(harness, "_offline_rule", _unreached)
     (tmp_path / "bad.dat").write_text("1 2 3\n")
     (tmp_path / "run.trace.csv").write_text(
         "step,eps_used,err,set_size_or_width,winkler,excess,is_infinite\n0,0.1,0,1,,0,0\n")

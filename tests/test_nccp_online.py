@@ -12,8 +12,9 @@ from aci_lab.inductive import KnnClassScorer, KnnQuantileScorer
 from aci_lab.nccp_online import (KnnThresholdClassifier, OlsIntervalPredictor,
                                  knn_threshold_predict, knn_vote_shares,
                                  ols_interval_predict)
-from aci_lab.numerics import (RidgeSystem, distances, k_nearest, screened_nearest,
-                              student_t_quantile)
+from aci_lab.numerics import (NumericError, RidgeSystem, distances, k_nearest,
+                              screened_nearest, student_t_quantile)
+from oracles import plain_crr_interval, plain_ols_interval
 
 HIST_X = np.array([[0.0], [1.0], [10.0], [11.0]])
 HIST_Y = np.array([0, 0, 1, 1])
@@ -311,6 +312,67 @@ def test_ols_predictor_class_matches_function():
                 assert got.lower == pytest.approx(want.lower, rel=1e-9)
                 assert got.upper == pytest.approx(want.upper, rel=1e-9)
                 pred.observe(X[i], y[i])
+
+
+def _ridge_case(case):
+    """(hist_X, hist_y, x) of a seeded history: ``gather`` puts the query
+    far out, so some rows have b_n <= b_i; ``singular`` repeats a column;
+    ``short`` has fewer rows than features (dof < 1; CRR is singular at
+    a = 0); ``offset`` is long with a large common offset; ``p20`` is wide."""
+    m, p, offset = {"plain": (40, 3, 0.0), "gather": (30, 2, 0.0), "singular": (20, 3, 0.0),
+                    "short": (1, 3, 0.0), "offset": (300, 6, 50.0), "p20": (60, 20, 0.0)}[case]
+    rng = derive_rng(9, "ridge-routes", case)
+    X = offset + rng.normal(size=(m + 1, p))
+    if case == "singular":
+        X[:, 2] = X[:, 0]
+    if case == "gather":
+        X[m] = [20.0, -20.0]
+    y = X @ rng.normal(size=p) + rng.normal(size=m + 1)
+    return X[:m], y[:m], X[m]
+
+
+def _endpoints(route, *args):
+    try:
+        ps = route(*args)
+    except NumericError:
+        return "singular"
+    return ps.kind, ps.lower, ps.upper
+
+
+_RIDGE_CASES = ["plain", "gather", "singular", "short", "offset", "p20"]
+
+
+@pytest.mark.parametrize("case", _RIDGE_CASES)
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_ridge_routes_equal_the_plain_routes_bit_for_bit(case, a):
+    # == on both endpoints, infinities included: the copy-free factor, the
+    # single OLS solve and CRR's gather-free division change no bit
+    X, y, x = _ridge_case(case)
+    if case == "gather":
+        M = X.T @ X + x[:, None] * x + a * np.eye(2)
+        h = np.linalg.solve(M, x)
+        assert (X @ h + (1.0 - x @ h) <= 0.0).any()
+    crr, ols = CrrPredictor(a=a), OlsIntervalPredictor(a=a)
+    for pred in (crr, ols):
+        pred.observe_many(X, y)
+    seen = set()
+    for eps in (1e-6, 0.1, 0.5, 1.0 - 1e-6):
+        got = _endpoints(crr_predict, X, y, x, eps, a)
+        assert got == _endpoints(plain_crr_interval, X, y, X.T @ X, X.T @ y, x, eps, a)
+        want = _endpoints(plain_crr_interval, crr._hist.X, crr._hist.y, crr._gram,
+                          crr._xty, x, eps, a)
+        assert _endpoints(crr.predict, x, eps) == (
+            ("interval", -math.inf, math.inf) if want == "singular" else want)
+        got = _endpoints(ols_interval_predict, X, y, x, eps, a)
+        assert got == _endpoints(plain_ols_interval, X, y, X.T @ X, X.T @ y, x, eps, a)
+        assert _endpoints(ols.predict, x, eps) == _endpoints(
+            plain_ols_interval, ols._hist.X, ols._hist.y, ols._gram, ols._xty, x, eps, a)
+        seen.add(got)
+    # each case reaches the route it names: the whole OLS line below one
+    # degree of freedom or on a singular system, and CRR's NumericError
+    singular = a == 0.0 and case in ("singular", "short")
+    assert (seen == {("interval", -math.inf, math.inf)}) == (singular or case == "short")
+    assert (_endpoints(crr_predict, X, y, x, 0.1, a) == "singular") == singular
 
 
 @pytest.mark.parametrize("predict", [crr_predict, ols_interval_predict])

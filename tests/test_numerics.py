@@ -115,6 +115,20 @@ def test_ridge_pivot_ratio_beyond_float_range_is_numeric_error():
     assert w == pytest.approx([2.0, 1.0])   # pivot ratio 2e5 still factors
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_ridge_system_leaves_the_gram_matrix_unchanged(order, a):
+    # at a = 0 the caller's G goes to dpotrf as it is, so LAPACK must work
+    # on a copy of its own; a maintained Gram matrix is reused next step
+    X = derive_rng(8, "ridge-keep").normal(size=(30, 4))
+    G = np.array(X.T @ X, order=order)
+    kept = G.copy(order=order)
+    system = RidgeSystem(G, a)
+    assert np.array_equal(G, kept) and G.flags[f"{order}_CONTIGUOUS"]
+    system.solve(np.ones(4))
+    assert np.array_equal(G, kept)
+
+
 def test_index_helpers_resist_float_noise():
     assert ceil_index(0.2 * 10) == 2          # 0.2*10 = 2.0000000000000004
     assert ceil_index(2.1) == 3

@@ -107,6 +107,16 @@ def commands():
                                         pid, "--ridge-a", "1.0", *ONLINE]))
         cmds.append((f"warmup3-{pid}", ["online", "--dataset", "synth-reg", "--predictor",
                                         pid, "--warmup", "3", "--n", "300"]))
+    # the ridge predictors at the benchmark's ridge-stream shape (history up
+    # to 3,900 rows), and above 8 features at p = 20 and 130; at p = 130 the
+    # warm-up is shorter than p, so the singular fallback runs first
+    for pid in ("crr", "ols-nccp"):
+        cmds.append((f"{pid}-stream", ["online", "--dataset", "synth-reg", "--predictor",
+                                       pid, "--n", "4000", "--p", "8", "--drift", "2.0",
+                                       "--warmup", "100", "--delta", "0.01", "--seed", "3"]))
+        for p in ("20", "130"):
+            cmds.append((f"{pid}-p{p}", ["online", "--dataset", "synth-reg", "--predictor",
+                                         pid, *ONLINE, "--p", p]))
     cmds.append(("knn-cp-k3", ["online", "--dataset", "synth-class", "--predictor",
                                "knn-cp", "--k", "3", *ONLINE]))
     # knn-nccp at the benchmark's knn-stream shape, and the offline class
