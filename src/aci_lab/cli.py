@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from .aci import confinement_interval
-from .harness import (ConfigError, ExperimentConfig, build_config, emit_sweep,
+from .harness import (ConfigError, ExperimentConfig, _check_levels, build_config, emit_sweep,
                       lemma_stress_matrix, parse_config_file, parse_trace, run_offline,
                       run_online, run_sweep, value_text, write_run_outputs, format_float)
 from .metrics import summarize_run
@@ -97,6 +97,7 @@ def _dispatch(args) -> int:
     cfg = build_config(_config_from_args(args))
 
     if args.command == "report":
+        _check_levels(cfg)
         for path in args.traces:
             records = parse_trace(path)
             s = summarize_run(records, cfg.eps, cfg.resolved_eps1(), cfg.gamma)

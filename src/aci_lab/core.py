@@ -223,13 +223,15 @@ def check_features(x, dim: int | None = None) -> np.ndarray:
 
 
 def history_inputs(hist_X, hist_y, x, k: int | None = None):
-    """Check a one-shot route's inputs: a non-empty 2-D history, labels
-    that match its rows, k >= 1 if given, and x as features at the
+    """Check a one-shot route's inputs: a non-empty, finite 2-D history,
+    labels that match its rows, k >= 1 if given, and x as features at the
     history's width; ``(hist_X, hist_y, x)`` as arrays."""
     hist_X = np.asarray(hist_X, dtype=float)
     hist_y = np.asarray(hist_y)
     if hist_X.ndim != 2 or hist_X.shape[0] == 0:
         raise ValueError(f"history must be a non-empty 2-D array, got shape {hist_X.shape}")
+    if not np.isfinite(hist_X).all():
+        raise ValueError("history contains non-finite values")
     if hist_y.shape != (hist_X.shape[0],):
         raise ValueError("history labels do not match history rows")
     if k is not None and k < 1:

@@ -67,30 +67,34 @@ class Dataset:
         return replace(self, name=f"{self.name}[{n}]", X=self.X[idx], y=self.y[idx])
 
 
-def _parse_wine_file(path: str) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
+def _read_rows(path: str, width: int, sep: str | None = None,
+               header: bool = False) -> tuple[np.ndarray, list]:
+    """The rows of a text table of ``width`` numbers a row, as floats, and
+    each row's line number.  Fields split on ``sep`` (whitespace when None)
+    and may be double-quoted; blank lines are skipped; with ``header`` the
+    first line names ``width`` columns.  A wrong field count, a field that
+    is no number and a file without rows raise, naming the file and line."""
+    rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        n_cols = len(header.strip().split(";"))
-        if n_cols != WINE_FEATURES + 1:
-            raise ValueError(f"{path}: expected {WINE_FEATURES + 1} columns, "
-                             f"header has {n_cols}")
-        for lineno, line in enumerate(fh, start=2):
+        if header:
+            n_cols = len(fh.readline().strip().split(sep))
+            if n_cols != width:
+                raise ValueError(f"{path}: expected {width} columns, header has {n_cols}")
+        for lineno, line in enumerate(fh, start=1 + header):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(";")
-            if len(parts) != WINE_FEATURES + 1:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 f"{WINE_FEATURES + 1} fields, got {len(parts)}")
+            parts = line.split(sep)
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
             try:
                 rows.append([float(v.strip().strip('"')) for v in parts])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, :WINE_FEATURES], arr[:, WINE_FEATURES]
+    return np.asarray(rows, dtype=float), linenos
 
 
 def load_wine(white_path: str, red_path: str, order: str = "white-then-red") -> Dataset:
@@ -100,51 +104,37 @@ def load_wine(white_path: str, red_path: str, order: str = "white-then-red") -> 
     Row counts other than the canonical 4898 white / 1599 red are
     accepted with a warning so truncated copies are visible in reports.
     """
-    wX, wy = _parse_wine_file(white_path)
-    rX, ry = _parse_wine_file(red_path)
-    if wX.shape[0] != WINE_EXPECTED_WHITE or rX.shape[0] != WINE_EXPECTED_RED:
+    white, red = (_read_rows(path, WINE_FEATURES + 1, ";", header=True)[0]
+                  for path in (white_path, red_path))
+    if white.shape[0] != WINE_EXPECTED_WHITE or red.shape[0] != WINE_EXPECTED_RED:
         warnings.warn(
-            f"wine row counts {wX.shape[0]} white / {rX.shape[0]} red differ "
+            f"wine row counts {white.shape[0]} white / {red.shape[0]} red differ "
             f"from the canonical {WINE_EXPECTED_WHITE} / {WINE_EXPECTED_RED}",
             stacklevel=2)
-    if order == "white-then-red":
-        X, y = np.vstack([wX, rX]), np.concatenate([wy, ry])
-    elif order == "red-then-white":
-        X, y = np.vstack([rX, wX]), np.concatenate([ry, wy])
-    else:
+    tables = {"white-then-red": (white, red), "red-then-white": (red, white)}
+    if order not in tables:
         raise ValueError(f"unknown order {order!r}")
-    return Dataset(name=f"wine[{order}]", task=REGRESSION, X=X, y=y)
+    return Dataset(name=f"wine[{order}]", task=REGRESSION,
+                   X=np.vstack([t[:, :WINE_FEATURES] for t in tables[order]]),
+                   y=np.concatenate([t[:, WINE_FEATURES] for t in tables[order]]))
 
 
-def _parse_usps_file(path: str) -> tuple[np.ndarray, np.ndarray]:
-    X, y = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != USPS_FEATURES + 1:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 f"{USPS_FEATURES + 1} values, got {len(parts)}")
-            try:
-                lab = float(parts[0])
-                feats = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if lab != int(lab):
-                raise ValueError(f"{path}:{lineno}: non-integer label {parts[0]}")
-            y.append(int(lab))
-            X.append(feats)
-    if not X:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(X, dtype=float), np.asarray(y, dtype=int)
+def _read_usps(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A digit file's grey values and labels.  A label, written as a float
+    or not, must be an integer of magnitude below 2^53."""
+    rows, linenos = _read_rows(path, USPS_FEATURES + 1)
+    labels = rows[:, 0]
+    bad = np.flatnonzero(~(np.abs(labels) < 2.0 ** 53) | (labels != np.floor(labels)))
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-integer label "
+                         f"{float(labels[bad[0]])!r} (labels are integers below 2^53)")
+    return rows[:, 1:].copy(), labels.astype(int)
 
 
 def load_usps(train_path: str, test_path: str) -> tuple[Dataset, Dataset]:
     """The digit files as (train, test) classification datasets.  Labels
     may be written as floats ("5.0000"); they are coerced to ints."""
-    Xtr, ytr = _parse_usps_file(train_path)
-    Xte, yte = _parse_usps_file(test_path)
+    (Xtr, ytr), (Xte, yte) = _read_usps(train_path), _read_usps(test_path)
     if Xtr.shape[0] != USPS_EXPECTED_TRAIN or Xte.shape[0] != USPS_EXPECTED_TEST:
         warnings.warn(
             f"usps row counts {Xtr.shape[0]} train / {Xte.shape[0]} test differ "

@@ -162,10 +162,7 @@ def build_config(mapping: dict) -> ExperimentConfig:
         if key not in _FIELDS:
             raise ConfigError(f"unknown configuration key {key!r}")
         kwargs[key] = _coerce(key, value) if isinstance(value, str) else value
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**kwargs)
 
 
 def _coerce(key: str, text: str):
@@ -278,9 +275,9 @@ class RunResult:
     config: ExperimentConfig
 
 
-def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
-    """The step size of a run of n_steps, after the checks a run makes
-    before its loop: eps, eps1, the Winkler clamps and gamma or delta."""
+def _check_levels(cfg: ExperimentConfig) -> None:
+    """The level checks a run makes before its work, and ``report`` before
+    it reads a trace: eps, eps1 and the Winkler clamps."""
     # eps1 defaults to eps, so a bad eps would otherwise be reported as eps1.
     if not 0.0 <= cfg.eps <= 1.0:
         raise ConfigError(f"eps {cfg.eps} outside [0, 1]")
@@ -290,6 +287,12 @@ def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
     if not 0.0 < lo <= hi < 1.0:
         raise ConfigError(f"winkler_clamp_lo {lo} and winkler_clamp_hi {hi} must "
                           "satisfy 0 < lo <= hi < 1")
+
+
+def _resolve_gamma(cfg: ExperimentConfig, n_steps: int) -> float:
+    """The step size of a run of n_steps, after the checks a run makes
+    before its loop: ``_check_levels``, then gamma's or delta's."""
+    _check_levels(cfg)
     if cfg.gamma is not None:
         try:
             _check_gamma(cfg.gamma, n_steps)
@@ -439,6 +442,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         raise ConfigError(f"sweep needs at least two seeds, all distinct; got seeds {cfg.seeds}")
     if not cfg.cal_fractions:
         raise ConfigError("sweep needs a non-empty cal_fractions grid")
+    for frac in cfg.cal_fractions:
+        if not 0.0 < frac < 1.0:
+            raise ConfigError(f"cal_fraction {frac} outside (0, 1)")
     cells = {}
     for seed in cfg.seeds:
         for frac in cfg.cal_fractions:
@@ -494,9 +500,9 @@ STRESS_STREAMS = {
 }
 
 
-def lemma_stress_matrix(predictors=None, n: int = 800, warmup: int = 50,
-                        eps: float = 0.1, delta: float = 0.02, seed: int = 7,
-                        offline: bool = True) -> list:
+def lemma_stress_matrix(predictors=ONLINE_PREDICTORS + OFFLINE_PREDICTORS, n: int = 800,
+                        warmup: int = 50, eps: float = 0.1, delta: float = 0.02,
+                        seed: int = 7) -> list:
     """Run every predictor against non-exchangeable and control streams,
     recording the level-confinement extremes and the guarantee check.
 
@@ -504,8 +510,6 @@ def lemma_stress_matrix(predictors=None, n: int = 800, warmup: int = 50,
     eps_min/eps_max against [-gamma, 1 + gamma] and on
     summary.bound_satisfied.
     """
-    if predictors is None:
-        predictors = ONLINE_PREDICTORS + (OFFLINE_PREDICTORS if offline else ())
     out = []
     for pid in predictors:
         tasks = [CLASSIFICATION, REGRESSION] if _PREDICTOR_TASK[pid] is None \
@@ -580,8 +584,6 @@ def _quantize(obj):
         return float(format_float(obj)) if math.isfinite(obj) else obj
     if isinstance(obj, dict):
         return {k: _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v) for v in obj]
     return obj
 
 

@@ -106,16 +106,10 @@ def classification_record(step: int, eps_used: float, ps: PredictionSet,
 def regression_record(step: int, eps_used: float, ps: PredictionSet,
                       y: float, clamp=(EPS_CLAMP_LO, EPS_CLAMP_HI)) -> StepRecord:
     err = 0 if ps.contains(y) else 1
-    eps_w = clamp_eps(eps_used, *clamp)
-    if ps.kind == "empty":
-        width, wink, inf = 0.0, math.inf, False
-    else:
-        width = ps.size()
-        wink = winkler_score_set(ps, y, eps_w)
-        inf = ps.is_infinite
     return StepRecord(step=step, eps_used=eps_used, err=err,
-                      set_size_or_width=width, winkler=wink,
-                      excess=None, is_infinite=inf)
+                      set_size_or_width=ps.size(),
+                      winkler=winkler_score_set(ps, y, clamp_eps(eps_used, *clamp)),
+                      excess=None, is_infinite=ps.is_infinite)
 
 
 def observed_excess(records) -> float:

@@ -40,13 +40,11 @@ def knn_threshold_predict(hist_X, hist_y, x, eps: float, k: int, label_space) ->
     """Keep the labels whose vote share strictly exceeds eps.
 
     Vote shares over one x sum to 1, so the set never holds more than
-    floor(1/eps) labels; it may well be empty at large eps.
+    floor(1/eps) labels; it may well be empty at large eps.  The inputs are
+    checked at every level, the boundary ones included.
     """
-    forced = boundary_set(eps, CLASSIFICATION)
-    if forced is not None:
-        return forced
     shares = knn_vote_shares(hist_X, hist_y, x, k, label_space)
-    return labels_above(shares, label_space, eps)
+    return boundary_set(eps, CLASSIFICATION) or labels_above(shares, label_space, eps)
 
 
 def ols_interval_predict(hist_X, hist_y, x, eps: float, a: float = 0.0) -> PredictionSet:

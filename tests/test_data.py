@@ -94,6 +94,17 @@ def test_load_usps_error_paths(tmp_path):
         load_usps(str(f), str(f))
 
 
+def test_load_usps_takes_integer_labels_below_2_to_the_53(tmp_path):
+    # the largest labels the rule takes load exactly, as ints
+    f = tmp_path / "u"
+    f.write_text("".join(f"{label} " + " ".join(["0"] * 256) + "\n"
+                         for label in ["9007199254740991", "-9007199254740991.0", "-0.0", "4"]))
+    with pytest.warns(UserWarning, match="canonical"):
+        train, _ = load_usps(str(f), str(f))
+    assert list(train.y) == [2 ** 53 - 1, 1 - 2 ** 53, 0, 4]
+    assert train.label_space == [1 - 2 ** 53, 0, 4, 2 ** 53 - 1]
+
+
 def test_dataset_validation_and_subsample():
     with pytest.raises(ValueError):
         Dataset(name="x", task="regression", X=np.zeros((3, 2)), y=np.zeros(4))

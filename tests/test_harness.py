@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aci_lab import cp_online, harness, nccp_online
+from aci_lab import cli, cp_online, harness, nccp_online
 from aci_lab.aci import confinement_interval
 from aci_lab.cli import main
-from aci_lab.data import split_train_calibration
+from aci_lab.data import split_train_calibration, standardize_features
 from aci_lab.harness import (OFFLINE_PREDICTORS, ConfigError, ExperimentConfig,
-                             _offline_rule, build_config, emit_sweep, emit_trace,
+                             _offline_rule, build_config, emit_sweep, emit_trace, format_float,
                              lemma_stress_matrix, parse_config_file, parse_trace,
                              resolve_offline_datasets, run_offline, run_online, run_sweep,
                              write_run_outputs)
@@ -434,6 +434,94 @@ def test_lemma_stress_matrix_shape():
         assert lo <= result.eps_min and result.eps_max <= hi
 
 
+def test_cli_sweep_prints_its_rows_and_writes_the_table(tmp_path, capsys):
+    settings_ = dict(dataset="synth-class", predictor="icp-class", n=300, delta=0.05, p=4,
+                     test_fraction=0.5, seeds="0,1", cal_fractions="0.2,0.5")
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in settings_.items()]
+    assert main(["sweep", *argv, "--out", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    sweep = run_sweep(build_config(settings_))
+    assert len(printed) == len(sweep.rows) + 1
+    for line, (frac, method, metric, mean, half, n) in zip(printed, sweep.rows):
+        cal = "-" if frac is None else format_float(frac)
+        assert line == (f"cal={cal} {method} {metric} = {format_float(mean)} "
+                        f"+/- {format_float(half)} (T={n})")
+    written = tmp_path / "out" / "sweep.csv"
+    assert printed[-1] == f"wrote {written}"
+    emit_sweep(str(tmp_path / "expected.csv"), sweep)
+    assert written.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def _small_stress(**kwargs):
+    return lemma_stress_matrix(predictors=("coin-flip", "random-set"), n=220, warmup=20,
+                               **kwargs)
+
+
+def test_cli_lemma_stress_prints_a_line_per_run(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "lemma_stress_matrix", _small_stress)
+    assert main(["lemma-stress", "--delta", "0.05"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("[ok] ") for line in lines), lines
+
+    def one_escapes(**kwargs):
+        # a level past the confinement interval fails its line and the command
+        rows = _small_stress(**kwargs)
+        pid, stream, result = rows[1]
+        rows[1] = (pid, stream, replace(result, eps_max=1.0 + 2.0 * result.gamma))
+        return rows
+
+    monkeypatch.setattr(cli, "lemma_stress_matrix", one_escapes)
+    assert main(["lemma-stress", "--delta", "0.05"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["[ok]", "[FAIL]", *["[ok]"] * 4], lines
+
+
+def test_online_subsample_cuts_the_stream():
+    result = run_online(build_config(dict(FAST_REG, subsample=150)))
+    assert result.dataset_name == "synth-reg[3][150]"
+    assert len(result.records) == 150 - FAST_REG["warmup"]
+    assert result.summary.bound_satisfied
+
+
+@pytest.mark.parametrize("name, value", [("pool_subsample", 150), ("subsample", 120),
+                                         ("standardize", True)])
+def test_offline_subsample_and_standardize(name, value):
+    cfg = build_config(dict(dataset="synth-class", predictor="icp-class", n=400,
+                            delta=0.05, seed=2, p=4, test_fraction=0.5, **{name: value}))
+    train, test = resolve_offline_datasets(cfg)
+    plain_train, plain_test = resolve_offline_datasets(
+        replace(cfg, **{name: getattr(ExperimentConfig, name)}))
+    if name == "standardize":
+        # the pool by its own statistics, the test stream by the pool's
+        assert np.allclose(train.X, standardize_features(plain_train.X))
+        assert np.allclose(test.X, standardize_features(plain_test.X, plain_train.X))
+    else:
+        cut, kept = (train, test) if name == "pool_subsample" else (test, train)
+        assert len(cut) == value and cut.name.endswith(f"[{value}]")
+        assert len(kept) == 200
+    result = run_offline(cfg)
+    assert result.dataset_name == f"{train.name}->{test.name}"
+    assert len(result.records) == len(test) and result.summary.bound_satisfied
+
+
+@pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e400", "1e20", "9007199254740992",
+                                   "1.5", "-0.25"])
+def test_cli_names_the_line_of_a_bad_usps_label(label, tmp_path, capsys):
+    # a label is an integer of magnitude below 2^53, or is refused at its
+    # line; inf, 1e400 and 1e20 once ended in a raw OverflowError traceback,
+    # nan in an error naming no file
+    path = tmp_path / "digits.dat"
+    grey = " ".join(["0.5"] * 256)
+    path.write_text(f"3.0000 {grey}\n\n{label} {grey}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["online", "--dataset", "usps", "--predictor", "knn-nccp",
+                   "--train-path", str(path), "--test-path", str(path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:3: non-integer label "), err
+
+
 def test_cli_online_and_report(tmp_path, capsys):
     out = tmp_path / "runs"
     rc = main(["online", "--dataset", "synth-reg", "--predictor", "crr",
@@ -557,6 +645,11 @@ _BEFORE_WORK = {
                       ("gamma-negative", ["--gamma", "-0.1"]),
                       ("delta-nan", ["--delta", "nan"]),
                       ("winkler-clamp-hi-one", ["--config", "{tmp}/hi-one.cfg"])]}
+# the whole cal_fractions grid is checked before the first cell is fitted;
+# a bad last fraction was once found only after every earlier cell's fit
+_BEFORE_WORK["cal-fractions-last-above-one-before-sweep-fit"] = [
+    "sweep", "--dataset", "synth-reg", "--predictor", "icp-reg", "--n", "300",
+    "--seeds", "0,1", "--cal-fractions", "0.1,0.3,1.5", "--delta", "0.05"]
 _BAD_INVOCATIONS = {
     "reg-predictor-online": ["online", "--dataset", "synth-reg", "--predictor", "icp-reg",
                              "--n", "260", "--warmup", "40"],
@@ -564,10 +657,11 @@ _BAD_INVOCATIONS = {
     **{case: [*base, *_SHORT, *bad] for case, (base, bad) in _SHORT_ROWS.items()},
     "eps-nan-offline": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
                         "--eps", "nan", "--n", "300"],
+    # a feasible delta, so that the fraction is what is refused
     "cal-fraction0": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
-                      "--cal-fraction", "0", "--n", "300"],
+                      "--cal-fraction", "0", "--n", "300", "--delta", "0.05"],
     "cal-fraction1": ["offline", "--dataset", "synth-reg", "--predictor", "icp-reg",
-                      "--cal-fraction", "1", "--n", "300"],
+                      "--cal-fraction", "1", "--n", "300", "--delta", "0.05"],
     "k-above-training-size": ["offline", "--dataset", "synth-reg", "--predictor",
                               "inccp-reg", "--k", "500", "--n", "300"],
     "missing-data-file": ["online", "--dataset", "wine", "--predictor", "crr",
@@ -587,6 +681,11 @@ _BAD_INVOCATIONS = {
                                  "icp-reg", "--test-fraction", value, "--n", "300"]
        for name, value in [("nan", "nan"), ("inf", "inf"), ("negative", "-1"),
                            ("zero", "0"), ("above-one", "1.5")]},
+    # report checks its levels before reading a trace, as a run does: eps 2
+    # once printed satisfied=False, and eps -1 was refused as eps1
+    "eps-above-one-report": ["report", "{tmp}/run.trace.csv", "--eps", "2", "--eps1", "0.1",
+                             "--gamma", "0.6"],
+    "eps-negative-report": ["report", "{tmp}/run.trace.csv", "--eps=-1", "--gamma", "0.6"],
     # "refusing to serialise NaN" once, from the bound of an infinite gamma
     "report-gamma-inf": ["report", "{tmp}/run.trace.csv", "--eps", "0.1", "--gamma", "inf"],
     # printed bound=inf satisfied=True
@@ -653,6 +752,8 @@ def test_cli_rejects_bad_invocations(case, tmp_path, capsys, monkeypatch):
         assert "eps " in err[0] and "eps1" not in err[0]
     if case.startswith("test-fraction-"):
         assert "test_fraction" in err[0]
+    if case.startswith("cal-fraction"):
+        assert err[0].startswith("error: cal_fraction "), err
     if case == "repeated-seeds":
         assert "seeds" in err[0]
     if "ridge-a" in case:

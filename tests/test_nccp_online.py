@@ -390,6 +390,22 @@ def test_ridge_routes_reject_non_finite_input(predict, bad):
         predict(X, y, x, 0.2)
 
 
+@pytest.mark.parametrize("predict", [crr_predict, ols_interval_predict])
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("bad", ["nan in hist_X", "inf in x"])
+def test_ridge_routes_reject_non_finite_input_at_the_boundary(predict, eps, bad):
+    # the inputs are checked before the forced set: a NaN history once gave
+    # the whole line at eps 0 and the empty set at eps 1
+    rng = derive_rng(7, "ridge-non-finite")
+    X, y, x = rng.normal(size=(12, 2)), rng.normal(size=12), rng.normal(size=2)
+    if bad == "nan in hist_X":
+        X[3, 1] = math.nan
+    else:
+        x[0] = math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        predict(X, y, x, eps)
+
+
 # Every one-shot k-NN route and both scorers, from history (X, y), query x
 # and neighbour count k.
 _KNN_ROUTES = {
@@ -400,7 +416,15 @@ _KNN_ROUTES = {
     "KnnClassScorer": lambda X, y, x, k=3: KnnClassScorer(k).fit(X, y).class_scores(x),
     "KnnQuantileScorer": lambda X, y, x, k=3: KnnQuantileScorer(k).fit(X, y).point(x),
 }
-_ONE_SHOT_KNN = ["knn_cp_predict", "knn_threshold_predict", "knn_vote_shares"]
+# The level-taking routes at the boundary levels too, where knn_threshold_predict
+# once returned "all" or "empty" for a 1-D history or a NaN query.
+_KNN_ROUTES.update({
+    f"{name}-eps{eps:g}": lambda X, y, x, k=3, f=f, eps=eps: f(X, y, x, eps, k, [0, 1])
+    for name, f in [("knn_cp_predict", knn_cp_predict),
+                    ("knn_threshold_predict", knn_threshold_predict)]
+    for eps in (0.0, 1.0)})
+_ONE_SHOT_KNN = ["knn_cp_predict", "knn_threshold_predict", "knn_vote_shares",
+                 *(route for route in _KNN_ROUTES if "-eps" in route)]
 
 
 @pytest.mark.parametrize("route", sorted(_KNN_ROUTES))

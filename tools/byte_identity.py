@@ -8,7 +8,7 @@ and one from the working tree.  The same fixed list of ``aci-lab``
 invocations runs under each, from one working directory and with the
 same relative ``--out`` paths, so file names and the paths the CLI
 prints agree; two of them read every setting from a config file written
-there.  Every output file (traces, summaries, manifests, sweep
+there, and three read small seeded wine and usps files written there.  Every output file (traces, summaries, manifests, sweep
 tables), every command's stdout and the list of exit codes are then
 compared byte for byte.  Exits 0 when all are equal, 1 on any
 difference.  Only the standard library and the CLI are used.
@@ -17,6 +17,7 @@ difference.  Only the standard library and the CLI are used.
 import argparse
 import filecmp
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -72,6 +73,25 @@ winkler_clamp_lo = 0.005
 winkler_clamp_hi = 0.99
 """,
 }
+
+
+def data_files():
+    """Small seeded wine (300 white, 200 red rows) and usps (300 train, 300
+    test rows of 256 grey values) files, by file name; labels are written
+    as floats, as the usps files write them."""
+    rng = random.Random(20)
+    header = ";".join(f'"c{j}"' for j in range(11)) + ';"quality"\n'
+    files = {}
+    for name, rows in (("wine-white.csv", 300), ("wine-red.csv", 200)):
+        files[name] = header + "".join(
+            ";".join(f"{rng.uniform(0, 10):.3f}" for _ in range(11))
+            + f";{rng.randint(3, 9)}\n" for _ in range(rows))
+    for name in ("usps.train", "usps.test"):
+        files[name] = "".join(
+            f"{rng.randint(0, 9)}.0000 "
+            + " ".join(f"{rng.uniform(-1, 1):.4f}" for _ in range(256)) + "\n"
+            for _ in range(300))
+    return files
 
 
 def commands():
@@ -200,6 +220,12 @@ def commands():
                                              "--warmup", "50", "--delta", "0.02", "--k", k]))
     for name in CONFIG_FILES:
         cmds.append((f"config-{name[:-4]}", [name[:-4], "--config", name]))
+    # the file readers, on the seeded files of data_files()
+    wine = ("--dataset", "wine", "--white-path", "wine-white.csv", "--red-path", "wine-red.csv")
+    usps = ("--dataset", "usps", "--train-path", "usps.train", "--test-path", "usps.test")
+    cmds.append(("wine-crr", ["online", *wine, "--predictor", "crr"]))
+    cmds.append(("usps-icp-class", ["offline", *usps, "--predictor", "icp-class"]))
+    cmds.append(("usps-knn-nccp", ["online", *usps, "--predictor", "knn-nccp"]))
     return cmds
 
 
@@ -209,7 +235,7 @@ def run_side(src, work, dest):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = os.path.join(work, "out")
     os.makedirs(out)
-    for name, text in CONFIG_FILES.items():
+    for name, text in {**CONFIG_FILES, **data_files()}.items():
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     codes, failed = [], []
