@@ -435,12 +435,12 @@ def test_lemma_stress_matrix_shape():
 
 
 def test_cli_sweep_prints_its_rows_and_writes_the_table(tmp_path, capsys):
-    settings_ = dict(dataset="synth-class", predictor="icp-class", n=300, delta=0.05, p=4,
+    sweep_cfg = dict(dataset="synth-class", predictor="icp-class", n=300, delta=0.05, p=4,
                      test_fraction=0.5, seeds="0,1", cal_fractions="0.2,0.5")
-    argv = [f"--{key.replace('_', '-')}={value}" for key, value in settings_.items()]
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in sweep_cfg.items()]
     assert main(["sweep", *argv, "--out", str(tmp_path / "out")]) == 0
     printed = capsys.readouterr().out.splitlines()
-    sweep = run_sweep(build_config(settings_))
+    sweep = run_sweep(build_config(sweep_cfg))
     assert len(printed) == len(sweep.rows) + 1
     for line, (frac, method, metric, mean, half, n) in zip(printed, sweep.rows):
         cal = "-" if frac is None else format_float(frac)

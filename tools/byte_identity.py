@@ -8,10 +8,11 @@ and one from the working tree.  The same fixed list of ``aci-lab``
 invocations runs under each, from one working directory and with the
 same relative ``--out`` paths, so file names and the paths the CLI
 prints agree; two of them read every setting from a config file written
-there, and three read small seeded wine and usps files written there.  Every output file (traces, summaries, manifests, sweep
-tables), every command's stdout and the list of exit codes are then
-compared byte for byte.  Exits 0 when all are equal, 1 on any
-difference.  Only the standard library and the CLI are used.
+there, and three read small seeded wine and usps files written there.
+Every output file (traces, summaries, manifests, sweep tables), every
+command's stdout and the list of exit codes are then compared byte for
+byte.  Exits 0 when all are equal, 1 on any difference.  Only the
+standard library and the CLI are used.
 """
 
 import argparse
